@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Dictionary, augment
+from .dictionary import Dictionary, feature_matrix, feature_time_derivatives
 from .dynamics import VectorField, exact_derivatives
-from .expr import Expr, evaluate_many, gradient_many
+from .expr import Expr, evaluate_many
 from .fitting import assemble_gram, build_data_matrices
 from .linalg import min_norm_solve
+from .model import kron_squared_cols
 
 __all__ = [
     "DiscreteInnerProduct", "BoxQuadrature",
@@ -147,18 +148,21 @@ def limit_gram_system(d: Dictionary, field: VectorField, space):
 
     Returns (rstar (D, D), sstar (D, N)) over the augmented basis of ``d``
     in its usual order (products, entries, constant); column l of sstar pairs
-    every augmented entry with grad phi_l . F.
+    every augmented entry with grad phi_l . F.  The table has the layout the
+    fitting code stacks: [z kron z; z; 1] on the quadrature nodes.
     """
     points, weights = space.nodes_weights()
-    aug = augment(d).exprs()
-    table = np.stack([evaluate_many(e, points) for e in aug])
+    n = d.size
+    z = feature_matrix(d, points)
+    # Filled in place: a separate (N^2, M) product block would be live
+    # beside the table and raise peak memory.
+    table = np.empty((n * n + n + 1, weights.size))
+    kron_squared_cols(z, out=table[:n * n])
+    table[n * n:-1] = z
+    table[-1] = 1.0
     weighted = table * weights
     rstar = weighted @ table.T
-    field_values = field.many(points)
-    sstar = np.empty((len(aug), d.size))
-    for col, e in enumerate(d.basis):
-        lifted_rate = np.sum(gradient_many(e, points) * field_values, axis=1)
-        sstar[:, col] = weighted @ lifted_rate
+    sstar = weighted @ feature_time_derivatives(d, points, field.many(points)).T
     return rstar, sstar
 
 
@@ -250,6 +254,10 @@ def convergence_study(d: Dictionary, field: VectorField, box, sample_sizes,
     sample_sizes = tuple(int(m) for m in sample_sizes)
     if any(m < 1 for m in sample_sizes):
         raise ValueError("sample sizes must be positive")
+    if len(set(sample_sizes)) < 2:
+        raise ValueError(
+            "a convergence slope needs at least two distinct sample sizes, "
+            f"got {list(sample_sizes)}")
     if runs < 1:
         raise ValueError("need at least one run")
     rstar, sstar = limit_gram_system(d, field, BoxQuadrature(box, order))

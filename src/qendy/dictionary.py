@@ -12,14 +12,11 @@ assumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import (
-    Const, Expr, Mul, Var, evaluate_many, evaluate_with_gradient_many,
-    gradient_many, parse, render, variables,
-)
+from .expr import Const, Mul, Program, Var, parse, render, variables
 
 __all__ = [
     "ConfigurationError", "Dictionary", "AugmentedBasis",
@@ -35,11 +32,16 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class Dictionary:
-    """An ordered tuple of basis functions over an n-dimensional state."""
+    """An ordered tuple of basis functions over an n-dimensional state.
+
+    The basis is compiled once, at construction, into ``program``, which
+    every lift and lifted derivative runs.
+    """
 
     state_dim: int
     basis: tuple
     names: tuple = ()
+    program: Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         basis = tuple(self.basis)
@@ -53,12 +55,15 @@ class Dictionary:
             raise ConfigurationError(
                 f"{len(names)} names for {len(basis)} basis functions")
         object.__setattr__(self, "names", names)
-        for i, e in enumerate(basis):
-            out = [v for v in variables(e) if v >= self.state_dim]
-            if out:
-                raise ConfigurationError(
-                    f"basis entry {i} ({render(e)}) references x{out[0] + 1} "
-                    f"but state dimension is {self.state_dim}")
+        program = Program(basis)
+        if max(program.variables, default=-1) >= self.state_dim:
+            for i, e in enumerate(basis):
+                out = [v for v in variables(e) if v >= self.state_dim]
+                if out:
+                    raise ConfigurationError(
+                        f"basis entry {i} ({names[i]}) references x{min(out) + 1} "
+                        f"but state dimension is {self.state_dim}")
+        object.__setattr__(self, "program", program)
 
     @property
     def size(self) -> int:
@@ -82,7 +87,7 @@ def feature_matrix(d: Dictionary, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != d.state_dim:
         raise ValueError(f"expected shape (m, {d.state_dim}), got {points.shape}")
-    return np.stack([evaluate_many(e, points) for e in d.basis])
+    return d.program.values(points)
 
 
 def jacobian(d: Dictionary, x) -> np.ndarray:
@@ -90,25 +95,22 @@ def jacobian(d: Dictionary, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (d.state_dim,):
         raise ValueError(f"expected shape ({d.state_dim},), got {x.shape}")
-    return np.stack([gradient_many(e, x[None, :])[0] for e in d.basis])
+    return d.program.gradients(x[None, :])[1][:, 0, :]
 
 
 def feature_time_derivatives(d: Dictionary, points, derivatives) -> np.ndarray:
     """Chain rule along samples: column k is J(points[k]) @ derivatives[k].
 
     ``points`` and ``derivatives`` are (m, n); the result is (N, m), the time
-    derivative of each lifted coordinate along the sampled motion.
+    derivative of each lifted coordinate along the sampled motion.  It is one
+    forward-mode tangent pass with the derivatives as the direction.
     """
     points = np.asarray(points, dtype=float)
     derivatives = np.asarray(derivatives, dtype=float)
     if points.shape != derivatives.shape:
         raise ValueError(
             f"points {points.shape} and derivatives {derivatives.shape} disagree")
-    rows = []
-    for e in d.basis:
-        _, grads = evaluate_with_gradient_many(e, points)
-        rows.append(np.sum(grads * derivatives, axis=1))
-    return np.stack(rows)
+    return d.program.tangents(points, derivatives)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import evaluate_many, parse
+from .expr import Program, parse
 
 __all__ = [
     "IntegrationBlowupError", "VectorField", "Trajectory", "TrainingSet",
@@ -59,9 +59,10 @@ class VectorField:
         exprs = tuple(parse(e) if isinstance(e, str) else e for e in exprs)
         if len(exprs) != n:
             raise ValueError(f"{len(exprs)} component expressions for dimension {n}")
+        program = Program(exprs)
 
         def fn(points):
-            return np.column_stack([evaluate_many(e, points) for e in exprs])
+            return np.ascontiguousarray(program.values(points).T)
 
         return cls(n, fn, name)
 
@@ -241,8 +242,17 @@ def save_trajectory(traj: Trajectory, path):
     _write_rows(path, header, np.column_stack([traj.times, traj.states]))
 
 
+def _load_rows(path) -> np.ndarray:
+    """The data rows of a CSV file with one header line, as an (m, k) array."""
+    with open(path) as fh:
+        fh.readline()
+        if not any(line.strip() for line in fh):
+            raise ValueError(f"{path} has a header but no data rows")
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 def load_trajectory(path) -> Trajectory:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _load_rows(path)
     return Trajectory(data[:, 0], data[:, 1:])
 
 
@@ -254,7 +264,7 @@ def save_training(ts: TrainingSet, path):
 
 
 def load_training(path) -> TrainingSet:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _load_rows(path)
     if data.shape[1] % 2 != 0:
         raise ValueError(f"training file must have an even column count, got {data.shape[1]}")
     n = data.shape[1] // 2

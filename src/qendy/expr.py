@@ -1,10 +1,15 @@
 """Expression trees for scalar basis functions.
 
 The node set is deliberately small: constants, variables, sums, products,
-integer powers, sin/cos/exp, and reciprocals.  Evaluation is vectorized over
-batches of sample points, and gradients are propagated with forward-mode dual
-numbers (value and directional-derivative arrays move through the tree
-together), so derivatives are exact to rounding.
+integer powers, sin/cos/exp, and reciprocals.  Evaluation goes through a
+:class:`Program`: one or more trees flattened, without recursion, into a
+topologically ordered instruction list in which structurally equal subtrees
+share one slot.  A value pass computes every slot over a batch of sample
+points.  A forward-mode tangent pass then carries one directional derivative
+per slot along a given direction, so a Jacobian-vector product such as the
+time derivative of a lift along sampled motion costs one pass and never forms
+a Jacobian; gradients take one unit-direction pass per coordinate.
+Derivatives are exact to rounding.
 
 Surface syntax, used by :func:`parse` and :func:`render`::
 
@@ -29,7 +34,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Sin", "Cos", "Exp", "Inv",
-    "EvaluationDomainError", "ExpressionSyntaxError",
+    "EvaluationDomainError", "ExpressionSyntaxError", "Program",
     "evaluate", "evaluate_many", "gradient", "gradient_many",
     "evaluate_with_gradient_many", "variables", "parse", "render",
 ]
@@ -129,129 +134,250 @@ def _as_batch(x) -> np.ndarray:
     return x
 
 
-def _check_var(e: Var, n: int):
-    if e.index >= n:
-        raise ValueError(
-            f"expression references x{e.index + 1} but points have dimension {n}"
-        )
+# A Program flattens trees into a topologically ordered instruction list.
+# Structurally equal subtrees are hash-consed onto one slot (the key of a node
+# is its type, its operand slots and its payload), so a subexpression shared
+# by several trees, or repeated inside one, is computed once.  Flattening and
+# both passes are loops over that list, so tree depth is not bounded by the
+# interpreter's recursion limit.
+
+_OP_CONST, _OP_VAR, _OP_ADD, _OP_MUL, _OP_POW, _OP_SIN, _OP_COS, _OP_EXP, _OP_INV = range(9)
+_OPCODES = {Const: _OP_CONST, Var: _OP_VAR, Add: _OP_ADD, Mul: _OP_MUL, Pow: _OP_POW,
+            Sin: _OP_SIN, Cos: _OP_COS, Exp: _OP_EXP, Inv: _OP_INV}
 
 
-def _values(e: Expr, x: np.ndarray) -> np.ndarray:
-    if isinstance(e, Const):
-        return np.full(x.shape[0], e.value)
-    if isinstance(e, Var):
-        _check_var(e, x.shape[1])
-        return x[:, e.index].copy()
-    if isinstance(e, Add):
-        return _values(e.left, x) + _values(e.right, x)
-    if isinstance(e, Mul):
-        return _values(e.left, x) * _values(e.right, x)
+def _children(e: Expr) -> tuple:
+    if isinstance(e, (Add, Mul)):
+        return (e.left, e.right)
     if isinstance(e, Pow):
-        base = _values(e.base, x)
-        if e.exponent < 0 and np.any(base == 0.0):
-            raise EvaluationDomainError(e, "zero raised to a negative power")
-        return base ** e.exponent
-    if isinstance(e, Sin):
-        return np.sin(_values(e.arg, x))
-    if isinstance(e, Cos):
-        return np.cos(_values(e.arg, x))
-    if isinstance(e, Exp):
-        return np.exp(_values(e.arg, x))
-    if isinstance(e, Inv):
-        arg = _values(e.arg, x)
-        if np.any(arg == 0.0):
-            raise EvaluationDomainError(e, "division by zero")
-        return 1.0 / arg
+        return (e.base,)
+    if isinstance(e, (Sin, Cos, Exp, Inv)):
+        return (e.arg,)
+    if isinstance(e, (Const, Var)):
+        return ()
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _duals(e: Expr, x: np.ndarray):
-    """Forward-mode pass returning (values (m,), jacobian (m, n))."""
-    m, n = x.shape
+def _payload(e: Expr):
     if isinstance(e, Const):
-        return np.full(m, e.value), np.zeros((m, n))
+        return e.value.hex()  # keeps -0.0 apart from 0.0
     if isinstance(e, Var):
-        _check_var(e, n)
-        dot = np.zeros((m, n))
-        dot[:, e.index] = 1.0
-        return x[:, e.index].copy(), dot
-    if isinstance(e, Add):
-        lv, ld = _duals(e.left, x)
-        rv, rd = _duals(e.right, x)
-        return lv + rv, ld + rd
-    if isinstance(e, Mul):
-        lv, ld = _duals(e.left, x)
-        rv, rd = _duals(e.right, x)
-        return lv * rv, lv[:, None] * rd + rv[:, None] * ld
+        return e.index
     if isinstance(e, Pow):
-        bv, bd = _duals(e.base, x)
-        k = e.exponent
-        if k == 0:
-            return np.ones(m), np.zeros((m, n))
-        if k < 0 and np.any(bv == 0.0):
-            raise EvaluationDomainError(e, "zero raised to a negative power")
-        return bv ** k, (k * bv ** (k - 1))[:, None] * bd
-    if isinstance(e, Sin):
-        av, ad = _duals(e.arg, x)
-        return np.sin(av), np.cos(av)[:, None] * ad
-    if isinstance(e, Cos):
-        av, ad = _duals(e.arg, x)
-        return np.cos(av), -np.sin(av)[:, None] * ad
-    if isinstance(e, Exp):
-        av, ad = _duals(e.arg, x)
-        ev = np.exp(av)
-        return ev, ev[:, None] * ad
-    if isinstance(e, Inv):
-        av, ad = _duals(e.arg, x)
-        if np.any(av == 0.0):
-            raise EvaluationDomainError(e, "division by zero")
-        iv = 1.0 / av
-        return iv, -(iv * iv)[:, None] * ad
-    raise TypeError(f"not an expression node: {e!r}")
+        return e.exponent
+    return None
+
+
+class Program:
+    """A tuple of trees compiled into one shared-subterm instruction list.
+
+    The value pass computes one (m,) array per slot.  The tangent pass then
+    carries one (m,) directional derivative per slot along a direction given
+    per variable, which is forward-mode differentiation (a Jacobian-vector
+    product) without ever forming a Jacobian.  Programs are immutable after
+    construction, so one may be run from several threads at once.
+    """
+
+    def __init__(self, exprs):
+        exprs = tuple(exprs)  # keeps every node alive while ids key ``memo``
+        instrs, slots, memo = [], {}, {}
+        for root in exprs:
+            stack = [root]
+            while stack:
+                e = stack[-1]
+                if id(e) in memo:
+                    stack.pop()
+                    continue
+                kids = _children(e)
+                pending = [k for k in kids if id(k) not in memo]
+                if pending:
+                    stack.extend(reversed(pending))
+                    continue
+                stack.pop()
+                key = (_OPCODES[type(e)], tuple(memo[id(k)] for k in kids), _payload(e))
+                slot = slots.get(key)
+                if slot is None:
+                    slot = slots[key] = len(instrs)
+                    instrs.append((*key, e))
+                memo[id(e)] = slot
+        self.outputs = tuple(memo[id(root)] for root in exprs)
+        # Sin and Cos differentiate to each other; reuse a computed partner.
+        partner = {_OP_SIN: _OP_COS, _OP_COS: _OP_SIN}
+        self._instrs = tuple(
+            (op, args, payload, node,
+             slots.get((partner[op], args, None)) if op in partner else None)
+            for op, args, payload, node in instrs)
+        self.variables = frozenset(p for op, _, p, _ in instrs if op == _OP_VAR)
+        self._width = max(self.variables, default=-1) + 1
+
+    def __len__(self) -> int:
+        """Number of slots: distinct subexpressions over all compiled trees."""
+        return len(self._instrs)
+
+    def _check(self, x: np.ndarray):
+        n = x.shape[1]
+        if self._width > n:
+            raise ValueError(
+                f"expression references x{self._width} but points have dimension {n}")
+
+    def _value_pass(self, x: np.ndarray) -> list:
+        m = x.shape[0]
+        vals = []
+        for op, args, payload, node, _ in self._instrs:
+            if op == _OP_MUL:
+                v = vals[args[0]] * vals[args[1]]
+            elif op == _OP_ADD:
+                v = vals[args[0]] + vals[args[1]]
+            elif op == _OP_VAR:
+                v = x[:, payload].copy()
+            elif op == _OP_CONST:
+                v = np.full(m, node.value)
+            elif op == _OP_POW:
+                base = vals[args[0]]
+                if payload < 0 and np.any(base == 0.0):
+                    raise EvaluationDomainError(node, "zero raised to a negative power")
+                v = base ** payload
+            elif op == _OP_SIN:
+                v = np.sin(vals[args[0]])
+            elif op == _OP_COS:
+                v = np.cos(vals[args[0]])
+            elif op == _OP_EXP:
+                v = np.exp(vals[args[0]])
+            else:
+                arg = vals[args[0]]
+                if np.any(arg == 0.0):
+                    raise EvaluationDomainError(node, "division by zero")
+                v = 1.0 / arg
+            vals.append(v)
+        return vals
+
+    def _tangent_pass(self, vals: list, seeds) -> list:
+        """Slot tangents given ``seeds[j]``, the tangent of x_{j+1}.
+
+        ``None`` stands for an identically zero tangent, so subtrees that do
+        not depend on a seeded variable cost nothing.
+        """
+        tans = []
+        for slot, (op, args, payload, _, partner) in enumerate(self._instrs):
+            if op == _OP_MUL:
+                a, b = args
+                ta, tb = tans[a], tans[b]
+                if ta is None:
+                    t = None if tb is None else vals[a] * tb
+                elif tb is None:
+                    t = vals[b] * ta
+                else:
+                    t = vals[a] * tb + vals[b] * ta
+            elif op == _OP_ADD:
+                ta, tb = tans[args[0]], tans[args[1]]
+                t = tb if ta is None else ta if tb is None else ta + tb
+            elif op == _OP_VAR:
+                t = seeds[payload]
+            elif op == _OP_CONST:
+                t = None
+            else:
+                ta = tans[args[0]]
+                if ta is None:
+                    t = None
+                elif op == _OP_POW:
+                    t = None if payload == 0 else (
+                        payload * vals[args[0]] ** (payload - 1)) * ta
+                elif op == _OP_SIN:
+                    cos = vals[partner] if partner is not None else np.cos(vals[args[0]])
+                    t = cos * ta
+                elif op == _OP_COS:
+                    sin = vals[partner] if partner is not None else np.sin(vals[args[0]])
+                    t = -sin * ta
+                elif op == _OP_EXP:
+                    t = vals[slot] * ta
+                else:
+                    t = -(vals[slot] * vals[slot]) * ta
+            tans.append(t)
+        return tans
+
+    def _gather(self, slots_out: list, m: int) -> np.ndarray:
+        out = np.empty((len(self.outputs), m))
+        for row, slot in enumerate(self.outputs):
+            value = slots_out[slot]
+            out[row] = 0.0 if value is None else value
+        return out
+
+    def values(self, x) -> np.ndarray:
+        """Every tree at each row of ``x`` (m, n); returns (K, m)."""
+        x = _as_batch(x)
+        self._check(x)
+        return self._gather(self._value_pass(x), x.shape[0])
+
+    def tangents(self, x, v) -> np.ndarray:
+        """Directional derivatives along ``v`` (m, n), row by row: entry
+        (k, i) of the (K, m) result is grad f_k(x[i]) . v[i]."""
+        x, v = _as_batch(x), _as_batch(v)
+        if v.shape != x.shape:
+            raise ValueError(f"direction {v.shape} does not match points {x.shape}")
+        self._check(x)
+        vals = self._value_pass(x)
+        seeds = [v[:, j].copy() for j in range(x.shape[1])]
+        return self._gather(self._tangent_pass(vals, seeds), x.shape[0])
+
+    def gradients(self, x):
+        """Values (K, m) and row-wise gradients (K, m, n), one unit-direction
+        tangent pass per coordinate."""
+        x = _as_batch(x)
+        self._check(x)
+        m, n = x.shape
+        vals = self._value_pass(x)
+        grads = np.empty((len(self.outputs), m, n))
+        ones = np.ones(m)
+        for j in range(n):
+            seeds = [None] * n
+            seeds[j] = ones
+            grads[:, :, j] = self._gather(self._tangent_pass(vals, seeds), m)
+        return self._gather(vals, m), grads
+
+
+def _point(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a point of shape (n,), got {x.shape}")
+    return x[None, :]
 
 
 def evaluate(e: Expr, x) -> float:
     """Evaluate ``e`` at a single point ``x`` of shape (n,)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a point of shape (n,), got {x.shape}")
-    return float(_values(e, x[None, :])[0])
+    return float(Program((e,)).values(_point(x))[0, 0])
 
 
 def evaluate_many(e: Expr, x) -> np.ndarray:
     """Evaluate ``e`` at each row of ``x`` (m, n); returns shape (m,)."""
-    return _values(e, _as_batch(x))
+    return Program((e,)).values(x)[0]
 
 
 def gradient(e: Expr, x) -> np.ndarray:
     """Gradient of ``e`` at a single point ``x`` of shape (n,)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a point of shape (n,), got {x.shape}")
-    return _duals(e, x[None, :])[1][0]
+    return Program((e,)).gradients(_point(x))[1][0, 0]
 
 
 def gradient_many(e: Expr, x) -> np.ndarray:
     """Row-wise gradients of ``e``; input (m, n), output (m, n)."""
-    return _duals(e, _as_batch(x))[1]
+    return Program((e,)).gradients(x)[1][0]
 
 
 def evaluate_with_gradient_many(e: Expr, x):
     """Values and row-wise gradients in one pass: ((m,), (m, n))."""
-    return _duals(e, _as_batch(x))
+    values, grads = Program((e,)).gradients(x)
+    return values[0], grads[0]
 
 
 def variables(e: Expr) -> frozenset:
     """Set of variable indices referenced by ``e``."""
-    if isinstance(e, Var):
-        return frozenset((e.index,))
-    if isinstance(e, (Add, Mul)):
-        return variables(e.left) | variables(e.right)
-    if isinstance(e, Pow):
-        return variables(e.base)
-    if isinstance(e, (Sin, Cos, Exp, Inv)):
-        return variables(e.arg)
-    return frozenset()
+    found, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            found.add(node.index)
+        else:
+            stack.extend(_children(node))
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------

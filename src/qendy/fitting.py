@@ -57,14 +57,23 @@ class DataMatrices:
 
 
 def build_data_matrices(d: Dictionary, ts: TrainingSet) -> DataMatrices:
-    """Lift a training set through the dictionary."""
+    """Lift a training set through the dictionary.
+
+    Raises ValueError, naming the basis entry and the sample, when a lifted
+    value or lifted derivative is not finite (an overflow, say).
+    """
     if ts.n != d.state_dim:
         raise ValueError(
             f"training data has dimension {ts.n}, dictionary expects {d.state_dim}")
     z1 = feature_matrix(d, ts.states)
-    z2 = kron_squared_cols(z1)
     zdot = feature_time_derivatives(d, ts.states, ts.derivatives)
-    return DataMatrices(z1, z2, zdot)
+    for what, lifted in (("value", z1), ("time derivative", zdot)):
+        if not np.isfinite(lifted).all():
+            entry, sample = np.argwhere(~np.isfinite(lifted))[0]
+            raise ValueError(
+                f"basis entry {entry} ({d.names[entry]}) has a non-finite lifted "
+                f"{what} ({float(lifted[entry, sample])!r}) at sample {sample}")
+    return DataMatrices(z1, kron_squared_cols(z1), zdot)
 
 
 @dataclass(frozen=True, eq=False)

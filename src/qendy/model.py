@@ -35,13 +35,22 @@ def kron_squared(z) -> np.ndarray:
     return np.kron(z, z)
 
 
-def kron_squared_cols(z_cols) -> np.ndarray:
-    """Columnwise self-Kronecker: (N, m) in, (N^2, m) out."""
+def kron_squared_cols(z_cols, *, out=None) -> np.ndarray:
+    """Columnwise self-Kronecker: (N, m) in, (N^2, m) out.
+
+    ``out``, a C-contiguous (N^2, m) array such as the leading rows of a
+    larger table, receives the result in place of a new array.
+    """
     z_cols = np.asarray(z_cols, dtype=float)
     if z_cols.ndim != 2:
         raise ValueError(f"expected a (N, m) column stack, got shape {z_cols.shape}")
     n, m = z_cols.shape
-    return np.einsum("ik,jk->ijk", z_cols, z_cols).reshape(n * n, m)
+    if out is None:
+        return np.einsum("ik,jk->ijk", z_cols, z_cols).reshape(n * n, m)
+    if out.shape != (n * n, m) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous ({n * n}, {m}) array")
+    np.einsum("ik,jk->ijk", z_cols, z_cols, out=out.reshape(n, n, m))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,6 +231,7 @@ def model_to_json(model: QuadraticModel) -> dict:
         "lambda": float(meta.get("lambda", 0.0)),
         "m": int(meta["m"]) if "m" in meta else None,
         "provenance": str(meta.get("provenance", "external")),
+        "force_c_zero": bool(meta.get("force_c_zero", False)),
     }
 
 
@@ -230,6 +240,7 @@ def model_from_json(obj: dict) -> QuadraticModel:
     metadata = {
         "lambda": float(obj.get("lambda", 0.0)),
         "provenance": str(obj.get("provenance", "external")),
+        "force_c_zero": bool(obj.get("force_c_zero", False)),
     }
     if obj.get("m") is not None:
         metadata["m"] = int(obj["m"])

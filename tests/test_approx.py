@@ -223,3 +223,10 @@ def test_csv_rewrite_is_byte_identical(tmp_path):
     st.write_runs_csv(a)
     st.write_runs_csv(b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_convergence_study_needs_two_distinct_sizes():
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    for sizes in ([100], [100, 100]):
+        with pytest.raises(ValueError, match="two distinct sample sizes"):
+            convergence_study(pendulum_dictionary(), pendulum(c=0.1), box, sizes, runs=2)

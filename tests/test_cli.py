@@ -360,3 +360,27 @@ def test_unknown_fit_method_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--method", "other", "--training", "x", "--dictionary", "y"])
     assert exc.value.code == 2
+
+
+def test_fit_rejects_non_finite_lift(tmp_path, capsys):
+    training = tmp_path / "training.csv"
+    training.write_text("x1,dx1\n0.5,1.0\n10.0,1.0\n")
+    dictionary = tmp_path / "dictionary.json"
+    dictionary.write_text(json.dumps({"state_dim": 1, "basis": ["x1", "exp(x1^3)"]}))
+    with np.errstate(over="ignore"):
+        rc = main(["fit", "--training", str(training), "--dictionary", str(dictionary),
+                   "--out", str(tmp_path / "fit")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qendy: error in fit:")
+    assert "exp(x1^3)" in err and "sample 1" in err
+
+
+def test_convergence_with_one_sample_size_fails(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m_list": [100]}))
+    rc = main(["convergence", "--system", "pendulum", "--runs", "2",
+               "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("qendy: error in convergence:")
+    assert not (tmp_path / "convergence_summary.json").exists()

@@ -1,6 +1,7 @@
 """Integrator, samplers, derivative estimation, benchmark systems, CSV IO."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,3 +237,12 @@ def test_training_set_shape_check():
     with pytest.raises(ValueError):
         TrainingSet(states=np.zeros((3, 2)), derivatives=np.zeros((4, 2)),
                     provenance="exact")
+
+
+def test_load_training_header_only_has_no_data_rows(tmp_path):
+    path = tmp_path / "train.csv"
+    path.write_text("x1,x2,dx1,dx2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_training(path)

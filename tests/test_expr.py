@@ -1,15 +1,20 @@
-"""Expression AST: evaluation, dual-number gradients, parser, renderer."""
+"""Expression AST: compiled evaluation, tangent-pass gradients, parser,
+renderer."""
 
 import math
 
 import numpy as np
 import pytest
 
+from qendy.dictionary import (
+    Dictionary, feature_matrix, feature_time_derivatives, jacobian,
+)
 from qendy.expr import (
     Add, Const, Cos, EvaluationDomainError, Exp, ExpressionSyntaxError, Inv,
-    Mul, Pow, Sin, Var, evaluate, evaluate_many, gradient, gradient_many,
-    parse, render, variables,
+    Mul, Pow, Program, Sin, Var, evaluate, evaluate_many, gradient,
+    gradient_many, parse, render, variables,
 )
+from qendy.systems import make_dictionary
 
 # x/(1+x)^2 shows up in several dictionaries; build it once by hand.
 RATIONAL = Mul(Var(0), Pow(Add(Const(1.0), Var(0)), -2))
@@ -203,3 +208,183 @@ def test_render_parse_round_trip():
 
 def test_variables_collects_indices():
     assert variables(parse("sin(x1)*x3+x1")) == frozenset({0, 2})
+
+
+def test_variables_of_deep_tree():
+    e = Var(0)
+    for k in range(1, 3000):
+        e = Add(e, Var(k % 4))
+    assert variables(e) == frozenset({0, 1, 2, 3})
+
+
+# ---------------------------------------------------------------------------
+# compiled program against the recursive tree walkers it replaced
+#
+# The oracle is the earlier evaluator: a recursive value walk, and a
+# forward-mode walk that carries a full (m, n) Jacobian at every node.
+
+
+def _oracle_values(e, x):
+    if isinstance(e, Const):
+        return np.full(x.shape[0], e.value)
+    if isinstance(e, Var):
+        return x[:, e.index].copy()
+    if isinstance(e, Add):
+        return _oracle_values(e.left, x) + _oracle_values(e.right, x)
+    if isinstance(e, Mul):
+        return _oracle_values(e.left, x) * _oracle_values(e.right, x)
+    if isinstance(e, Pow):
+        return _oracle_values(e.base, x) ** e.exponent
+    if isinstance(e, Sin):
+        return np.sin(_oracle_values(e.arg, x))
+    if isinstance(e, Cos):
+        return np.cos(_oracle_values(e.arg, x))
+    if isinstance(e, Exp):
+        return np.exp(_oracle_values(e.arg, x))
+    if isinstance(e, Inv):
+        return 1.0 / _oracle_values(e.arg, x)
+    raise TypeError(e)
+
+
+def _oracle_duals(e, x):
+    m, n = x.shape
+    if isinstance(e, Const):
+        return np.full(m, e.value), np.zeros((m, n))
+    if isinstance(e, Var):
+        dot = np.zeros((m, n))
+        dot[:, e.index] = 1.0
+        return x[:, e.index].copy(), dot
+    if isinstance(e, Add):
+        lv, ld = _oracle_duals(e.left, x)
+        rv, rd = _oracle_duals(e.right, x)
+        return lv + rv, ld + rd
+    if isinstance(e, Mul):
+        lv, ld = _oracle_duals(e.left, x)
+        rv, rd = _oracle_duals(e.right, x)
+        return lv * rv, lv[:, None] * rd + rv[:, None] * ld
+    if isinstance(e, Pow):
+        bv, bd = _oracle_duals(e.base, x)
+        k = e.exponent
+        if k == 0:
+            return np.ones(m), np.zeros((m, n))
+        return bv ** k, (k * bv ** (k - 1))[:, None] * bd
+    if isinstance(e, Sin):
+        av, ad = _oracle_duals(e.arg, x)
+        return np.sin(av), np.cos(av)[:, None] * ad
+    if isinstance(e, Cos):
+        av, ad = _oracle_duals(e.arg, x)
+        return np.cos(av), -np.sin(av)[:, None] * ad
+    if isinstance(e, Exp):
+        av, ad = _oracle_duals(e.arg, x)
+        ev = np.exp(av)
+        return ev, ev[:, None] * ad
+    if isinstance(e, Inv):
+        av, ad = _oracle_duals(e.arg, x)
+        iv = 1.0 / av
+        return iv, -(iv * iv)[:, None] * ad
+    raise TypeError(e)
+
+
+BUILTIN_DICTIONARIES = ["pendulum", "rational", "thomas9", "thomas15", "quartic",
+                        "identity"]
+
+
+def _dictionary_and_points(name, m=400):
+    d = make_dictionary(name, **({"n": 3} if name == "identity" else {}))
+    rng = np.random.default_rng(BUILTIN_DICTIONARIES.index(name))
+    lo, hi = (0.0, 3.0) if name == "rational" else (-3.0, 3.0)
+    points = rng.uniform(lo, hi, (m, d.state_dim))
+    return d, points, rng.normal(size=(m, d.state_dim))
+
+
+def _row_relative(a, b):
+    """Largest difference per row, relative to the row's largest magnitude."""
+    scale = np.maximum(np.abs(b).max(axis=-1, keepdims=True), np.finfo(float).tiny)
+    return float((np.abs(a - b) / scale).max())
+
+
+@pytest.mark.parametrize("name", BUILTIN_DICTIONARIES)
+def test_lift_is_bit_equal_to_oracle(name):
+    d, points, _ = _dictionary_and_points(name)
+    expected = np.stack([_oracle_values(e, points) for e in d.basis])
+    assert feature_matrix(d, points).tobytes() == expected.tobytes()
+    for e, row in zip(d.basis, expected):
+        assert evaluate_many(e, points).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("name", BUILTIN_DICTIONARIES)
+def test_lifted_derivatives_match_oracle(name):
+    d, points, direction = _dictionary_and_points(name)
+    expected = np.stack([np.sum(_oracle_duals(e, points)[1] * direction, axis=1)
+                         for e in d.basis])
+    assert _row_relative(feature_time_derivatives(d, points, direction),
+                         expected) <= 1e-14
+
+
+@pytest.mark.parametrize("name", BUILTIN_DICTIONARIES)
+def test_gradients_match_oracle(name):
+    d, points, _ = _dictionary_and_points(name, m=50)
+    for e in d.basis:
+        expected = _oracle_duals(e, points)[1]
+        assert _row_relative(gradient_many(e, points).T, expected.T) <= 1e-14
+    for x in points[:5]:
+        expected = np.stack([_oracle_duals(e, x[None, :])[1][0] for e in d.basis])
+        assert _row_relative(jacobian(d, x), expected) <= 1e-14
+
+
+def test_program_merges_structurally_equal_subtrees():
+    # thomas15: 3 variables, 3 sines, 3 cosines and 6 products; the products
+    # reuse the sines, cosines and variables of the other entries.
+    d = make_dictionary("thomas15")
+    assert len(d.program) == 15
+    # Separately parsed, structurally equal trees share slots too.
+    program = Program((parse("sin(x1)*x2"), parse("sin(x1)*x2"), parse("sin(x1)")))
+    assert len(program) == 4
+    assert program.outputs[0] == program.outputs[1]
+    # Equal floats of opposite sign are different constants.
+    assert len(Program((Const(0.0), Const(-0.0)))) == 2
+
+
+def test_domain_error_names_offending_subtree():
+    pole = Inv(Add(Var(0), Const(-1.0)))
+    d = Dictionary(1, (Var(0), Mul(Var(0), pole), Add(Const(2.0), pole)))
+    with pytest.raises(EvaluationDomainError) as info:
+        feature_matrix(d, [[0.5], [1.0]])
+    assert info.value.node == pole
+    assert "1/(x1-1)" in str(info.value)
+    with pytest.raises(EvaluationDomainError) as info:
+        gradient_many(Pow(Sin(Var(1)), -2), np.zeros((3, 2)))
+    assert info.value.node == Pow(Sin(Var(1)), -2)
+    assert "sin(x2)^-2" in str(info.value)
+
+
+def test_evaluate_many_of_variable_is_a_copy():
+    points = np.arange(6.0).reshape(3, 2)
+    out = evaluate_many(Var(1), points)
+    assert not np.shares_memory(out, points)
+    out[0] = -1.0
+    assert points[0, 1] == 1.0
+
+
+def test_long_entry_lifts_without_recursion_error():
+    # A 1500-term sum nests Add 1500 deep, beyond the interpreter's
+    # default recursion limit.
+    powers = np.arange(1500) % 4
+    text = "+".join(f"{k + 1}*x1^{p}*sin(x2)" for k, p in enumerate(powers))
+    d = Dictionary.from_strings(2, [text, "x1"])
+    rng = np.random.default_rng(7)
+    points = rng.uniform(-1.0, 1.0, (20, 2))
+    direction = rng.normal(size=(20, 2))
+    x1, x2 = points[:, 0], points[:, 1]
+    coef = np.arange(1.0, 1501.0)[:, None]
+    expected = np.sum(coef * x1 ** powers[:, None], axis=0) * np.sin(x2)
+    d_dx1 = np.sum(coef * powers[:, None] * x1 ** np.maximum(powers - 1, 0)[:, None],
+                   axis=0) * np.sin(x2)
+    d_dx2 = np.sum(coef * x1 ** powers[:, None], axis=0) * np.cos(x2)
+    z = feature_matrix(d, points)
+    assert _row_relative(z[0], expected) <= 1e-12
+    rate = feature_time_derivatives(d, points, direction)
+    assert _row_relative(rate[0], d_dx1 * direction[:, 0] + d_dx2 * direction[:, 1]) <= 1e-12
+    jac = jacobian(d, points[0])
+    assert _row_relative(jac[0], np.array([d_dx1[0], d_dx2[0]])) <= 1e-12
+    assert np.array_equal(jac[1], [1.0, 0.0])

@@ -285,3 +285,16 @@ def test_fit_dimension_mismatch():
     d = Dictionary.from_strings(1, ["x1"])
     with pytest.raises(ValueError):
         fit(d, ts)
+
+
+def test_build_data_matrices_rejects_non_finite_lift():
+    d = Dictionary.from_strings(1, ["x1", "exp(x1^3)"])
+    overflow = TrainingSet(np.array([[0.5], [10.0], [1.0]]), np.ones((3, 1)))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"basis entry 1 \(exp\(x1\^3\)\).* value .*sample 1"):
+        build_data_matrices(d, overflow)
+    # exp(8.9^3) is finite, its derivative 3 x^2 exp(x^3) is not.
+    rate_overflow = TrainingSet(np.array([[0.5], [1.0], [8.9]]), np.ones((3, 1)))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"basis entry 1 .*time derivative .*sample 2"):
+        build_data_matrices(d, rate_overflow)

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from qendy.dictionary import Dictionary, feature_map
-from qendy.dynamics import IntegrationBlowupError, sample_trajectory
+from qendy.dynamics import (
+    IntegrationBlowupError, exact_derivatives, sample_trajectory, sample_uniform,
+)
+from qendy.fitting import build_data_matrices, fit, stationarity_gap
 from qendy.model import (
     QuadraticModel, evaluate, evaluate_cols, extract_rhs, extract_rhs_many,
     hurwitz_margin, kron_squared, kron_squared_cols, load_model,
@@ -68,6 +71,20 @@ def test_kron_squared_cols_matches_columnwise():
     assert k.shape == (16, 7)
     for c in range(7):
         assert np.array_equal(k[:, c], kron_squared(z_cols[:, c]))
+
+
+def test_kron_squared_cols_writes_into_table_rows():
+    rng = np.random.default_rng(2)
+    z_cols = rng.standard_normal((4, 7))
+    table = np.zeros((17, 7))
+    rows = table[:16]
+    assert kron_squared_cols(z_cols, out=rows) is rows
+    assert np.array_equal(table[:16], kron_squared_cols(z_cols))
+    assert not table[16].any()
+    with pytest.raises(ValueError):
+        kron_squared_cols(z_cols, out=np.zeros((16, 8)))
+    with pytest.raises(ValueError):
+        kron_squared_cols(z_cols, out=np.zeros((7, 16)).T)
 
 
 def test_kron_squared_rejects_matrices():
@@ -295,3 +312,16 @@ def test_save_load_model(tmp_path):
     assert np.array_equal(back.a, model.a)
     z = feature_map(back.dictionary, [1.0])
     assert np.abs(evaluate(back, z) - np.array([-0.5, 0.125, 0.0])).max() < 1e-15
+
+
+def test_model_json_keeps_force_c_zero():
+    ts = exact_derivatives(pendulum(c=0.1), sample_uniform([(-1, 1)] * 2, 200, seed=3))
+    fitted = fit(pendulum_dictionary(), ts, force_c_zero=True)
+    payload = model_to_json(fitted)
+    back = model_from_json(payload)
+    assert back.metadata["force_c_zero"] is True
+    dm = build_data_matrices(fitted.dictionary, ts)
+    assert stationarity_gap(back, dm) == stationarity_gap(fitted, dm)
+    # Files written before the flag was saved load as unconstrained fits.
+    del payload["force_c_zero"]
+    assert model_from_json(payload).metadata["force_c_zero"] is False
