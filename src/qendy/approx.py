@@ -95,13 +95,23 @@ class BoxQuadrature:
 
 
 def _values_on(f, points) -> np.ndarray:
+    """Values of an expression tree, a callable on point batches, or an array
+    of samples (one per point) on ``points``."""
     if isinstance(f, Expr):
         return evaluate_many(f, points)
-    values = np.asarray(f(points), dtype=float)
+    values = np.asarray(f if isinstance(f, np.ndarray) else f(points), dtype=float)
     if values.shape != (points.shape[0],):
         raise ValueError(
-            f"target returned shape {values.shape} for {points.shape[0]} points")
+            f"target values of shape {values.shape} do not match "
+            f"{points.shape[0]} points")
     return values
+
+
+def _sampled(basis, target, space):
+    """(basis table (K, M), target values (M,), weights (M,)) on the nodes."""
+    points, weights = space.nodes_weights()
+    table = np.stack([_values_on(f, points) for f in basis])
+    return table, _values_on(target, points), weights
 
 
 def gram_system(basis, target, space):
@@ -111,16 +121,7 @@ def gram_system(basis, target, space):
     point batches; for a discrete space the target may also be a plain array
     of samples, one per point.
     """
-    points, weights = space.nodes_weights()
-    table = np.stack([_values_on(f, points) for f in basis])
-    if isinstance(target, np.ndarray):
-        target_values = np.asarray(target, dtype=float)
-        if target_values.shape != (points.shape[0],):
-            raise ValueError(
-                f"target samples {target_values.shape} do not match "
-                f"{points.shape[0]} points")
-    else:
-        target_values = _values_on(target, points)
+    table, target_values, weights = _sampled(basis, target, space)
     weighted = table * weights
     return weighted @ table.T, weighted @ target_values
 
@@ -133,12 +134,7 @@ def best_approximation(basis, target, space, rcond=None) -> np.ndarray:
 
 def approximation_error(basis, coefficients, target, space) -> float:
     """Weighted squared error <f - sum c_i phi_i, f - sum c_i phi_i>."""
-    points, weights = space.nodes_weights()
-    table = np.stack([_values_on(f, points) for f in basis])
-    if isinstance(target, np.ndarray):
-        target_values = np.asarray(target, dtype=float)
-    else:
-        target_values = _values_on(target, points)
+    table, target_values, weights = _sampled(basis, target, space)
     residual = target_values - np.asarray(coefficients, dtype=float) @ table
     return float(np.sum(weights * residual ** 2))
 

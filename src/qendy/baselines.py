@@ -11,7 +11,6 @@ normal-equation policy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np

@@ -20,16 +20,16 @@ from . import baselines, reduction
 from .approx import convergence_study
 from .dictionary import (
     ConfigurationError, full_state_matrix, load_dictionary, save_dictionary,
+    write_json,
 )
 from .dynamics import (
     IntegrationBlowupError, exact_derivatives, finite_diff_derivatives,
     load_training, rk4_integrate, sample_trajectory, sample_uniform,
-    save_training, save_trajectory,
+    save_training, save_trajectory, write_rows,
 )
 from .fitting import build_data_matrices, fit, loss
 from .model import (
-    hurwitz_margin, load_model, model_from_json, save_model, simulate,
-    sparsity_report,
+    hurwitz_margin, model_from_json, save_model, simulate, sparsity_report,
 )
 from .systems import companion_dictionary, make_dictionary, make_system
 
@@ -45,19 +45,6 @@ class _CliError(RuntimeError):
 def _set_stage(name):
     global _STAGE
     _STAGE = name
-
-
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _load_config(path):
@@ -84,8 +71,16 @@ def _merge_config(defaults, config, overrides, command):
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return merged
 
-def _parse_floats(text):
-    return [float(v) for v in str(text).split(",") if v != ""]
+
+def _vector(value):
+    """A state given as comma-separated text (flag) or a list (config)."""
+    if isinstance(value, str):
+        value = [float(v) for v in value.split(",") if v != ""]
+    return np.asarray(value, dtype=float)
+
+
+def _system(cfg):
+    return make_system(cfg["system"], **cfg.get("params", {}))
 
 
 def _resolve_dictionary(ref, state_dim=None):
@@ -107,19 +102,48 @@ def _outdir(cfg):
     return out
 
 
+# The coefficient key that marks each kind of model file, and its reader.
+_KINDS = {
+    "A": ("qendy", model_from_json),
+    "Xi": ("sindy", baselines.sindy_from_json),
+    "Theta": ("gedmd", baselines.gedmd_from_json),
+}
+
+
+def _load_model_file(path):
+    """(kind, model) of a model JSON file."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    for key, (kind, from_json) in _KINDS.items():
+        if key in obj:
+            return kind, from_json(obj)
+    raise _CliError(f"model file has none of the keys {', '.join(_KINDS)}")
+
+
+def _loss_fields(kind, model, ts):
+    """Training loss of a fitted model, as summary fields (none for gEDMD)."""
+    if kind == "qendy":
+        residual, regularized = loss(model, build_data_matrices(model.dictionary, ts),
+                                     model.metadata["lambda"])
+        return {"loss": residual, "regularized_loss": regularized}
+    if kind == "sindy":
+        residual = np.sum((ts.derivatives - baselines.sindy_rhs_many(
+            model, ts.states)) ** 2)
+        return {"loss": float(residual)}
+    return {}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_generate(cfg):
     _set_stage("generate")
-    system = make_system(cfg["system"], **cfg.get("params", {}))
+    system = _system(cfg)
     out = _outdir(cfg)
     wrote = []
     if cfg.get("x0") is not None:
-        x0 = np.asarray(_parse_floats(cfg["x0"])
-                        if isinstance(cfg["x0"], str) else cfg["x0"], dtype=float)
-        traj = sample_trajectory(system, x0, float(cfg["t_end"]),
+        traj = sample_trajectory(system, _vector(cfg["x0"]), float(cfg["t_end"]),
                                  int(cfg["m"]), int(cfg["substeps"]))
         if cfg["derivatives"] == "finite-difference":
             ts = finite_diff_derivatives(traj)
@@ -152,82 +176,59 @@ def cmd_fit(cfg):
     d, g_override = _resolve_dictionary(cfg["dictionary"], state_dim=ts.n)
     out = _outdir(cfg)
     model_path = os.path.join(out, "model.json")
-    summary = {"method": cfg["method"], "m": int(ts.m)}
-    if cfg["method"] == "qendy":
+    method = cfg["method"]
+    if method == "qendy":
         model = fit(d, ts, lam=float(cfg["lambda"]),
                     force_c_zero=bool(cfg["force_c_zero"]),
                     rcond=cfg.get("rcond"), g=g_override)
         save_model(model, model_path)
-        dm = build_data_matrices(d, ts)
-        residual, regularized = loss(model, dm, float(cfg["lambda"]))
-        summary["loss"] = residual
-        summary["regularized_loss"] = regularized
-    elif cfg["method"] == "sindy":
+    elif method == "sindy":
         model = baselines.sindy_fit(d, ts, threshold=float(cfg["threshold"]),
                                     rcond=cfg.get("rcond"))
-        _write_json(model_path, baselines.sindy_to_json(model))
-        residual = np.sum((ts.derivatives - baselines.sindy_rhs_many(
-            model, ts.states)) ** 2)
-        summary["loss"] = float(residual)
-    elif cfg["method"] == "gedmd":
+        write_json(model_path, baselines.sindy_to_json(model))
+    elif method == "gedmd":
         model = baselines.gedmd_fit(d, ts, rcond=cfg.get("rcond"))
-        _write_json(model_path, baselines.gedmd_to_json(model))
+        write_json(model_path, baselines.gedmd_to_json(model))
     else:
-        raise _CliError(f"unknown fit method {cfg['method']!r}")
+        raise _CliError(f"unknown fit method {method!r}")
+    summary = {"method": method, "m": int(ts.m), **_loss_fields(method, model, ts)}
     summary_path = os.path.join(out, "fit_summary.json")
-    _write_json(summary_path, summary)
+    write_json(summary_path, summary)
     print(model_path)
     print(summary_path)
     return 0
 
 
-def _simulate_model(obj, x0, t_end, dt, reembed):
-    """Returns (times, states (m, n), blowup step or None)."""
-    if "A" in obj:
-        model = model_from_json(obj)
-        try:
-            result = simulate(model, x0, t_end, dt, reembed=reembed)
-            return result.times, result.x_states, None
-        except IntegrationBlowupError as err:
-            steps = err.step - 1
-            if steps < 1:
-                return np.zeros(1), np.asarray(x0, dtype=float)[None, :], err.step
-            result = simulate(model, x0, steps * dt, dt, reembed=reembed)
-            return result.times, result.x_states, err.step
-    if "Xi" in obj:
-        sindy = baselines.sindy_from_json(obj)
-        field = lambda x: baselines.sindy_rhs_many(sindy, x)
-    elif "Theta" in obj:
-        gedmd = baselines.gedmd_from_json(obj)
-        g = full_state_matrix(gedmd.dictionary)
-        field = lambda x: baselines.gedmd_rhs_many(gedmd, g, x)
-    else:
-        raise _CliError("model file has none of the keys A, Xi, Theta")
+def _simulate_model(kind, model, x0, t_end, dt, reembed):
+    """Returns (times, states (m, n), blowup step or None).
 
-    class _Wrapped:
-        def __call__(self, x):
-            return field(x[None, :])[0]
-
-    wrapped = _Wrapped()
+    After a blowup the path ends at the last finite state.
+    """
     try:
-        traj = rk4_integrate(wrapped, x0, t_end, dt)
-        return traj.times, traj.states, None
+        if kind == "qendy":
+            path = simulate(model, x0, t_end, dt, reembed=reembed)
+        elif kind == "sindy":
+            path = rk4_integrate(
+                lambda x: baselines.sindy_rhs_many(model, x[None, :])[0],
+                x0, t_end, dt)
+        else:
+            g = full_state_matrix(model.dictionary)
+            path = rk4_integrate(
+                lambda x: baselines.gedmd_rhs_many(model, g, x[None, :])[0],
+                x0, t_end, dt)
+        blowup = None
     except IntegrationBlowupError as err:
-        steps = err.step - 1
-        if steps < 1:
-            return np.zeros(1), np.asarray(x0, dtype=float)[None, :], err.step
-        traj = rk4_integrate(wrapped, x0, steps * dt, dt)
-        return traj.times, traj.states, err.step
+        path, blowup = err.partial, err.step
+    states = path.x_states if kind == "qendy" else path.states
+    return path.times, states, blowup
 
 
 def cmd_simulate(cfg):
     _set_stage("simulate")
-    with open(cfg["model"]) as fh:
-        obj = json.load(fh)
-    x0 = np.asarray(_parse_floats(cfg["x0"])
-                    if isinstance(cfg["x0"], str) else cfg["x0"], dtype=float)
+    kind, model = _load_model_file(cfg["model"])
+    x0 = _vector(cfg["x0"])
     t_end, dt = float(cfg["t_end"]), float(cfg["dt"])
-    times, states, blowup = _simulate_model(obj, x0, t_end, dt,
+    times, states, blowup = _simulate_model(kind, model, x0, t_end, dt,
                                             bool(cfg["reembed"]))
     n = states.shape[1]
     summary = {"t_end": t_end, "dt": dt,
@@ -235,9 +236,7 @@ def cmd_simulate(cfg):
     header = "t," + ",".join(f"x{j + 1}_model" for j in range(n))
     columns = [times] + [states[:, j] for j in range(n)]
     if cfg.get("system") is not None:
-        reference = rk4_integrate(make_system(cfg["system"],
-                                              **cfg.get("params", {})),
-                                  x0, t_end, dt)
+        reference = rk4_integrate(_system(cfg), x0, t_end, dt)
         ref_states = reference.states[:times.size]
         header += "," + ",".join(f"x{j + 1}_true" for j in range(n))
         columns += [ref_states[:, j] for j in range(n)]
@@ -251,9 +250,9 @@ def cmd_simulate(cfg):
     columns.append(flags)
     out = _outdir(cfg)
     csv_path = os.path.join(out, "simulation.csv")
-    _write_csv(csv_path, header, np.column_stack(columns))
+    write_rows(csv_path, header, np.column_stack(columns))
     summary_path = os.path.join(out, "simulation_summary.json")
-    _write_json(summary_path, summary)
+    write_json(summary_path, summary)
     print(csv_path)
     print(summary_path)
     return 0
@@ -261,7 +260,7 @@ def cmd_simulate(cfg):
 
 def cmd_convergence(cfg):
     _set_stage("convergence")
-    system = make_system(cfg["system"], **cfg.get("params", {}))
+    system = _system(cfg)
     if cfg.get("dictionary") is not None:
         d, _ = _resolve_dictionary(cfg["dictionary"], state_dim=system.n)
     else:
@@ -277,7 +276,7 @@ def cmd_convergence(cfg):
     study.write_runs_csv(runs_path)
     study.write_aggregate_csv(agg_path)
     summary_path = os.path.join(out, "convergence_summary.json")
-    _write_json(summary_path, {"slope_R": study.slope_r,
+    write_json(summary_path, {"slope_R": study.slope_r,
                                "slope_s": study.slope_s,
                                "runs": study.runs,
                                "m_list": [int(m) for m in study.sample_sizes]})
@@ -299,15 +298,13 @@ def cmd_reduce(cfg):
             dt=float(cfg["dt"]), noise=float(cfg["noise"]),
             seed=int(cfg["seed"]))
         snap_path = os.path.join(out, "snapshots.csv")
-        with open(snap_path, "w") as fh:
-            for row in snapshots:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_rows(snap_path, None, snapshots)
         printed.append(snap_path)
     result = reduction.reduced_identification_pipeline(
         snapshots, int(cfg["k"]), float(cfg["train_fraction"]),
         float(cfg["dt"]), lam=float(cfg["lambda"]))
     pca_path = os.path.join(out, "pca.json")
-    _write_json(pca_path, {
+    write_json(pca_path, {
         "mean": result.basis.mean.tolist(),
         "components": result.basis.components.tolist(),
         "singular_values": result.basis.singular_values.tolist(),
@@ -319,10 +316,10 @@ def cmd_reduce(cfg):
               + ",".join(f"r{j + 1}_model" for j in range(k)))
     times = np.arange(snapshots.shape[0]) * float(cfg["dt"])
     forecast_path = os.path.join(out, "forecast.csv")
-    _write_csv(forecast_path, header,
+    write_rows(forecast_path, header,
                np.column_stack([times, result.reduced, result.predicted]))
     report_path = os.path.join(out, "reduction_report.json")
-    _write_json(report_path, {
+    write_json(report_path, {
         "k": k,
         "n_train": result.n_train,
         "train_rel_rms": result.train_rel_rms,
@@ -338,22 +335,11 @@ def cmd_reduce(cfg):
 
 def cmd_report(cfg):
     _set_stage("report")
-    with open(cfg["model"]) as fh:
-        obj = json.load(fh)
+    kind, model = _load_model_file(cfg["model"])
     out = _outdir(cfg)
-    rows = []
-    summary = {"state_dim": int(obj["state_dim"])}
-
-    def tidy(name, matrix):
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        for r in range(matrix.shape[0]):
-            for c in range(matrix.shape[1]):
-                rows.append((name, r, c, matrix[r, c]))
-
-    if "A" in obj:
-        model = model_from_json(obj)
-        summary["kind"] = "qendy"
-        summary["basis"] = list(model.dictionary.names)
+    d = model.dictionary
+    summary = {"state_dim": int(d.state_dim), "kind": kind, "basis": list(d.names)}
+    if kind == "qendy":
         stability = hurwitz_margin(model)
         sparsity = sparsity_report(model)
         summary["hurwitz_stable"] = bool(stability.stable)
@@ -361,43 +347,24 @@ def cmd_report(cfg):
         summary["nonzeros"] = {"A": sparsity.a_nonzeros, "B": sparsity.b_nonzeros,
                                "C": sparsity.c_nonzeros}
         summary["a_frobenius"] = sparsity.a_frobenius
-        for name, matrix in (("A", model.a), ("B", model.b),
-                             ("C", model.c[None, :]), ("G", model.g)):
-            tidy(name, matrix)
-        if cfg.get("training") is not None:
-            ts = load_training(cfg["training"])
-            dm = build_data_matrices(model.dictionary, ts)
-            lam = float(obj.get("lambda", 0.0))
-            residual, regularized = loss(model, dm, lam)
-            summary["loss"] = residual
-            summary["regularized_loss"] = regularized
-    elif "Xi" in obj:
-        model = baselines.sindy_from_json(obj)
-        summary["kind"] = "sindy"
-        summary["basis"] = list(model.dictionary.names)
-        tidy("Xi", model.xi)
-        if cfg.get("training") is not None:
-            ts = load_training(cfg["training"])
-            residual = np.sum((ts.derivatives - baselines.sindy_rhs_many(
-                model, ts.states)) ** 2)
-            summary["loss"] = float(residual)
-    elif "Theta" in obj:
-        model = baselines.gedmd_from_json(obj)
-        summary["kind"] = "gedmd"
-        summary["basis"] = list(model.dictionary.names)
-        tidy("Theta", model.theta)
-        pairs = baselines.koopman_eigenfunctions(model)
-        summary["eigenvalues"] = [[p.eigenvalue.real, p.eigenvalue.imag]
-                                  for p in pairs]
+        matrices = (("A", model.a), ("B", model.b), ("C", model.c[None, :]),
+                    ("G", model.g))
+    elif kind == "sindy":
+        matrices = (("Xi", model.xi),)
     else:
-        raise _CliError("model file has none of the keys A, Xi, Theta")
+        matrices = (("Theta", model.theta),)
+        summary["eigenvalues"] = [[p.eigenvalue.real, p.eigenvalue.imag]
+                                  for p in baselines.koopman_eigenfunctions(model)]
+    if kind != "gedmd" and cfg.get("training") is not None:
+        summary.update(_loss_fields(kind, model, load_training(cfg["training"])))
     coeff_path = os.path.join(out, "coefficients.csv")
     with open(coeff_path, "w") as fh:
         fh.write("matrix,row,col,value\n")
-        for name, r, c, v in rows:
-            fh.write(f"{name},{r},{c},{float(v)!r}\n")
+        for name, matrix in matrices:
+            for (r, c), v in np.ndenumerate(matrix):
+                fh.write(f"{name},{r},{c},{float(v)!r}\n")
     report_path = os.path.join(out, "report.json")
-    _write_json(report_path, summary)
+    write_json(report_path, summary)
     print(coeff_path)
     print(report_path)
     return 0
@@ -415,11 +382,11 @@ _DEFAULTS = {
     "fit": {
         "method": "qendy", "training": None, "dictionary": None,
         "lambda": 0.0, "force_c_zero": False, "threshold": 0.0,
-        "rcond": None, "seed": 0, "out": None,
+        "rcond": None, "out": None,
     },
     "simulate": {
         "model": None, "x0": None, "t_end": 10.0, "dt": 1e-3,
-        "reembed": False, "system": None, "params": {}, "seed": 0, "out": None,
+        "reembed": False, "system": None, "params": {}, "out": None,
     },
     "convergence": {
         "system": "pendulum", "params": {}, "dictionary": None, "box": None,
@@ -432,7 +399,7 @@ _DEFAULTS = {
         "out": None,
     },
     "report": {
-        "model": None, "training": None, "seed": 0, "out": None,
+        "model": None, "training": None, "out": None,
     },
 }
 
@@ -461,13 +428,14 @@ def _build_parser():
         description="Quadratic-embedding system identification toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=False):
         p.add_argument("--config", help="JSON or TOML config file")
-        p.add_argument("--seed", type=int)
+        if seeded:
+            p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory (default: .)")
 
     p = sub.add_parser("generate", help="sample training data from a benchmark system")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--system")
     p.add_argument("--m", type=int, help="number of samples")
     p.add_argument("--t-end", type=float, dest="t_end")
@@ -494,13 +462,13 @@ def _build_parser():
     p.add_argument("--reembed", action="store_true", default=None)
 
     p = sub.add_parser("convergence", help="Monte Carlo limit-convergence study")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--system")
     p.add_argument("--dictionary")
     p.add_argument("--runs", type=int)
 
     p = sub.add_parser("reduce", help="PCA reduction and reduced-order fit")
-    common(p)
+    common(p, seeded=True)
     p.add_argument("--data", help="headerless snapshot CSV (default: synthetic)")
     p.add_argument("--k", type=int)
     p.add_argument("--train-fraction", type=float, dest="train_fraction")
@@ -530,7 +498,8 @@ def main(argv=None) -> int:
         if command == "convergence" and cfg.get("workers") is None:
             cfg["workers"] = int(os.environ.get("QENDY_NUM_THREADS", "1"))
         return _COMMANDS[command](cfg)
-    except (_CliError, ConfigurationError, ValueError, OSError, KeyError) as err:
+    except (_CliError, ConfigurationError, ValueError, OSError, KeyError,
+            IntegrationBlowupError) as err:
         print(f"qendy: error in {_STAGE}: {err}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,8 @@ __all__ = [
     "ConfigurationError", "Dictionary", "AugmentedBasis",
     "feature_map", "feature_matrix", "jacobian", "feature_time_derivatives",
     "augment", "full_state_matrix",
-    "dictionary_to_json", "dictionary_from_json", "save_dictionary", "load_dictionary",
+    "dictionary_to_json", "dictionary_from_json", "write_json", "save_dictionary",
+    "load_dictionary",
 ]
 
 
@@ -221,10 +222,15 @@ def dictionary_from_json(obj: dict):
     return d, g
 
 
-def save_dictionary(d: Dictionary, path, g=None):
+def write_json(path, obj):
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w") as fh:
-        json.dump(dictionary_to_json(d, g), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_dictionary(d: Dictionary, path, g=None):
+    write_json(path, dictionary_to_json(d, g))
 
 
 def load_dictionary(path):

@@ -19,15 +19,21 @@ __all__ = [
     "IntegrationBlowupError", "VectorField", "Trajectory", "TrainingSet",
     "rk4_step", "rk4_integrate", "sample_trajectory", "sample_uniform",
     "exact_derivatives", "finite_diff_derivatives",
-    "save_trajectory", "load_trajectory", "save_training", "load_training",
+    "write_rows", "save_trajectory", "load_trajectory", "save_training",
+    "load_training",
 ]
 
 
 class IntegrationBlowupError(RuntimeError):
-    """The integrator produced a non-finite state; carries the step index."""
+    """The integrator produced a non-finite state at step ``step``.
 
-    def __init__(self, step: int):
+    ``partial`` is what the call would have returned, cut after the last
+    finite state (steps 0 to step - 1).
+    """
+
+    def __init__(self, step: int, partial):
         self.step = step
+        self.partial = partial
         super().__init__(f"integration blew up at step {step}")
 
 
@@ -152,7 +158,8 @@ def rk4_integrate(f, x0, t_end: float, dt: float) -> Trajectory:
     """Integrate from x0 over [0, t_end] with fixed step dt.
 
     The number of steps is round(t_end / dt); t = 0 is included.  Raises
-    :class:`IntegrationBlowupError` at the first non-finite state.
+    :class:`IntegrationBlowupError`, carrying the path up to the last finite
+    state, at the first non-finite state.
     """
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
@@ -160,12 +167,15 @@ def rk4_integrate(f, x0, t_end: float, dt: float) -> Trajectory:
     if steps < 1:
         raise ValueError(f"t_end={t_end} shorter than one step dt={dt}")
     x = np.asarray(x0, dtype=float).copy()
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"start state {x.tolist()} is not finite")
     states = np.empty((steps + 1, x.size))
     states[0] = x
     for k in range(steps):
         x = rk4_step(f, x, dt)
         if not np.all(np.isfinite(x)):
-            raise IntegrationBlowupError(k + 1)
+            raise IntegrationBlowupError(
+                k + 1, Trajectory(np.arange(k + 1) * dt, states[:k + 1]))
         states[k + 1] = x
     return Trajectory(np.arange(steps + 1) * dt, states)
 
@@ -230,16 +240,18 @@ def finite_diff_derivatives(traj: Trajectory) -> TrainingSet:
 # Floats are written with shortest round-trip repr, so save/load is exact.
 
 
-def _write_rows(path, header, rows):
+def write_rows(path, header, rows):
+    """CSV lines of ``repr`` floats, under ``header`` unless it is None."""
     with open(path, "w") as fh:
-        fh.write(header + "\n")
+        if header is not None:
+            fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def save_trajectory(traj: Trajectory, path):
     header = "t," + ",".join(f"x{j + 1}" for j in range(traj.n))
-    _write_rows(path, header, np.column_stack([traj.times, traj.states]))
+    write_rows(path, header, np.column_stack([traj.times, traj.states]))
 
 
 def _load_rows(path) -> np.ndarray:
@@ -260,7 +272,7 @@ def save_training(ts: TrainingSet, path):
     n = ts.n
     header = (",".join(f"x{j + 1}" for j in range(n)) + ","
               + ",".join(f"dx{j + 1}" for j in range(n)))
-    _write_rows(path, header, np.column_stack([ts.states, ts.derivatives]))
+    write_rows(path, header, np.column_stack([ts.states, ts.derivatives]))
 
 
 def load_training(path) -> TrainingSet:

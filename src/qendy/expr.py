@@ -563,51 +563,43 @@ def _prec(e: Expr) -> int:
     return _ATOM
 
 
-def _render(e: Expr, min_prec: int) -> str:
-    text = _render_node(e)
-    if _prec(e) < min_prec:
-        return f"({text})"
-    return text
-
-
 def _format_const(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
 
-def _render_node(e: Expr) -> str:
+def _pieces(e: Expr) -> list:
+    """The text of one node: literal strings, and (child, minimum precedence)
+    jobs for its operands, in output order."""
     if isinstance(e, Const):
-        return _format_const(e.value)
+        return [_format_const(e.value)]
     if isinstance(e, Var):
-        return f"x{e.index + 1}"
+        return [f"x{e.index + 1}"]
     if isinstance(e, Add):
-        left = _render(e.left, _SUM)
+        left = (e.left, _SUM)
         right = e.right
         if isinstance(right, Const) and right.value < 0:
-            return f"{left}-{_render(Const(-right.value), _TERM)}"
+            return [left, "-", (Const(-right.value), _TERM)]
         if isinstance(right, Mul) and right.left == Const(-1.0):
-            return f"{left}-{_render(right.right, _TERM)}"
-        return f"{left}+{_render(right, _TERM)}"
+            return [left, "-", (right.right, _TERM)]
+        return [left, "+", (right, _TERM)]
     if isinstance(e, Mul):
         if e.left == Const(-1.0):
-            return f"-{_render(e.right, _ATOM)}"
+            return ["-", (e.right, _ATOM)]
         if isinstance(e.right, Inv):
-            return f"{_render(e.left, _TERM)}/{_render(e.right.arg, _ATOM)}"
+            return [(e.left, _TERM), "/", (e.right.arg, _ATOM)]
         if isinstance(e.right, Pow) and e.right.exponent < 0:
             flipped = Pow(e.right.base, -e.right.exponent)
-            return f"{_render(e.left, _TERM)}/{_render(flipped, _POW)}"
-        return f"{_render(e.left, _TERM)}*{_render(e.right, _POW)}"
+            return [(e.left, _TERM), "/", (flipped, _POW)]
+        return [(e.left, _TERM), "*", (e.right, _POW)]
     if isinstance(e, Pow):
-        return f"{_render(e.base, _ATOM)}^{e.exponent}"
+        return [(e.base, _ATOM), f"^{e.exponent}"]
     if isinstance(e, Inv):
-        return f"1/{_render(e.arg, _ATOM)}"
-    if isinstance(e, Sin):
-        return f"sin({_render_node(e.arg)})"
-    if isinstance(e, Cos):
-        return f"cos({_render_node(e.arg)})"
-    if isinstance(e, Exp):
-        return f"exp({_render_node(e.arg)})"
+        return ["1/", (e.arg, _ATOM)]
+    if isinstance(e, (Sin, Cos, Exp)):
+        # The parentheses of the call delimit the argument.
+        return [f"{type(e).__name__.lower()}(", (e.arg, 0), ")"]
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -615,6 +607,19 @@ def render(e: Expr) -> str:
     """Render a tree back to surface syntax.
 
     For any tree returned by :func:`parse`, ``parse(render(tree))`` is
-    structurally equal to ``tree``.
+    structurally equal to ``tree``.  Works from an explicit stack, so deep
+    trees (long sums) render without recursion.
     """
-    return _render(e, _SUM)
+    out = []
+    jobs = [(e, _SUM)]
+    while jobs:
+        job = jobs.pop()
+        if isinstance(job, str):
+            out.append(job)
+            continue
+        node, min_prec = job
+        pieces = _pieces(node)
+        if _prec(node) < min_prec:
+            pieces = ["(", *pieces, ")"]
+        jobs.extend(reversed(pieces))
+    return "".join(out)

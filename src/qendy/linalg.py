@@ -20,12 +20,20 @@ def default_rcond(dim: int) -> float:
 
 
 class SymmetricPinvSolver:
-    """Eigendecomposition-backed pseudoinverse of a symmetric PSD matrix."""
+    """Eigendecomposition-backed pseudoinverse of a symmetric PSD matrix.
+
+    A matrix with a non-finite entry (an overflow while assembling it) is
+    rejected with a ValueError instead of reaching the eigensolver.
+    """
 
     def __init__(self, matrix, rcond=None):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise ValueError(
+                "the Gram matrix has non-finite entries, so the system overflowed; "
+                "rescale the data or the dictionary")
         if rcond is None:
             rcond = default_rcond(matrix.shape[0])
         self.rcond = float(rcond)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dictionary import (
     Dictionary, dictionary_from_json, dictionary_to_json, feature_map,
-    feature_matrix,
+    feature_matrix, write_json,
 )
 from .dynamics import IntegrationBlowupError, Trajectory, rk4_step
 
@@ -126,7 +126,9 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float,
 
     With ``reembed=True`` the lifted state is replaced by phi(G z) after every
     step, which pins the path to the embedded manifold (a consistency
-    diagnostic; exact embeddings are unaffected).
+    diagnostic; exact embeddings are unaffected).  A non-finite lifted state
+    raises :class:`IntegrationBlowupError` carrying the path up to the last
+    finite state.
     """
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
@@ -139,12 +141,16 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float,
         return evaluate(model, z)
 
     z = feature_map(d, np.asarray(x0, dtype=float))
+    if not np.all(np.isfinite(z)):
+        raise ValueError("start state lifts to non-finite values")
     z_states = np.empty((steps + 1, model.basis_size))
     z_states[0] = z
     for k in range(steps):
         z = rk4_step(f, z, dt)
         if not np.all(np.isfinite(z)):
-            raise IntegrationBlowupError(k + 1)
+            kept = z_states[:k + 1]
+            raise IntegrationBlowupError(k + 1, EmbeddedTrajectory(
+                np.arange(k + 1) * dt, kept, kept @ model.g.T))
         if reembed:
             z = feature_map(d, model.g @ z)
         z_states[k + 1] = z
@@ -252,9 +258,7 @@ def model_from_json(obj: dict) -> QuadraticModel:
 
 
 def save_model(model: QuadraticModel, path):
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_json(model))
 
 
 def load_model(path) -> QuadraticModel:

@@ -230,3 +230,17 @@ def test_convergence_study_needs_two_distinct_sizes():
     for sizes in ([100], [100, 100]):
         with pytest.raises(ValueError, match="two distinct sample sizes"):
             convergence_study(pendulum_dictionary(), pendulum(c=0.1), box, sizes, runs=2)
+
+
+def test_target_samples_of_wrong_shape_are_rejected_everywhere():
+    space = DiscreteInnerProduct(np.array([0.0, 0.5, 1.0]))
+    short = np.array([3.0])
+    with pytest.raises(ValueError, match="do not match 3 points"):
+        gram_system(MONOMIALS[:2], short, space)
+    # One sample would broadcast against three points without the check.
+    with pytest.raises(ValueError, match="do not match 3 points"):
+        approximation_error(MONOMIALS[:2], [1.0, 0.0], short, space)
+    with pytest.raises(ValueError, match="do not match 3 points"):
+        approximation_error(MONOMIALS[:2], [1.0, 0.0], lambda p: np.ones(2), space)
+    exact = np.array([1.0, 1.5, 2.0])
+    assert approximation_error(MONOMIALS[:2], [1.0, 1.0], exact, space) == 0.0

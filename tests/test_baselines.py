@@ -9,7 +9,7 @@ from qendy.baselines import (
     sindy_rhs, sindy_rhs_many, sindy_to_json,
 )
 from qendy.dictionary import Dictionary, feature_matrix, feature_time_derivatives
-from qendy.dynamics import exact_derivatives, sample_uniform
+from qendy.dynamics import TrainingSet, exact_derivatives, sample_uniform
 from qendy.fitting import fit
 from qendy.model import extract_rhs_many
 from qendy.systems import (
@@ -223,3 +223,10 @@ def test_model_shape_validation():
         SindyModel(np.zeros((3, 4)), pendulum_dictionary())
     with pytest.raises(ValueError):
         GedmdModel(np.zeros((2, 2)), pendulum_dictionary())
+
+
+def test_sindy_rejects_overflowed_gram_matrix():
+    d = Dictionary.from_strings(1, ["x1"])
+    ts = TrainingSet(np.array([[0.5], [1e200]]), np.ones((2, 1)))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        sindy_fit(d, ts)

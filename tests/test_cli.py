@@ -384,3 +384,137 @@ def test_convergence_with_one_sample_size_fails(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("qendy: error in convergence:")
     assert not (tmp_path / "convergence_summary.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# one model-file protocol across simulate and report
+
+
+def _fit_method(tmp_path, method):
+    _generate(tmp_path)
+    out = tmp_path / f"fit-{method}"
+    rc = main(["fit", "--method", method,
+               "--training", str(tmp_path / "training.csv"),
+               "--dictionary", str(tmp_path / "dictionary.json"),
+               "--out", str(out)])
+    assert rc == 0
+    return out / "model.json"
+
+
+def test_simulate_gedmd_model(tmp_path):
+    model = _fit_method(tmp_path, "gedmd")
+    rc = main(["simulate", "--model", str(model), "--x0", "1,0",
+               "--t-end", "0.5", "--dt", "0.01", "--system", "pendulum",
+               "--out", str(tmp_path / "sim")])
+    assert rc == 0
+    summary = _read_json(tmp_path / "sim" / "simulation_summary.json")
+    assert summary["blowup_step"] is None
+    assert summary["samples"] == 51
+    assert summary["sup_error"] < 1e-4
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_simulate_sindy_blowup_is_flagged_and_truncated(tmp_path):
+    from qendy.baselines import SindyModel, sindy_to_json
+    from qendy.dynamics import rk4_integrate
+    d = Dictionary.from_strings(1, ["x1", "x1^2"])
+    path = tmp_path / "sindy.json"
+    path.write_text(json.dumps(sindy_to_json(SindyModel(np.array([[0.0, 1.0]]), d))))
+    rc = main(["simulate", "--model", str(path), "--x0", "2",
+               "--t-end", "1.0", "--dt", "0.01", "--out", str(tmp_path)])
+    assert rc == 0
+    summary = _read_json(tmp_path / "simulation_summary.json")
+    step = summary["blowup_step"]
+    assert step is not None and summary["samples"] == step
+    rows = np.loadtxt(tmp_path / "simulation.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.shape == (step, 3)
+    assert np.array_equal(rows[:, 2], np.eye(1, step, step - 1)[0])
+    rerun = rk4_integrate(lambda x: x * x, [2.0], (step - 1) * 0.01, 0.01)
+    assert np.array_equal(rows[:, 1], rerun.states[:, 0])
+
+
+def test_report_sindy_model_with_training(tmp_path):
+    model = _fit_method(tmp_path, "sindy")
+    rc = main(["report", "--model", str(model),
+               "--training", str(tmp_path / "training.csv"),
+               "--out", str(tmp_path / "report")])
+    assert rc == 0
+    report = _read_json(tmp_path / "report" / "report.json")
+    assert report["kind"] == "sindy"
+    assert report["state_dim"] == 2
+    assert report["loss"] < 1e-10
+    assert "regularized_loss" not in report
+    lines = (tmp_path / "report" / "coefficients.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 4
+    assert {line.split(",")[0] for line in lines[1:]} == {"Xi"}
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+def test_model_file_without_coefficients_fails(tmp_path, capsys, command):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"state_dim": 1,
+                                "dictionary": {"state_dim": 1, "basis": ["x1"]}}))
+    argv = [command, "--model", str(path), "--out", str(tmp_path)]
+    if command == "simulate":
+        argv += ["--x0", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"qendy: error in {command}:")
+    assert "none of the keys A, Xi, Theta" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "report"])
+def test_seed_is_not_an_option_of(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_fit_overflow_fails_cleanly(tmp_path, capsys):
+    training = tmp_path / "training.csv"
+    training.write_text("x1,dx1\n0.5,1.0\n1e200,1.0\n")
+    dictionary = tmp_path / "dictionary.json"
+    dictionary.write_text(json.dumps({"state_dim": 1, "basis": ["x1"]}))
+    for method in ("qendy", "sindy"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["fit", "--method", method, "--training", str(training),
+                       "--dictionary", str(dictionary), "--out", str(tmp_path / method)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qendy: error in fit:")
+        assert "non-finite" in err and "did not converge" not in err
+
+
+def test_fit_with_long_dictionary_entry(tmp_path):
+    powers = np.arange(1500) % 4
+    text = "+".join(f"{k + 1}*x1^{p}*sin(x2)" for k, p in enumerate(powers))
+    _generate(tmp_path)
+    dictionary = tmp_path / "long.json"
+    dictionary.write_text(json.dumps({"state_dim": 2, "basis": [text, "x1", "x2"]}))
+    rc = main(["fit", "--training", str(tmp_path / "training.csv"),
+               "--dictionary", str(dictionary), "--out", str(tmp_path / "fit")])
+    assert rc == 0
+    assert _read_json(tmp_path / "fit" / "model.json")["dictionary"]["basis"][0] == text
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_diverging_or_non_finite_paths_fail_cleanly(tmp_path, capsys):
+    # generate integrates the system itself; a diverging trajectory has no
+    # truncated form to write.
+    rc = main(["generate", "--system", "quartic", "--x0", "1e100,1e100",
+               "--t-end", "1", "--m", "10", "--out", str(tmp_path / "gen")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qendy: error in generate:") and "blew up at step 1" in err
+    # A start state that is not finite has no finite path to keep.
+    model = _fit_method(tmp_path, "qendy")
+    sindy = _fit_method(tmp_path, "sindy")
+    for path in (model, sindy):
+        rc = main(["simulate", "--model", str(path), "--x0", "nan,0",
+                   "--out", str(tmp_path / "sim")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qendy: error in simulate:") and "start state" in err

@@ -246,3 +246,28 @@ def test_load_training_header_only_has_no_data_rows(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="no data rows"):
             load_training(path)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_rk4_blowup_carries_the_finite_path():
+    square = lambda x: x * x
+    # From x0 = 2, dx = x^2 blows up near t = 0.5; from 1e200 at step 1.
+    for x0, dt in (([2.0], 0.01), ([1e200], 0.01), ([3.0, 2.0], 0.02)):
+        with pytest.raises(IntegrationBlowupError) as info:
+            rk4_integrate(square, x0, 1.0, dt)
+        step, partial = info.value.step, info.value.partial
+        assert isinstance(partial, Trajectory)
+        assert partial.times.size == step
+        if step == 1:
+            assert np.array_equal(partial.times, [0.0])
+            assert np.array_equal(partial.states, [x0])
+            continue
+        rerun = rk4_integrate(square, x0, (step - 1) * dt, dt)
+        assert partial.times.tobytes() == rerun.times.tobytes()
+        assert partial.states.tobytes() == rerun.states.tobytes()
+
+
+def test_rk4_rejects_non_finite_start():
+    with pytest.raises(ValueError, match="start state"):
+        rk4_integrate(DECAY, [np.inf], 1.0, 0.1)

@@ -388,3 +388,109 @@ def test_long_entry_lifts_without_recursion_error():
     jac = jacobian(d, points[0])
     assert _row_relative(jac[0], np.array([d_dx1[0], d_dx2[0]])) <= 1e-12
     assert np.array_equal(jac[1], [1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# iterative renderer against the recursive one it replaced
+
+
+def _oracle_prec(e):
+    if isinstance(e, Const):
+        return 4 if e.value >= 0 else 2
+    if isinstance(e, Add):
+        return 1
+    if isinstance(e, (Mul, Inv)):
+        return 2
+    if isinstance(e, Pow):
+        return 3
+    return 4
+
+
+def _oracle_render(e, min_prec=1):
+    text = _oracle_render_node(e)
+    return f"({text})" if _oracle_prec(e) < min_prec else text
+
+
+def _oracle_const(v):
+    return str(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
+
+
+def _oracle_render_node(e):
+    if isinstance(e, Const):
+        return _oracle_const(e.value)
+    if isinstance(e, Var):
+        return f"x{e.index + 1}"
+    if isinstance(e, Add):
+        left = _oracle_render(e.left, 1)
+        right = e.right
+        if isinstance(right, Const) and right.value < 0:
+            return f"{left}-{_oracle_render(Const(-right.value), 2)}"
+        if isinstance(right, Mul) and right.left == Const(-1.0):
+            return f"{left}-{_oracle_render(right.right, 2)}"
+        return f"{left}+{_oracle_render(right, 2)}"
+    if isinstance(e, Mul):
+        if e.left == Const(-1.0):
+            return f"-{_oracle_render(e.right, 4)}"
+        if isinstance(e.right, Inv):
+            return f"{_oracle_render(e.left, 2)}/{_oracle_render(e.right.arg, 4)}"
+        if isinstance(e.right, Pow) and e.right.exponent < 0:
+            flipped = Pow(e.right.base, -e.right.exponent)
+            return f"{_oracle_render(e.left, 2)}/{_oracle_render(flipped, 3)}"
+        return f"{_oracle_render(e.left, 2)}*{_oracle_render(e.right, 3)}"
+    if isinstance(e, Pow):
+        return f"{_oracle_render(e.base, 4)}^{e.exponent}"
+    if isinstance(e, Inv):
+        return f"1/{_oracle_render(e.arg, 4)}"
+    if isinstance(e, Sin):
+        return f"sin({_oracle_render_node(e.arg)})"
+    if isinstance(e, Cos):
+        return f"cos({_oracle_render_node(e.arg)})"
+    if isinstance(e, Exp):
+        return f"exp({_oracle_render_node(e.arg)})"
+    raise TypeError(e)
+
+
+RENDER_CORPUS = [
+    "x1", "sin(x1)*x2", "x1/(1+x1)^2", "1/(1+x1)", "-x1-0.1*x2",
+    "cos(x3)^2*x2", "exp(x1)+2.5", "x2*sin(x1)", "x1-(x2-x3)", "-(x1+x2)*x3",
+    "(x1*x2)^3", "x1^-2", "sin(x1+x2)*cos(-x1)", "exp(-x1^2/2)", "2.5e-1*x1",
+    "1e20*x2", "x1/x2/x3", "-3+x1", "x2*x1^2", "x1*(x2+x3)", "x1*(x2*x3)",
+    "sin(x1)*cos(x2)^2",
+]
+
+
+@pytest.mark.parametrize("name", BUILTIN_DICTIONARIES)
+def test_render_matches_recursive_oracle_on_builtins(name):
+    d = make_dictionary(name, **({"n": 3} if name == "identity" else {}))
+    for e in d.basis:
+        assert render(e) == _oracle_render(e)
+
+
+def test_render_matches_recursive_oracle_on_corpus():
+    trees = [parse(text) for text in RENDER_CORPUS]
+    trees += [Add(Var(0), Const(-2.0)), Mul(Const(-1.0), Add(Var(0), Var(1))),
+              Mul(Var(0), Pow(Var(1), -3)), Const(-0.5), Pow(Const(-2.0), 2),
+              Sin(Add(Var(0), Var(1))), Inv(Mul(Var(0), Var(1)))]
+    for tree in trees:
+        assert render(tree) == _oracle_render(tree)
+        assert str(tree) == _oracle_render(tree)
+
+
+def _long_entry_text():
+    powers = np.arange(1500) % 4
+    return "+".join(f"{k + 1}*x1^{p}*sin(x2)" for k, p in enumerate(powers))
+
+
+def test_long_entry_renders_builds_and_saves(tmp_path):
+    from qendy.dictionary import load_dictionary, save_dictionary
+    text = _long_entry_text()
+    tree = parse(text)
+    assert render(tree) == text
+    # Names come from rendering when none are given.
+    d = Dictionary(2, (tree, Var(0), Var(1)))
+    assert d.names == (text, "x1", "x2")
+    path = tmp_path / "dictionary.json"
+    save_dictionary(d, path)
+    loaded, g = load_dictionary(path)
+    assert g is None
+    assert loaded.names == d.names

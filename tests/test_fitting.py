@@ -298,3 +298,13 @@ def test_build_data_matrices_rejects_non_finite_lift():
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=r"basis entry 1 .*time derivative .*sample 2"):
         build_data_matrices(d, rate_overflow)
+
+
+def test_fit_rejects_overflowed_gram_matrix():
+    # x1 = 1e200 lifts to a finite value, but its square and the Gram matrix
+    # overflow; the solver must say so instead of failing inside LAPACK.
+    d = Dictionary.from_strings(1, ["x1"])
+    ts = TrainingSet(np.array([[0.5], [1e200]]), np.ones((2, 1)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="non-finite.*rescale"):
+        fit(d, ts)

@@ -1,6 +1,7 @@
 """Symmetric pseudoinverse solver against dense numpy oracles."""
 
 import numpy as np
+import pytest
 
 from qendy.linalg import SymmetricPinvSolver, default_rcond, min_norm_solve
 
@@ -100,3 +101,11 @@ def test_min_norm_solve_wrapper():
     m = np.array([[2.0, 0.0], [0.0, 0.0]])
     v = min_norm_solve(m, np.array([4.0, 0.0]))
     assert np.abs(v - np.array([2.0, 0.0])).max() < 1e-14
+
+
+def test_non_finite_matrix_is_rejected():
+    for bad in (np.inf, np.nan):
+        matrix = np.eye(3)
+        matrix[1, 2] = matrix[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SymmetricPinvSolver(matrix)

@@ -216,6 +216,11 @@ def test_simulate_blowup_raises():
     assert 0 < exc.value.step <= 100
 
 
+def test_simulate_rejects_non_finite_start():
+    with pytest.raises(ValueError, match="start state"):
+        simulate(hand_rational_model(), [np.nan], t_end=1.0, dt=0.1)
+
+
 def test_simulate_rejects_bad_steps():
     model = hand_rational_model()
     with pytest.raises(ValueError):
@@ -325,3 +330,30 @@ def test_model_json_keeps_force_c_zero():
     # Files written before the flag was saved load as unconstrained fits.
     del payload["force_c_zero"]
     assert model_from_json(payload).metadata["force_c_zero"] is False
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("reembed", [False, True])
+def test_simulate_blowup_carries_the_finite_path(reembed):
+    d = Dictionary.from_strings(1, ["x1", "x1^2"])
+    model = QuadraticModel(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]]),
+                           np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2),
+                           np.array([[1.0, 0.0]]), d)
+    # dx = x^2 written through z = (x, x^2); blows up near t = 0.5 from 2,
+    # and at step 1 from 1e100 (whose square is still finite).
+    for x0 in (2.0, 1e100):
+        with pytest.raises(IntegrationBlowupError) as exc:
+            simulate(model, [x0], t_end=1.0, dt=0.01, reembed=reembed)
+        step, partial = exc.value.step, exc.value.partial
+        assert partial.times.size == step
+        assert np.array_equal(partial.x_states, partial.z_states @ model.g.T)
+        if step == 1:
+            assert np.array_equal(partial.times, [0.0])
+            assert np.array_equal(partial.z_states, [feature_map(d, [x0])])
+            assert np.array_equal(partial.x_states, [[x0]])
+            continue
+        rerun = simulate(model, [x0], t_end=(step - 1) * 0.01, dt=0.01,
+                         reembed=reembed)
+        for name in ("times", "z_states", "x_states"):
+            assert getattr(partial, name).tobytes() == getattr(rerun, name).tobytes()
