@@ -2,8 +2,8 @@
 limit of the fitting problem.
 
 Discrete point sets and continuous boxes are both reduced to (nodes, weights)
-pairs, so Gram assembly and minimum-norm solving are shared.  Continuous
-inner products use tensor-product Gauss-Legendre quadrature; with
+pairs, which share the weighted regression core of :mod:`qendy.linalg`.
+Continuous inner products use tensor-product Gauss-Legendre quadrature; with
 ``normalized=True`` the uniform measure is scaled to a probability measure,
 which is the convention under which the empirical Gram matrix divided by the
 sample count converges to its limit at the Monte Carlo rate.
@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary, feature_matrix, feature_time_derivatives
-from .dynamics import VectorField, exact_derivatives
+from .dynamics import VectorField, exact_derivatives, sample_uniform
 from .expr import Expr, evaluate_many
-from .fitting import assemble_gram, build_data_matrices
-from .linalg import min_norm_solve
-from .model import kron_squared_cols
+from .fitting import assemble_gram, build_data_matrices, quadratic_table
+from .linalg import min_norm_solve, normal_equations
 
 __all__ = [
     "DiscreteInnerProduct", "BoxQuadrature",
@@ -122,14 +121,12 @@ def gram_system(basis, target, space):
     of samples, one per point.
     """
     table, target_values, weights = _sampled(basis, target, space)
-    weighted = table * weights
-    return weighted @ table.T, weighted @ target_values
+    return normal_equations(table, target_values, weights)
 
 
 def best_approximation(basis, target, space, rcond=None) -> np.ndarray:
     """Minimum-norm coefficients of the best approximation of target."""
-    matrix, rhs = gram_system(basis, target, space)
-    return min_norm_solve(matrix, rhs, rcond)
+    return min_norm_solve(*gram_system(basis, target, space), rcond)
 
 
 def approximation_error(basis, coefficients, target, space) -> float:
@@ -144,22 +141,13 @@ def limit_gram_system(d: Dictionary, field: VectorField, space):
 
     Returns (rstar (D, D), sstar (D, N)) over the augmented basis of ``d``
     in its usual order (products, entries, constant); column l of sstar pairs
-    every augmented entry with grad phi_l . F.  The table has the layout the
-    fitting code stacks: [z kron z; z; 1] on the quadrature nodes.
+    every augmented entry with grad phi_l . F.  These are the fitting
+    code's normal equations on the quadrature nodes, weighted by the rule.
     """
     points, weights = space.nodes_weights()
-    n = d.size
-    z = feature_matrix(d, points)
-    # Filled in place: a separate (N^2, M) product block would be live
-    # beside the table and raise peak memory.
-    table = np.empty((n * n + n + 1, weights.size))
-    kron_squared_cols(z, out=table[:n * n])
-    table[n * n:-1] = z
-    table[-1] = 1.0
-    weighted = table * weights
-    rstar = weighted @ table.T
-    sstar = weighted @ feature_time_derivatives(d, points, field.many(points)).T
-    return rstar, sstar
+    table = quadratic_table(feature_matrix(d, points))
+    return normal_equations(
+        table, feature_time_derivatives(d, points, field.many(points)), weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,21 +205,12 @@ class ConvergenceStudy:
 
 
 def _study_run(d, field, box, m, seed_seq, rstar, sstar, relative):
-    rng = np.random.default_rng(seed_seq)
-    lo = np.array([b[0] for b in box], dtype=float)
-    hi = np.array([b[1] for b in box], dtype=float)
-    points = lo + (hi - lo) * rng.random((m, lo.size))
-    dm = build_data_matrices(d, exact_derivatives(field, points))
-    gs = assemble_gram(dm, 0.0)
-    diff_r = np.abs(gs.matrix / m - rstar)
-    diff_s = np.abs(gs.rhs / m - sstar)
-    if relative:
-        e_r = float(diff_r.mean() / np.abs(rstar).mean())
-        e_s = diff_s.mean(axis=0) / np.abs(sstar).mean()
-    else:
-        e_r = float(diff_r.mean())
-        e_s = diff_s.mean(axis=0)
-    return e_r, e_s
+    points = sample_uniform(box, m, seed_seq)
+    gs = assemble_gram(build_data_matrices(d, exact_derivatives(field, points)))
+    scale_r, scale_s = ((np.abs(rstar).mean(), np.abs(sstar).mean()) if relative
+                        else (1.0, 1.0))
+    return (float(np.abs(gs.matrix / m - rstar).mean() / scale_r),
+            np.abs(gs.rhs / m - sstar).mean(axis=0) / scale_s)
 
 
 def convergence_study(d: Dictionary, field: VectorField, box, sample_sizes,

@@ -5,8 +5,8 @@ SINDy regresses the state derivatives directly on the dictionary,
 gEDMD regresses the lifted derivatives on the dictionary,
 ``Phi_dot ~= Theta Phi``; Theta^T then represents the generator of the
 dynamics on the span of the dictionary, so its left action on coefficient
-vectors yields eigenfunctions.  Both solvers reuse the shared minimum-norm
-normal-equation policy.
+vectors yields eigenfunctions.  Both solve their normal equations through
+the shared regression core in :mod:`qendy.linalg`.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import numpy as np
 
 from .dictionary import (
     Dictionary, dictionary_from_json, dictionary_to_json, feature_map,
-    feature_matrix, feature_time_derivatives,
+    feature_matrix,
 )
 from .dynamics import TrainingSet
-from .linalg import SymmetricPinvSolver
+from .fitting import check_state_dim, lift
+from .linalg import min_norm_solve, normal_equations
 
 __all__ = [
     "SindyModel", "GedmdModel", "GeneratorEigenfunction",
@@ -52,22 +53,16 @@ def sindy_fit(d: Dictionary, ts: TrainingSet, threshold: float = 0.0,
     With ``threshold > 0`` a single pass zeroes coefficients below the
     threshold and refits each row on its surviving columns.
     """
-    if ts.n != d.state_dim:
-        raise ValueError(
-            f"training data has dimension {ts.n}, dictionary expects {d.state_dim}")
+    check_state_dim(d, ts)
     phi = feature_matrix(d, ts.states)
-    gram = phi @ phi.T
-    rhs = phi @ ts.derivatives
-    solver = SymmetricPinvSolver(gram, rcond)
-    xi = solver.solve(rhs).T
+    xi = min_norm_solve(*normal_equations(phi, ts.derivatives.T), rcond).T
     if threshold > 0.0:
         for r in range(xi.shape[0]):
             keep = np.abs(xi[r]) >= threshold
             xi[r, ~keep] = 0.0
             if np.any(keep):
-                sub = phi[keep, :]
-                xi[r, keep] = SymmetricPinvSolver(sub @ sub.T, rcond).solve(
-                    sub @ ts.derivatives[:, r])
+                xi[r, keep] = min_norm_solve(
+                    *normal_equations(phi[keep, :], ts.derivatives[:, r]), rcond)
     return SindyModel(xi, d)
 
 
@@ -97,15 +92,9 @@ class GedmdModel:
 
 
 def gedmd_fit(d: Dictionary, ts: TrainingSet, rcond=None) -> GedmdModel:
-    """Minimum-norm regression of the lifted derivatives on the dictionary."""
-    if ts.n != d.state_dim:
-        raise ValueError(
-            f"training data has dimension {ts.n}, dictionary expects {d.state_dim}")
-    phi = feature_matrix(d, ts.states)
-    phi_dot = feature_time_derivatives(d, ts.states, ts.derivatives)
-    solver = SymmetricPinvSolver(phi @ phi.T, rcond)
-    theta = solver.solve(phi @ phi_dot.T).T
-    return GedmdModel(theta, d)
+    """Minimum-norm regression of the lifted derivatives (``fitting.lift``) on phi."""
+    phi, phi_dot = lift(d, ts)
+    return GedmdModel(min_norm_solve(*normal_equations(phi, phi_dot), rcond).T, d)
 
 
 def gedmd_rhs_many(model: GedmdModel, g, points) -> np.ndarray:

@@ -27,7 +27,7 @@ from .dynamics import (
     load_training, rk4_integrate, sample_trajectory, sample_uniform,
     save_training, save_trajectory, write_rows,
 )
-from .fitting import build_data_matrices, fit, loss
+from .fitting import build_data_matrices, fit, lift, loss
 from .model import (
     hurwitz_margin, model_from_json, save_model, simulate, sparsity_report,
 )
@@ -121,16 +121,17 @@ def _load_model_file(path):
 
 
 def _loss_fields(kind, model, ts):
-    """Training loss of a fitted model, as summary fields (none for gEDMD)."""
+    """Training loss of a fitted model, as summary fields."""
     if kind == "qendy":
         residual, regularized = loss(model, build_data_matrices(model.dictionary, ts),
                                      model.metadata["lambda"])
         return {"loss": residual, "regularized_loss": regularized}
     if kind == "sindy":
-        residual = np.sum((ts.derivatives - baselines.sindy_rhs_many(
-            model, ts.states)) ** 2)
-        return {"loss": float(residual)}
-    return {}
+        residual = ts.derivatives - baselines.sindy_rhs_many(model, ts.states)
+    else:
+        z1, zdot = lift(model.dictionary, ts)
+        residual = zdot - model.theta @ z1
+    return {"loss": float(np.sum(residual ** 2))}
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,10 @@ def _simulate_model(kind, model, x0, t_end, dt, reembed):
 def cmd_simulate(cfg):
     _set_stage("simulate")
     kind, model = _load_model_file(cfg["model"])
+    system = None if cfg.get("system") is None else _system(cfg)
+    if system is not None and system.n != model.dictionary.state_dim:
+        raise _CliError(f"the model has state dimension {model.dictionary.state_dim}, "
+                        f"but system {cfg['system']!r} has dimension {system.n}")
     x0 = _vector(cfg["x0"])
     t_end, dt = float(cfg["t_end"]), float(cfg["dt"])
     times, states, blowup = _simulate_model(kind, model, x0, t_end, dt,
@@ -235,8 +240,8 @@ def cmd_simulate(cfg):
                "blowup_step": blowup, "samples": int(times.size)}
     header = "t," + ",".join(f"x{j + 1}_model" for j in range(n))
     columns = [times] + [states[:, j] for j in range(n)]
-    if cfg.get("system") is not None:
-        reference = rk4_integrate(_system(cfg), x0, t_end, dt)
+    if system is not None:
+        reference = rk4_integrate(system, x0, t_end, dt)
         ref_states = reference.states[:times.size]
         header += "," + ",".join(f"x{j + 1}_true" for j in range(n))
         columns += [ref_states[:, j] for j in range(n)]
@@ -355,7 +360,7 @@ def cmd_report(cfg):
         matrices = (("Theta", model.theta),)
         summary["eigenvalues"] = [[p.eigenvalue.real, p.eigenvalue.imag]
                                   for p in baselines.koopman_eigenfunctions(model)]
-    if kind != "gedmd" and cfg.get("training") is not None:
+    if cfg.get("training") is not None:
         summary.update(_loss_fields(kind, model, load_training(cfg["training"])))
     coeff_path = os.path.join(out, "coefficients.csv")
     with open(coeff_path, "w") as fh:

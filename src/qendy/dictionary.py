@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import sample_uniform
 from .expr import Const, Mul, Program, Var, parse, render, variables
 
 __all__ = [
@@ -171,10 +172,7 @@ def full_state_matrix(d: Dictionary, override=None, *, domain=None,
                 f"projection matrix must have shape ({n}, {size}), got {override.shape}")
         if domain is None:
             domain = [(-1.0, 1.0)] * n
-        lo = np.array([b[0] for b in domain], dtype=float)
-        hi = np.array([b[1] for b in domain], dtype=float)
-        rng = np.random.default_rng(seed)
-        points = lo + (hi - lo) * rng.random((n_check, n))
+        points = sample_uniform(domain, n_check, seed)
         recovered = (override @ feature_matrix(d, points)).T
         worst = np.max(np.abs(recovered - points))
         if not worst < tol:

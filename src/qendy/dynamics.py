@@ -198,7 +198,7 @@ def sample_trajectory(f, x0, t_end: float, num_samples: int,
     return Trajectory(times, out)
 
 
-def sample_uniform(box, num_samples: int, seed: int = 0) -> np.ndarray:
+def sample_uniform(box, num_samples: int, seed=0) -> np.ndarray:
     """(m, n) points drawn uniformly from an axis-aligned box [(lo, hi), ...]."""
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)

@@ -22,49 +22,30 @@ from .dictionary import (
     Dictionary, feature_matrix, feature_time_derivatives, full_state_matrix,
 )
 from .dynamics import TrainingSet
-from .linalg import SymmetricPinvSolver
+from .linalg import min_norm_solve, normal_equations
 from .model import QuadraticModel, kron_squared_cols
 
 __all__ = [
-    "DataMatrices", "GramSystem",
+    "DataMatrices", "GramSystem", "lift", "quadratic_table",
     "build_data_matrices", "assemble_gram", "solve_row", "fit",
     "loss", "gradient_norms", "stationarity_gap",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class DataMatrices:
-    """Lifted training data: z1 (N, m), z2 (N^2, m), zdot (N, m)."""
-
-    z1: np.ndarray
-    z2: np.ndarray
-    zdot: np.ndarray
-
-    def __post_init__(self):
-        n, m = self.z1.shape
-        if self.z2.shape != (n * n, m) or self.zdot.shape != (n, m):
-            raise ValueError(
-                f"inconsistent shapes: z1 {self.z1.shape}, z2 {self.z2.shape}, "
-                f"zdot {self.zdot.shape}")
-
-    @property
-    def basis_size(self) -> int:
-        return self.z1.shape[0]
-
-    @property
-    def sample_count(self) -> int:
-        return self.z1.shape[1]
+def check_state_dim(d: Dictionary, ts: TrainingSet):
+    """Raise ValueError unless the training data lives in d's state space."""
+    if ts.n != d.state_dim:
+        raise ValueError(
+            f"training data has dimension {ts.n}, dictionary expects {d.state_dim}")
 
 
-def build_data_matrices(d: Dictionary, ts: TrainingSet) -> DataMatrices:
-    """Lift a training set through the dictionary.
+def lift(d: Dictionary, ts: TrainingSet):
+    """(z1 (N, m), zdot (N, m)): a training set lifted through the dictionary.
 
     Raises ValueError, naming the basis entry and the sample, when a lifted
     value or lifted derivative is not finite (an overflow, say).
     """
-    if ts.n != d.state_dim:
-        raise ValueError(
-            f"training data has dimension {ts.n}, dictionary expects {d.state_dim}")
+    check_state_dim(d, ts)
     z1 = feature_matrix(d, ts.states)
     zdot = feature_time_derivatives(d, ts.states, ts.derivatives)
     for what, lifted in (("value", z1), ("time derivative", zdot)):
@@ -73,7 +54,54 @@ def build_data_matrices(d: Dictionary, ts: TrainingSet) -> DataMatrices:
             raise ValueError(
                 f"basis entry {entry} ({d.names[entry]}) has a non-finite lifted "
                 f"{what} ({float(lifted[entry, sample])!r}) at sample {sample}")
-    return DataMatrices(z1, kron_squared_cols(z1), zdot)
+    return z1, zdot
+
+
+def quadratic_table(z) -> np.ndarray:
+    """The regression table [z kron z; z; 1], (N^2 + N + 1, m), of columns z (N, m)."""
+    n, m = z.shape
+    table = np.empty((n * n + n + 1, m))
+    kron_squared_cols(z, out=table[:n * n])
+    table[n * n:-1] = z
+    table[-1] = 1.0
+    return table
+
+
+@dataclass(frozen=True, eq=False)
+class DataMatrices:
+    """Lifted training data: the table [z2; z1; 1] (N^2 + N + 1, m), of which
+    ``z1`` (N, m) and ``z2`` (N^2, m) are views, and zdot (N, m)."""
+
+    table: np.ndarray
+    zdot: np.ndarray
+
+    def __post_init__(self):
+        n, m = self.zdot.shape
+        if self.table.shape != (n * n + n + 1, m):
+            raise ValueError(
+                f"inconsistent shapes: table {self.table.shape}, zdot {self.zdot.shape}")
+
+    @property
+    def z1(self) -> np.ndarray:
+        return self.table[self.basis_size ** 2:-1]
+
+    @property
+    def z2(self) -> np.ndarray:
+        return self.table[:self.basis_size ** 2]
+
+    @property
+    def basis_size(self) -> int:
+        return self.zdot.shape[0]
+
+    @property
+    def sample_count(self) -> int:
+        return self.zdot.shape[1]
+
+
+def build_data_matrices(d: Dictionary, ts: TrainingSet) -> DataMatrices:
+    """Lift a training set through the dictionary (see :func:`lift`)."""
+    z1, zdot = lift(d, ts)
+    return DataMatrices(quadratic_table(z1), zdot)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,14 +124,12 @@ def assemble_gram(dm: DataMatrices, lam: float = 0.0) -> GramSystem:
     """Build the shared system; lam shifts only the product-block diagonal."""
     if lam < 0.0:
         raise ValueError(f"regularization must be >= 0, got {lam}")
-    n, m = dm.basis_size, dm.sample_count
-    stacked = np.vstack([dm.z2, dm.z1, np.ones((1, m))])
-    matrix = stacked @ stacked.T
+    n = dm.basis_size
+    matrix, rhs = normal_equations(dm.table, dm.zdot)
     if lam > 0.0:
         idx = np.arange(n * n)
         matrix[idx, idx] += lam
-    rhs = stacked @ dm.zdot.T
-    return GramSystem(matrix, rhs, float(lam), m, n)
+    return GramSystem(matrix, rhs, float(lam), dm.sample_count, n)
 
 
 def solve_row(gs: GramSystem, row: int, rcond=None) -> np.ndarray:
@@ -113,7 +139,7 @@ def solve_row(gs: GramSystem, row: int, rcond=None) -> np.ndarray:
     """
     if not 0 <= row < gs.basis_size:
         raise ValueError(f"row must be in [0, {gs.basis_size}), got {row}")
-    return SymmetricPinvSolver(gs.matrix, rcond).solve(gs.rhs[:, row])
+    return min_norm_solve(gs.matrix, gs.rhs[:, row], rcond)
 
 
 def fit(d: Dictionary, ts: TrainingSet, *, lam: float = 0.0,
@@ -126,14 +152,9 @@ def fit(d: Dictionary, ts: TrainingSet, *, lam: float = 0.0,
     overrides the state-recovery matrix; by default the coordinates must
     appear in the dictionary.  ``rcond`` overrides the pseudoinverse cutoff.
     """
-    dm = build_data_matrices(d, ts)
-    gs = assemble_gram(dm, lam)
-    matrix, rhs = gs.matrix, gs.rhs
-    if force_c_zero:
-        matrix = matrix[:-1, :-1]
-        rhs = rhs[:-1, :]
-    solver = SymmetricPinvSolver(matrix, rcond)
-    coeffs = solver.solve(rhs)
+    gs = assemble_gram(build_data_matrices(d, ts), lam)
+    kept = gs.matrix.shape[0] - int(force_c_zero)
+    coeffs = min_norm_solve(gs.matrix[:kept, :kept], gs.rhs[:kept], rcond)
     n = d.size
     a = coeffs[:n * n, :].T
     b = coeffs[n * n:n * n + n, :].T

@@ -1,9 +1,9 @@
-"""Minimum-norm solves for the symmetric Gram systems used across the package.
+"""The regression core: weighted normal equations and their minimum-norm solve.
 
-All row-wise regressions here reduce to ``M v = s`` with M symmetric positive
-semidefinite and possibly rank-deficient.  One eigendecomposition is shared by
-every right-hand side; eigenvalues below ``rcond * max|eigenvalue|`` are
-treated as exact zeros, which makes each solution the minimum-norm
+Every regression in the package reduces to ``M v = s`` with M symmetric
+positive semidefinite and possibly rank-deficient.  One eigendecomposition is
+shared by every right-hand side; eigenvalues below ``rcond * max|eigenvalue|``
+are treated as exact zeros, which makes each solution the minimum-norm
 least-squares solution.
 """
 
@@ -11,12 +11,24 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["default_rcond", "SymmetricPinvSolver", "min_norm_solve"]
+__all__ = ["default_rcond", "normal_equations", "SymmetricPinvSolver",
+           "min_norm_solve"]
 
 
 def default_rcond(dim: int) -> float:
     """Relative eigenvalue cutoff for a dim x dim system: dim * eps * 64."""
     return dim * np.finfo(float).eps * 64.0
+
+
+def normal_equations(table, targets, weights=None):
+    """(table W table^T, table W targets^T), W = diag(weights), for a (K, m) table.
+
+    Unweighted, ``table @ table.T`` on one buffer is NumPy's symmetric product.
+    An overflow leaves non-finite entries, unwarned, for the solver to reject.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        weighted = table if weights is None else table * weights
+        return weighted @ table.T, weighted @ targets.T
 
 
 class SymmetricPinvSolver:
@@ -39,10 +51,7 @@ class SymmetricPinvSolver:
         self.rcond = float(rcond)
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(matrix)
         scale = np.abs(self.eigenvalues).max() if self.eigenvalues.size else 0.0
-        if scale > 0.0:
-            self.kept = np.abs(self.eigenvalues) > self.rcond * scale
-        else:
-            self.kept = np.zeros_like(self.eigenvalues, dtype=bool)
+        self.kept = np.abs(self.eigenvalues) > self.rcond * scale
 
     @property
     def rank(self) -> int:

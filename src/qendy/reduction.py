@@ -38,23 +38,24 @@ class PcaBasis:
     singular_values: np.ndarray
 
 
-def _svd(data):
+def _pca(data, k: int):
+    """(leading-k PcaBasis, full singular spectrum) of mean-centered snapshots."""
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise ValueError(f"expected snapshots of shape (m, D), got {data.shape}")
     mean = data.mean(axis=0)
     _, sigma, vt = np.linalg.svd(data - mean, full_matrices=False)
-    signs = np.sign(vt[np.arange(vt.shape[0]), np.argmax(np.abs(vt), axis=1)])
+    if not 1 <= k <= vt.shape[0]:
+        raise ValueError(f"k must be in [1, {vt.shape[0]}], got {k}")
+    vt = vt[:k]
+    signs = np.sign(vt[np.arange(k), np.argmax(np.abs(vt), axis=1)])
     signs[signs == 0.0] = 1.0
-    return mean, sigma, vt * signs[:, None]
+    return PcaBasis(mean, vt * signs[:, None], sigma[:k]), sigma
 
 
 def pca_fit(data, k: int) -> PcaBasis:
     """Leading-k principal component basis of mean-centered snapshots."""
-    mean, sigma, vt = _svd(data)
-    if not 1 <= k <= vt.shape[0]:
-        raise ValueError(f"k must be in [1, {vt.shape[0]}], got {k}")
-    return PcaBasis(mean, vt[:k], sigma[:k])
+    return _pca(data, k)[0]
 
 
 def project(data, basis: PcaBasis) -> np.ndarray:
@@ -120,10 +121,7 @@ def reduced_identification_pipeline(data, k: int, train_fraction: float,
     n_train = int(round(train_fraction * m))
     if n_train < 3:
         raise ValueError("training window too short for finite differences")
-    mean, sigma, vt = _svd(data)
-    if not 1 <= k <= vt.shape[0]:
-        raise ValueError(f"k must be in [1, {vt.shape[0]}], got {k}")
-    basis = PcaBasis(mean, vt[:k], sigma[:k])
+    basis, sigma = _pca(data, k)
     reduced = project(data, basis)
     train_traj = Trajectory(np.arange(n_train) * dt, reduced[:n_train])
     ts = finite_diff_derivatives(train_traj)

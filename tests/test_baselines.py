@@ -225,6 +225,14 @@ def test_model_shape_validation():
         GedmdModel(np.zeros((2, 2)), pendulum_dictionary())
 
 
+def test_gedmd_rejects_non_finite_lift_by_name():
+    d = Dictionary.from_strings(1, ["x1", "exp(x1^3)"])
+    overflow = TrainingSet(np.array([[0.5], [10.0], [1.0]]), np.ones((3, 1)))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"basis entry 1 \(exp\(x1\^3\)\) has a non-finite lifted value"):
+        gedmd_fit(d, overflow)
+
+
 def test_sindy_rejects_overflowed_gram_matrix():
     d = Dictionary.from_strings(1, ["x1"])
     ts = TrainingSet(np.array([[0.5], [1e200]]), np.ones((2, 1)))

@@ -518,3 +518,58 @@ def test_diverging_or_non_finite_paths_fail_cleanly(tmp_path, capsys):
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("qendy: error in simulate:") and "start state" in err
+
+
+# ---------------------------------------------------------------------------
+# one regression core: gEDMD loss, dimension check, overflow reporting
+
+
+def test_gedmd_loss_is_the_lifted_derivative_residual(tmp_path):
+    from qendy.baselines import gedmd_from_json
+    from qendy.dictionary import feature_matrix, feature_time_derivatives
+    model_path = _fit_method(tmp_path, "gedmd")
+    rc = main(["report", "--model", str(model_path),
+               "--training", str(tmp_path / "training.csv"),
+               "--out", str(tmp_path / "report")])
+    assert rc == 0
+    model = gedmd_from_json(_read_json(model_path))
+    ts = load_training(tmp_path / "training.csv")
+    d = model.dictionary
+    brute = sum(
+        float(np.sum((feature_time_derivatives(d, ts.states[k:k + 1], ts.derivatives[k:k + 1])
+                      - model.theta @ feature_matrix(d, ts.states[k:k + 1])) ** 2))
+        for k in range(ts.m))
+    for summary in (_read_json(tmp_path / "report" / "report.json"),
+                    _read_json(model_path.parent / "fit_summary.json")):
+        assert summary["loss"] == pytest.approx(brute, rel=1e-12, abs=1e-24)
+        assert "regularized_loss" not in summary
+
+
+def test_simulate_checks_system_dimension_before_integrating(tmp_path, capsys):
+    d = Dictionary.from_strings(1, ["x1"])
+    model = QuadraticModel(np.zeros((1, 1)), -np.eye(1), np.zeros(1), np.eye(1), d)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    rc = main(["simulate", "--model", str(path), "--x0", "0.5",
+               "--system", "quartic", "--out", str(tmp_path / "sim")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qendy: error in simulate:")
+    assert "dimension 1" in err and "'quartic' has dimension 2" in err
+    assert not (tmp_path / "sim" / "simulation.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["qendy", "sindy", "gedmd"])
+def test_fit_overflow_prints_only_the_error_line(tmp_path, method):
+    training = tmp_path / "training.csv"
+    training.write_text("x1,dx1\n0.5,1.0\n1e200,1.0\n")
+    dictionary = tmp_path / "dictionary.json"
+    dictionary.write_text(json.dumps({"state_dim": 1, "basis": ["x1"]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qendy.cli", "fit", "--method", method,
+         "--training", str(training), "--dictionary", str(dictionary),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qendy: error in fit:"), proc.stderr

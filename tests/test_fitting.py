@@ -8,8 +8,8 @@ import pytest
 from qendy.dictionary import Dictionary, augment, feature_matrix, feature_time_derivatives
 from qendy.dynamics import TrainingSet, VectorField, exact_derivatives, sample_uniform
 from qendy.fitting import (
-    assemble_gram, build_data_matrices, fit, gradient_norms, loss, solve_row,
-    stationarity_gap,
+    assemble_gram, build_data_matrices, fit, gradient_norms, lift, loss,
+    quadratic_table, solve_row, stationarity_gap,
 )
 from qendy.model import extract_rhs_many
 from qendy.systems import pendulum, pendulum_dictionary
@@ -308,3 +308,15 @@ def test_fit_rejects_overflowed_gram_matrix():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             ValueError, match="non-finite.*rescale"):
         fit(d, ts)
+
+
+def test_data_matrices_hold_one_table_with_z1_and_z2_as_views():
+    ts = _pendulum_training(m=30)
+    dm = build_data_matrices(pendulum_dictionary(), ts)
+    assert np.shares_memory(dm.z2, dm.table)
+    assert np.shares_memory(dm.z1, dm.table)
+    z1, zdot = lift(pendulum_dictionary(), ts)
+    assert np.array_equal(dm.z1, z1) and np.array_equal(dm.zdot, zdot)
+    stacked = np.vstack([dm.z2, z1, np.ones((1, 30))])
+    assert np.array_equal(dm.table, stacked)
+    assert np.array_equal(quadratic_table(z1), stacked)

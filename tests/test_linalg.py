@@ -1,9 +1,13 @@
 """Symmetric pseudoinverse solver against dense numpy oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from qendy.linalg import SymmetricPinvSolver, default_rcond, min_norm_solve
+from qendy.linalg import (
+    SymmetricPinvSolver, default_rcond, min_norm_solve, normal_equations,
+)
 
 
 def _random_psd(rng, dim, rank):
@@ -109,3 +113,41 @@ def test_non_finite_matrix_is_rejected():
         matrix[1, 2] = matrix[2, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             SymmetricPinvSolver(matrix)
+
+
+# ---------------------------------------------------------------------------
+# normal equations
+
+
+def test_weighted_normal_equations_match_lstsq_on_scaled_rows():
+    rng = np.random.default_rng(11)
+    table = rng.standard_normal((5, 40))
+    targets = rng.standard_normal((3, 40))
+    weights = rng.uniform(0.1, 2.0, 40)
+    matrix, rhs = normal_equations(table, targets, weights)
+    assert np.allclose(matrix, table @ np.diag(weights) @ table.T, rtol=1e-13, atol=1e-13)
+    root = np.sqrt(weights)
+    want, *_ = np.linalg.lstsq((table * root).T, (targets * root).T, rcond=None)
+    assert np.abs(min_norm_solve(matrix, rhs) - want).max() < 1e-12
+    # One target vector gives one right-hand side vector.
+    _, rhs_one = normal_equations(table, targets[0], weights)
+    assert np.allclose(rhs_one, rhs[:, 0], rtol=1e-14, atol=1e-14)
+
+
+def test_unweighted_normal_equations_are_the_plain_products_bit_for_bit():
+    rng = np.random.default_rng(12)
+    table = rng.standard_normal((7, 300))
+    targets = rng.standard_normal((2, 300))
+    matrix, rhs = normal_equations(table, targets)
+    assert np.array_equal(matrix, table @ table.T)
+    assert np.array_equal(rhs, table @ targets.T)
+
+
+def test_overflowed_normal_equations_warn_nothing_and_the_solver_rejects_them():
+    table = np.array([[0.5, 1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix, rhs = normal_equations(table, np.ones(2))
+    assert not np.isfinite(matrix).all()
+    with pytest.raises(ValueError, match="non-finite"):
+        min_norm_solve(matrix, rhs)

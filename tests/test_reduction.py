@@ -204,3 +204,12 @@ def test_pipeline_orthogonal_embedding_invariance():
     assert abs(a.train_rel_rms - b.train_rel_rms) < 1e-8
     assert abs(a.forecast_rel_rms - b.forecast_rel_rms) < 1e-8
     assert np.abs(a.singular_spectrum - b.singular_spectrum).max() < 1e-8
+
+
+def test_pca_fit_is_the_pipeline_basis():
+    data, _ = synthetic_lift_data(seed=4)
+    for k in (2, 3):
+        basis = pca_fit(data, k)
+        result = reduced_identification_pipeline(data, k, 0.8, 0.1)
+        for field in ("mean", "components", "singular_values"):
+            assert np.array_equal(getattr(basis, field), getattr(result.basis, field))
