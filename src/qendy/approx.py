@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Dictionary, feature_matrix, feature_time_derivatives
+from .dictionary import Dictionary, feature_matrix_and_derivatives
 from .dynamics import VectorField, exact_derivatives, sample_uniform
 from .expr import Expr, evaluate_many
-from .fitting import assemble_gram, build_data_matrices, quadratic_table
+from .fitting import assemble_gram, build_data_matrices, quadratic_normal_equations
 from .linalg import min_norm_solve, normal_equations
 
 __all__ = [
@@ -145,9 +145,8 @@ def limit_gram_system(d: Dictionary, field: VectorField, space):
     code's normal equations on the quadrature nodes, weighted by the rule.
     """
     points, weights = space.nodes_weights()
-    table = quadratic_table(feature_matrix(d, points))
-    return normal_equations(
-        table, feature_time_derivatives(d, points, field.many(points)), weights)
+    return quadratic_normal_equations(
+        *feature_matrix_and_derivatives(d, points, field.many(points)), weights)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,7 @@ from .expr import Const, Mul, Program, Var, parse, render, variables
 __all__ = [
     "ConfigurationError", "Dictionary", "AugmentedBasis",
     "feature_map", "feature_matrix", "jacobian", "feature_time_derivatives",
+    "feature_matrix_and_derivatives",
     "augment", "full_state_matrix",
     "dictionary_to_json", "dictionary_from_json", "write_json", "save_dictionary",
     "load_dictionary",
@@ -84,12 +85,16 @@ def feature_map(d: Dictionary, x) -> np.ndarray:
     return feature_matrix(d, x[None, :])[:, 0]
 
 
-def feature_matrix(d: Dictionary, points) -> np.ndarray:
-    """Lift a batch: column k of the (N, m) result is phi(points[k])."""
+def _batch(d: Dictionary, points) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != d.state_dim:
         raise ValueError(f"expected shape (m, {d.state_dim}), got {points.shape}")
-    return d.program.values(points)
+    return points
+
+
+def feature_matrix(d: Dictionary, points) -> np.ndarray:
+    """Lift a batch: column k of the (N, m) result is phi(points[k])."""
+    return d.program.values(_batch(d, points))
 
 
 def jacobian(d: Dictionary, x) -> np.ndarray:
@@ -100,6 +105,15 @@ def jacobian(d: Dictionary, x) -> np.ndarray:
     return d.program.gradients(x[None, :])[1][:, 0, :]
 
 
+def _motion(points, derivatives):
+    points = np.asarray(points, dtype=float)
+    derivatives = np.asarray(derivatives, dtype=float)
+    if points.shape != derivatives.shape:
+        raise ValueError(
+            f"points {points.shape} and derivatives {derivatives.shape} disagree")
+    return points, derivatives
+
+
 def feature_time_derivatives(d: Dictionary, points, derivatives) -> np.ndarray:
     """Chain rule along samples: column k is J(points[k]) @ derivatives[k].
 
@@ -107,12 +121,14 @@ def feature_time_derivatives(d: Dictionary, points, derivatives) -> np.ndarray:
     derivative of each lifted coordinate along the sampled motion.  It is one
     forward-mode tangent pass with the derivatives as the direction.
     """
-    points = np.asarray(points, dtype=float)
-    derivatives = np.asarray(derivatives, dtype=float)
-    if points.shape != derivatives.shape:
-        raise ValueError(
-            f"points {points.shape} and derivatives {derivatives.shape} disagree")
-    return d.program.tangents(points, derivatives)
+    return d.program.tangents(*_motion(points, derivatives))
+
+
+def feature_matrix_and_derivatives(d: Dictionary, points, derivatives):
+    """(:func:`feature_matrix`, :func:`feature_time_derivatives`) of the same
+    samples from one value pass of the dictionary's program."""
+    points, derivatives = _motion(points, derivatives)
+    return d.program.values_and_tangents(_batch(d, points), derivatives)
 
 
 @dataclass(frozen=True)

@@ -308,16 +308,28 @@ class Program:
         self._check(x)
         return self._gather(self._value_pass(x), x.shape[0])
 
-    def tangents(self, x, v) -> np.ndarray:
-        """Directional derivatives along ``v`` (m, n), row by row: entry
-        (k, i) of the (K, m) result is grad f_k(x[i]) . v[i]."""
+    def _passes(self, x, v):
+        """Slot values and slot tangents along ``v`` from one value pass."""
         x, v = _as_batch(x), _as_batch(v)
         if v.shape != x.shape:
             raise ValueError(f"direction {v.shape} does not match points {x.shape}")
         self._check(x)
         vals = self._value_pass(x)
         seeds = [v[:, j].copy() for j in range(x.shape[1])]
-        return self._gather(self._tangent_pass(vals, seeds), x.shape[0])
+        return vals, self._tangent_pass(vals, seeds)
+
+    def tangents(self, x, v) -> np.ndarray:
+        """Directional derivatives along ``v`` (m, n), row by row: entry
+        (k, i) of the (K, m) result is grad f_k(x[i]) . v[i]."""
+        return self._gather(self._passes(x, v)[1], len(x))
+
+    def values_and_tangents(self, x, v):
+        """(:meth:`values`, :meth:`tangents`) of the same arguments from one
+        value pass."""
+        vals, tans = self._passes(x, v)
+        values = self._gather(vals, len(x))
+        del vals  # frees the slot values before the second gather: a lower peak
+        return values, self._gather(tans, len(x))
 
     def gradients(self, x):
         """Values (K, m) and row-wise gradients (K, m, n), one unit-direction

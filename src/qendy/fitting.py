@@ -10,6 +10,12 @@ symmetric system ``M v = s_row`` whose matrix is the Gram matrix of the
 stacked features [Z2; Z1; 1] (plus lam on the leading N^2 diagonal entries),
 so one factorization serves all rows.  M is typically rank-deficient
 (duplicate product pairs at least); solutions are minimum-norm.
+
+The fit never forms the stacked table.  The Gram system is accumulated
+over fixed-size chunks of samples on the N(N+1)/2 unique products
+``z_i z_j`` (i <= j), then expanded to the [Z2; Z1; 1] layout by an index
+gather, so beyond the lift memory stays O(D^2 + chunk * D) whatever the
+sample count.
 """
 
 from __future__ import annotations
@@ -18,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import (
-    Dictionary, feature_matrix, feature_time_derivatives, full_state_matrix,
-)
+from .dictionary import Dictionary, feature_matrix_and_derivatives, full_state_matrix
 from .dynamics import TrainingSet
 from .linalg import min_norm_solve, normal_equations
-from .model import QuadraticModel, kron_squared_cols
+from .model import QuadraticModel, evaluate_cols, kron_squared_cols
 
 __all__ = [
     "DataMatrices", "GramSystem", "lift", "quadratic_table",
@@ -46,8 +50,7 @@ def lift(d: Dictionary, ts: TrainingSet):
     value or lifted derivative is not finite (an overflow, say).
     """
     check_state_dim(d, ts)
-    z1 = feature_matrix(d, ts.states)
-    zdot = feature_time_derivatives(d, ts.states, ts.derivatives)
+    z1, zdot = feature_matrix_and_derivatives(d, ts.states, ts.derivatives)
     for what, lifted in (("value", z1), ("time derivative", zdot)):
         if not np.isfinite(lifted).all():
             entry, sample = np.argwhere(~np.isfinite(lifted))[0]
@@ -67,27 +70,80 @@ def quadratic_table(z) -> np.ndarray:
     return table
 
 
+# Sample columns per step of the chunked accumulations; for thomas15 the
+# chunk buffer is 136 x 2048 doubles (2.2 MB).
+_CHUNK = 2048
+
+
+def _chunks(m: int):
+    for start in range(0, m, _CHUNK):
+        yield slice(start, min(start + _CHUNK, m))
+
+
+def _table_rows(n: int) -> np.ndarray:
+    """Row of the unique-product table behind each row of [z kron z; z; 1]:
+    flat pair N*i + j maps to the row of (min(i, j), max(i, j))."""
+    i, j = np.divmod(np.arange(n * n), n)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    unique = n * (n + 1) // 2
+    return np.concatenate([lo * n - lo * (lo - 1) // 2 + hi - lo,
+                           np.arange(unique, unique + n + 1)])
+
+
+def quadratic_normal_equations(z, targets, weights=None):
+    """``normal_equations(quadratic_table(z), targets, weights)`` without the table.
+
+    The sums run over chunks of ``_CHUNK`` samples of the unique products
+    z_i z_j (i <= j), then z, then 1; the result is expanded to the
+    (N^2 + N + 1) layout of :func:`quadratic_table` by one index gather.
+    """
+    n, m = z.shape
+    unique = n * (n + 1) // 2
+    size = unique + n + 1
+    matrix = np.zeros((size, size))
+    rhs = np.zeros((size, targets.shape[0]))
+    buffer = np.empty((size, min(m, _CHUNK)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cols in _chunks(m):
+            zc = z[:, cols]
+            chunk = buffer[:, :zc.shape[1]]
+            row = 0
+            for i in range(n):
+                np.multiply(zc[i], zc[i:], out=chunk[row:row + n - i])
+                row += n - i
+            chunk[unique:-1] = zc
+            chunk[-1] = 1.0
+            gram, cross = normal_equations(chunk, targets[:, cols],
+                                           None if weights is None else weights[cols])
+            matrix += gram
+            rhs += cross
+    rows = _table_rows(n)
+    return matrix[np.ix_(rows, rows)], rhs[rows]
+
+
 @dataclass(frozen=True, eq=False)
 class DataMatrices:
-    """Lifted training data: the table [z2; z1; 1] (N^2 + N + 1, m), of which
-    ``z1`` (N, m) and ``z2`` (N^2, m) are views, and zdot (N, m)."""
+    """Lifted training data: z1 (N, m) and zdot (N, m).
 
-    table: np.ndarray
+    ``z2`` (N^2, m) and ``table`` [z2; z1; 1] are built on each access; the
+    fit itself never needs them.
+    """
+
+    z1: np.ndarray
     zdot: np.ndarray
 
     def __post_init__(self):
-        n, m = self.zdot.shape
-        if self.table.shape != (n * n + n + 1, m):
+        if self.z1.shape != self.zdot.shape:
             raise ValueError(
-                f"inconsistent shapes: table {self.table.shape}, zdot {self.zdot.shape}")
-
-    @property
-    def z1(self) -> np.ndarray:
-        return self.table[self.basis_size ** 2:-1]
+                f"inconsistent shapes: z1 {self.z1.shape}, zdot {self.zdot.shape}")
 
     @property
     def z2(self) -> np.ndarray:
-        return self.table[:self.basis_size ** 2]
+        return kron_squared_cols(self.z1)
+
+    @property
+    def table(self) -> np.ndarray:
+        return quadratic_table(self.z1)
 
     @property
     def basis_size(self) -> int:
@@ -100,8 +156,7 @@ class DataMatrices:
 
 def build_data_matrices(d: Dictionary, ts: TrainingSet) -> DataMatrices:
     """Lift a training set through the dictionary (see :func:`lift`)."""
-    z1, zdot = lift(d, ts)
-    return DataMatrices(quadratic_table(z1), zdot)
+    return DataMatrices(*lift(d, ts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +180,7 @@ def assemble_gram(dm: DataMatrices, lam: float = 0.0) -> GramSystem:
     if lam < 0.0:
         raise ValueError(f"regularization must be >= 0, got {lam}")
     n = dm.basis_size
-    matrix, rhs = normal_equations(dm.table, dm.zdot)
+    matrix, rhs = quadratic_normal_equations(dm.z1, dm.zdot)
     if lam > 0.0:
         idx = np.arange(n * n)
         matrix[idx, idx] += lam
@@ -170,9 +225,10 @@ def fit(d: Dictionary, ts: TrainingSet, *, lam: float = 0.0,
 
 def loss(model: QuadraticModel, dm: DataMatrices, lam: float = 0.0):
     """(residual, residual + lam * ||A||_F^2) for a model on lifted data."""
-    residual_matrix = (dm.zdot - model.a @ dm.z2 - model.b @ dm.z1
-                       - model.c[:, None])
-    residual = float(np.sum(residual_matrix ** 2))
+    residual = 0.0
+    for cols in _chunks(dm.sample_count):
+        fitted = evaluate_cols(model, dm.z1[:, cols])
+        residual += float(np.sum((dm.zdot[:, cols] - fitted) ** 2))
     return residual, residual + float(lam) * float(np.sum(model.a ** 2))
 
 

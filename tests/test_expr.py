@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qendy.dictionary import (
-    Dictionary, feature_matrix, feature_time_derivatives, jacobian,
+    Dictionary, feature_matrix, feature_matrix_and_derivatives, feature_time_derivatives,
+    jacobian,
 )
 from qendy.expr import (
     Add, Const, Cos, EvaluationDomainError, Exp, ExpressionSyntaxError, Inv,
@@ -319,6 +320,17 @@ def test_lifted_derivatives_match_oracle(name):
                          for e in d.basis])
     assert _row_relative(feature_time_derivatives(d, points, direction),
                          expected) <= 1e-14
+
+
+@pytest.mark.parametrize("name", BUILTIN_DICTIONARIES)
+def test_one_pass_lift_is_bit_equal_to_the_separate_passes(name):
+    d, points, direction = _dictionary_and_points(name)
+    values, tangents = feature_matrix_and_derivatives(d, points, direction)
+    assert values.tobytes() == feature_matrix(d, points).tobytes()
+    assert tangents.tobytes() == feature_time_derivatives(d, points, direction).tobytes()
+    with pytest.raises(ValueError, match="expected shape"):
+        wide = np.ones((3, d.state_dim + 1))
+        feature_matrix_and_derivatives(d, wide, wide)
 
 
 @pytest.mark.parametrize("name", BUILTIN_DICTIONARIES)

@@ -1,6 +1,8 @@
 """Data matrices, Gram assembly, decoupled min-norm solves, and the fit."""
 
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ import pytest
 from qendy.dictionary import Dictionary, augment, feature_matrix, feature_time_derivatives
 from qendy.dynamics import TrainingSet, VectorField, exact_derivatives, sample_uniform
 from qendy.fitting import (
-    assemble_gram, build_data_matrices, fit, gradient_norms, lift, loss,
-    quadratic_table, solve_row, stationarity_gap,
+    _CHUNK, assemble_gram, build_data_matrices, fit, gradient_norms, lift, loss,
+    quadratic_normal_equations, quadratic_table, solve_row, stationarity_gap,
 )
+from qendy.linalg import min_norm_solve, normal_equations
 from qendy.model import extract_rhs_many
-from qendy.systems import pendulum, pendulum_dictionary
+from qendy.systems import pendulum, pendulum_dictionary, thomas, thomas_extended_dictionary
 
 PENDULUM_B_ROW2 = np.array([0.0, -0.1, -1.0, 0.0])
 
@@ -310,13 +313,59 @@ def test_fit_rejects_overflowed_gram_matrix():
         fit(d, ts)
 
 
-def test_data_matrices_hold_one_table_with_z1_and_z2_as_views():
+def test_data_matrices_hold_only_the_lift():
     ts = _pendulum_training(m=30)
     dm = build_data_matrices(pendulum_dictionary(), ts)
-    assert np.shares_memory(dm.z2, dm.table)
-    assert np.shares_memory(dm.z1, dm.table)
     z1, zdot = lift(pendulum_dictionary(), ts)
     assert np.array_equal(dm.z1, z1) and np.array_equal(dm.zdot, zdot)
     stacked = np.vstack([dm.z2, z1, np.ones((1, 30))])
     assert np.array_equal(dm.table, stacked)
     assert np.array_equal(quadratic_table(z1), stacked)
+    # The Gram system streams over sample chunks: no (D, m) table is built.
+    d = thomas_extended_dictionary()
+    m = 20000
+    wide = exact_derivatives(thomas(0.25, 0.15),
+                             sample_uniform([(-5.0, 5.0)] * 3, m, seed=1))
+    tracemalloc.start()
+    try:
+        assemble_gram(build_data_matrices(d, wide))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (d.size ** 2 + d.size + 1) * m * 8 / 4
+
+
+@pytest.mark.parametrize("m", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_quadratic_normal_equations_match_the_table(m, weighted):
+    rng = np.random.default_rng(m)
+    z = rng.normal(size=(5, m))
+    targets = rng.normal(size=(5, m))
+    weights = rng.uniform(0.1, 2.0, m) if weighted else None
+    matrix, rhs = quadratic_normal_equations(z, targets, weights)
+    want_matrix, want_rhs = normal_equations(quadratic_table(z), targets, weights)
+    assert matrix.shape == want_matrix.shape and rhs.shape == want_rhs.shape
+    assert np.abs(matrix - want_matrix).max() <= 1e-13 * np.abs(want_matrix).max()
+    assert np.abs(rhs - want_rhs).max() <= 1e-13 * np.abs(want_rhs).max()
+    if not weighted:  # the unweighted chunks are symmetric products
+        assert np.array_equal(matrix, matrix.T)
+
+
+def test_quadratic_normal_equations_overflow_reaches_the_solver_unwarned():
+    z = np.array([[0.5, 1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix, _ = quadratic_normal_equations(z, np.ones((1, 2)))
+        with pytest.raises(ValueError, match="non-finite.*rescale"):
+            min_norm_solve(matrix, np.ones(matrix.shape[0]))
+
+
+def test_loss_sums_over_chunks_like_the_whole_residual():
+    d = pendulum_dictionary()
+    ts = _pendulum_training(m=2 * _CHUNK + 7)
+    model = fit(d, ts, lam=0.1)
+    dm = build_data_matrices(d, ts)
+    residual = np.sum((dm.zdot - model.a @ dm.z2 - model.b @ dm.z1 - model.c[:, None]) ** 2)
+    got, regularized = loss(model, dm, 0.1)
+    assert abs(got - residual) <= 1e-12 * residual
+    assert regularized == got + 0.1 * float(np.sum(model.a ** 2))
