@@ -19,8 +19,8 @@ import numpy as np
 from . import baselines, reduction
 from .approx import convergence_study
 from .dictionary import (
-    ConfigurationError, full_state_matrix, load_dictionary, save_dictionary,
-    write_json,
+    ConfigurationError, feature_map, full_state_matrix, load_dictionary,
+    save_dictionary, write_json,
 )
 from .dynamics import (
     IntegrationBlowupError, exact_derivatives, finite_diff_derivatives,
@@ -209,14 +209,11 @@ def _simulate_model(kind, model, x0, t_end, dt, reembed):
         if kind == "qendy":
             path = simulate(model, x0, t_end, dt, reembed=reembed)
         elif kind == "sindy":
-            path = rk4_integrate(
-                lambda x: baselines.sindy_rhs_many(model, x[None, :])[0],
-                x0, t_end, dt)
+            path = rk4_integrate(lambda x: baselines.sindy_rhs(model, x), x0, t_end, dt)
         else:
-            g = full_state_matrix(model.dictionary)
+            g_theta = full_state_matrix(model.dictionary) @ model.theta
             path = rk4_integrate(
-                lambda x: baselines.gedmd_rhs_many(model, g, x[None, :])[0],
-                x0, t_end, dt)
+                lambda x: g_theta @ feature_map(model.dictionary, x), x0, t_end, dt)
         blowup = None
     except IntegrationBlowupError as err:
         path, blowup = err.partial, err.step

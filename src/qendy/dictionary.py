@@ -82,7 +82,7 @@ def feature_map(d: Dictionary, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (d.state_dim,):
         raise ValueError(f"expected shape ({d.state_dim},), got {x.shape}")
-    return feature_matrix(d, x[None, :])[:, 0]
+    return d.program.point(x)
 
 
 def _batch(d: Dictionary, points) -> np.ndarray:
@@ -126,7 +126,7 @@ def feature_time_derivatives(d: Dictionary, points, derivatives) -> np.ndarray:
 
 def feature_matrix_and_derivatives(d: Dictionary, points, derivatives):
     """(:func:`feature_matrix`, :func:`feature_time_derivatives`) of the same
-    samples from one value pass of the dictionary's program."""
+    samples from one evaluation of the dictionary's program."""
     points, derivatives = _motion(points, derivatives)
     return d.program.values_and_tangents(_batch(d, points), derivatives)
 

@@ -41,17 +41,22 @@ class IntegrationBlowupError(RuntimeError):
 class VectorField:
     """A vector field on R^n with vectorized evaluation.
 
-    ``fn`` maps a batch of states (m, n) to derivatives (m, n).
+    ``fn`` maps a batch of states (m, n) to derivatives (m, n).  A field made
+    by :meth:`from_exprs` also keeps its compiled ``program``; a call at one
+    state then runs the program's float binding instead of a batch of one.
     """
 
     n: int
     fn: object
     name: str = ""
+    program: Program | None = None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected state of shape ({self.n},), got {x.shape}")
+        if self.program is not None:
+            return self.program.point(x)
         return np.asarray(self.fn(x[None, :]), dtype=float)[0]
 
     def many(self, points) -> np.ndarray:
@@ -68,9 +73,9 @@ class VectorField:
         program = Program(exprs)
 
         def fn(points):
-            return np.ascontiguousarray(program.values(points).T)
+            return program.values(points, per_point=True)
 
-        return cls(n, fn, name)
+        return cls(n, fn, name, program)
 
 
 def _check_uniform(times: np.ndarray):
@@ -159,7 +164,8 @@ def rk4_integrate(f, x0, t_end: float, dt: float) -> Trajectory:
 
     The number of steps is round(t_end / dt); t = 0 is included.  Raises
     :class:`IntegrationBlowupError`, carrying the path up to the last finite
-    state, at the first non-finite state.
+    state, at the first non-finite state; the overflow that produced it is
+    not warned.
     """
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
@@ -171,12 +177,15 @@ def rk4_integrate(f, x0, t_end: float, dt: float) -> Trajectory:
         raise ValueError(f"start state {x.tolist()} is not finite")
     states = np.empty((steps + 1, x.size))
     states[0] = x
-    for k in range(steps):
-        x = rk4_step(f, x, dt)
-        if not np.all(np.isfinite(x)):
-            raise IntegrationBlowupError(
-                k + 1, Trajectory(np.arange(k + 1) * dt, states[:k + 1]))
-        states[k + 1] = x
+    # A non-finite state raises IntegrationBlowupError, so the overflow that
+    # leads to it is not warned as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            x = rk4_step(f, x, dt)
+            if not np.all(np.isfinite(x)):
+                raise IntegrationBlowupError(
+                    k + 1, Trajectory(np.arange(k + 1) * dt, states[:k + 1]))
+            states[k + 1] = x
     return Trajectory(np.arange(steps + 1) * dt, states)
 
 

@@ -4,12 +4,16 @@ The node set is deliberately small: constants, variables, sums, products,
 integer powers, sin/cos/exp, and reciprocals.  Evaluation goes through a
 :class:`Program`: one or more trees flattened, without recursion, into a
 topologically ordered instruction list in which structurally equal subtrees
-share one slot.  A value pass computes every slot over a batch of sample
-points.  A forward-mode tangent pass then carries one directional derivative
-per slot along a given direction, so a Jacobian-vector product such as the
-time derivative of a lift along sampled motion costs one pass and never forms
-a Jacobian; gradients take one unit-direction pass per coordinate.
-Derivatives are exact to rounding.
+share one slot.  The list is emitted once as straight-line Python source, in
+which a slot read by one consumer is inlined into it and any other slot gets
+a local, and that source is compiled in three bindings: over Python floats
+for one point, over NumPy columns for a batch, and with every slot kept for
+the tangent pass.  The float binding is bit-equal to the batch binding.  A
+forward-mode tangent pass carries one directional derivative per slot along
+a given direction, so a Jacobian-vector product such as the time derivative
+of a lift along sampled motion costs one pass and never forms a Jacobian;
+gradients take one unit-direction pass per coordinate.  Derivatives are
+exact to rounding.
 
 Surface syntax, used by :func:`parse` and :func:`render`::
 
@@ -27,7 +31,9 @@ tree produced by ``parse``.
 
 from __future__ import annotations
 
+import math
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +41,8 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Sin", "Cos", "Exp", "Inv",
     "EvaluationDomainError", "ExpressionSyntaxError", "Program",
-    "evaluate", "evaluate_many", "gradient", "gradient_many",
-    "evaluate_with_gradient_many", "variables", "parse", "render",
+    "evaluate", "evaluate_many", "gradient", "gradient_many", "variables",
+    "parse", "render",
 ]
 
 
@@ -137,9 +143,9 @@ def _as_batch(x) -> np.ndarray:
 # A Program flattens trees into a topologically ordered instruction list.
 # Structurally equal subtrees are hash-consed onto one slot (the key of a node
 # is its type, its operand slots and its payload), so a subexpression shared
-# by several trees, or repeated inside one, is computed once.  Flattening and
-# both passes are loops over that list, so tree depth is not bounded by the
-# interpreter's recursion limit.
+# by several trees, or repeated inside one, is computed once.  Flattening,
+# source emission and the tangent pass are loops over that list, so tree depth
+# is not bounded by the interpreter's recursion limit.
 
 _OP_CONST, _OP_VAR, _OP_ADD, _OP_MUL, _OP_POW, _OP_SIN, _OP_COS, _OP_EXP, _OP_INV = range(9)
 _OPCODES = {Const: _OP_CONST, Var: _OP_VAR, Add: _OP_ADD, Mul: _OP_MUL, Pow: _OP_POW,
@@ -168,14 +174,66 @@ def _payload(e: Expr):
     return None
 
 
+# Source emission.  A slot read by exactly one consumer is inlined into it, so
+# a chain such as (a*b + c)*d reuses its temporaries under NumPy's temporary
+# elision.  A slot gets a local when it is read more than once, when it is the
+# operand of a reciprocal or a negative power (tested for zero before the
+# operation, so the error can name the node), or when inlining it would nest
+# operands more than _INLINE_DEPTH deep: CPython's parser refuses source
+# nested about 200 parentheses deep, and a 1500-term sum is an Add chain 1500
+# deep.
+_INLINE_DEPTH = 32
+
+
+def _divides(op: int, payload) -> bool:
+    """Whether an instruction divides by its operand: a reciprocal or a
+    negative power."""
+    return op == _OP_INV or (op == _OP_POW and payload < 0)
+
+
+def _power(base, k):
+    """``base ** k`` for a float base, as NumPy computes it on an array."""
+    return np.asarray(base) ** k
+
+
+# On floats, ``math.sin`` and ``math.cos`` match NumPy's array loops bit for
+# bit, while ``math.exp`` and ``float ** int`` differ in the last ulp for some
+# inputs; exp and powers therefore go through NumPy on floats too.
+_FLOAT_OPS = {"_sin": math.sin, "_cos": math.cos, "_exp": np.exp, "_any": bool}
+_ARRAY_OPS = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_any": np.any}
+
+# Binding -> (its operations, how it reads variable j from the argument ``x``,
+# whether operands are arrays, whether it returns every slot).  The slots
+# binding copies each variable column out of the (m, n) batch because the
+# tangent pass reads it again in every product rule; the values binding reads
+# the strided column in place.
+_BINDINGS = {
+    "point": (_FLOAT_OPS, "x[{}]", False, False),
+    "values": (_ARRAY_OPS, "x[:, {}]", True, False),
+    "slots": (_ARRAY_OPS, "x[:, {}].copy()", True, True),
+}
+
+
 class Program:
     """A tuple of trees compiled into one shared-subterm instruction list.
 
-    The value pass computes one (m,) array per slot.  The tangent pass then
-    carries one (m,) directional derivative per slot along a direction given
-    per variable, which is forward-mode differentiation (a Jacobian-vector
-    product) without ever forming a Jacobian.  Programs are immutable after
-    construction, so one may be run from several threads at once.
+    The instruction list is emitted once per binding as straight-line Python
+    source (see :meth:`source`) and compiled on first use.  There are three
+    bindings of the same source:
+
+    - ``point``: one point in Python floats, for :meth:`point`.  No NumPy
+      call runs except for ``exp`` and integer powers;
+    - ``values``: one (m,) NumPy column per slot, for :meth:`values`;
+    - ``slots``: like ``values`` but with a local for every slot, returning
+      all of them; it feeds the tangent pass.
+
+    The tangent pass carries one (m,) directional derivative per slot along
+    a direction given per variable, which is forward-mode differentiation (a
+    Jacobian-vector product) without ever forming a Jacobian.  Every binding
+    tests the operand of a reciprocal and the base of a negative power for
+    zero and raises :class:`EvaluationDomainError` naming that node.
+    Programs are immutable after construction, and the lazy compilation is
+    locked, so one may be run from several threads at once.
     """
 
     def __init__(self, exprs):
@@ -209,47 +267,136 @@ class Program:
             for op, args, payload, node in instrs)
         self.variables = frozenset(p for op, _, p, _ in instrs if op == _OP_VAR)
         self._width = max(self.variables, default=-1) + 1
+        self._compiled = {}
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         """Number of slots: distinct subexpressions over all compiled trees."""
         return len(self._instrs)
 
-    def _check(self, x: np.ndarray):
-        n = x.shape[1]
+    def _check(self, n: int):
         if self._width > n:
             raise ValueError(
                 f"expression references x{self._width} but points have dimension {n}")
 
-    def _value_pass(self, x: np.ndarray) -> list:
-        m = x.shape[0]
-        vals = []
-        for op, args, payload, node, _ in self._instrs:
-            if op == _OP_MUL:
-                v = vals[args[0]] * vals[args[1]]
-            elif op == _OP_ADD:
-                v = vals[args[0]] + vals[args[1]]
-            elif op == _OP_VAR:
-                v = x[:, payload].copy()
-            elif op == _OP_CONST:
-                v = np.full(m, node.value)
+    def source(self, binding: str) -> str:
+        """The Python source of one binding (``"point"``, ``"values"`` or
+        ``"slots"``): a function ``program(x)`` whose statements follow the
+        instruction list in slot order."""
+        _, read, arrays, every_slot = _BINDINGS[binding]
+        instrs = self._instrs
+        reads = [0] * len(instrs)
+        for _, args, _, _, _ in instrs:
+            for slot in args:
+                reads[slot] += 1
+        for slot in self.outputs:
+            reads[slot] += 1
+        tested = {args[0] for op, args, payload, _, _ in instrs if _divides(op, payload)}
+        lines = [f"    x{j} = {read.format(j)}" for j in sorted(self.variables)]
+        refs, depths, varying = [], [], []
+        for slot, (op, args, payload, node, _) in enumerate(instrs):
+            a = [refs[i] for i in args]
+            if op == _OP_VAR:
+                refs.append(f"x{payload}")
+                depths.append(0)
+                varying.append(True)
+                continue
+            if op == _OP_CONST:
+                # Non-finite constants have no literal; they are bound as _c<slot>.
+                refs.append(repr(node.value) if math.isfinite(node.value) else f"_c{slot}")
+                depths.append(0)
+                varying.append(False)
+                continue
+            varying.append(any(varying[i] for i in args))
+            if op == _OP_ADD:
+                text = f"({a[0]} + {a[1]})"
+            elif op == _OP_MUL:
+                text = f"({a[0]} * {a[1]})"
             elif op == _OP_POW:
-                base = vals[args[0]]
-                if payload < 0 and np.any(base == 0.0):
-                    raise EvaluationDomainError(node, "zero raised to a negative power")
-                v = base ** payload
-            elif op == _OP_SIN:
-                v = np.sin(vals[args[0]])
-            elif op == _OP_COS:
-                v = np.cos(vals[args[0]])
-            elif op == _OP_EXP:
-                v = np.exp(vals[args[0]])
+                # A constant base is a float even in the array bindings.
+                text = (f"({a[0]} ** {payload})" if arrays and varying[args[0]]
+                        else f"_power({a[0]}, {payload})")
+            elif op == _OP_INV:
+                text = f"(1.0 / {a[0]})"
             else:
-                arg = vals[args[0]]
-                if np.any(arg == 0.0):
-                    raise EvaluationDomainError(node, "division by zero")
-                v = 1.0 / arg
-            vals.append(v)
-        return vals
+                text = f"{('_sin', '_cos', '_exp')[op - _OP_SIN]}({a[0]})"
+            if _divides(op, payload):
+                lines.append(f"    if _any({a[0]} == 0.0): _fail({slot})")
+            depth = 1 + max(depths[i] for i in args)
+            if every_slot or reads[slot] > 1 or slot in tested or depth > _INLINE_DEPTH:
+                lines.append(f"    v{slot} = {text}")
+                text, depth = f"v{slot}", 0
+            refs.append(text)
+            depths.append(depth)
+        returned = range(len(instrs)) if every_slot else self.outputs
+        lines.append(f"    return [{', '.join(refs[s] for s in returned)}]")
+        return "\n".join(["def program(x):", *lines, ""])
+
+    def _bound(self, binding: str):
+        """The compiled function of one binding, compiled on first use."""
+        fn = self._compiled.get(binding)
+        if fn is None:
+            with self._lock:
+                fn = self._compiled.get(binding)
+                if fn is None:
+                    fn = self._compiled[binding] = self._compile(binding)
+        return fn
+
+    def _compile(self, binding: str):
+        instrs = self._instrs
+
+        def fail(slot):
+            op, _, _, node, _ = instrs[slot]
+            raise EvaluationDomainError(node, "division by zero" if op == _OP_INV
+                                        else "zero raised to a negative power")
+
+        namespace = {**_BINDINGS[binding][0], "_power": _power, "_fail": fail}
+        namespace.update((f"_c{slot}", node.value) for slot, (op, _, _, node, _)
+                         in enumerate(instrs)
+                         if op == _OP_CONST and not math.isfinite(node.value))
+        exec(compile(self.source(binding), f"<qendy program: {binding}>", "exec"),
+             namespace)
+        return namespace["program"]
+
+    def point(self, x) -> np.ndarray:
+        """Every tree at one point ``x`` (n,), computed in Python floats;
+        returns (K,).
+
+        Bit-equal to a one-row :meth:`values`.  Where a float operation
+        raises instead of returning inf or nan (``math.sin`` of an infinity),
+        the point is evaluated by :meth:`values` instead.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"expected a point of shape (n,), got {x.shape}")
+        self._check(x.shape[0])
+        try:
+            return np.array(self._bound("point")(x.tolist()), dtype=float)
+        except EvaluationDomainError:
+            raise
+        except ValueError:
+            return self.values(x[None, :])[:, 0]
+
+    @staticmethod
+    def _stack(rows, out: np.ndarray) -> np.ndarray:
+        for r, value in enumerate(rows):
+            out[r] = 0.0 if value is None else value
+        return out
+
+    def values(self, x, *, per_point: bool = False) -> np.ndarray:
+        """Every tree at each row of ``x`` (m, n); returns (K, m), or with
+        ``per_point`` the same values as (m, K), one row per point."""
+        x = _as_batch(x)
+        self._check(x.shape[1])
+        rows = self._bound("values")(x)
+        # Allocated after the evaluation: allocating first makes NumPy's
+        # temporaries fresh mappings at every call, page-faulted again at
+        # large m.
+        if per_point:
+            out = np.empty((x.shape[0], len(rows)))
+            self._stack(rows, out.T)
+            return out
+        return self._stack(rows, np.empty((len(rows), x.shape[0])))
 
     def _tangent_pass(self, vals: list, seeds) -> list:
         """Slot tangents given ``seeds[j]``, the tangent of x_{j+1}.
@@ -295,26 +442,17 @@ class Program:
             tans.append(t)
         return tans
 
-    def _gather(self, slots_out: list, m: int) -> np.ndarray:
-        out = np.empty((len(self.outputs), m))
-        for row, slot in enumerate(self.outputs):
-            value = slots_out[slot]
-            out[row] = 0.0 if value is None else value
-        return out
-
-    def values(self, x) -> np.ndarray:
-        """Every tree at each row of ``x`` (m, n); returns (K, m)."""
-        x = _as_batch(x)
-        self._check(x)
-        return self._gather(self._value_pass(x), x.shape[0])
+    def _gather(self, slot_values: list, m: int) -> np.ndarray:
+        return self._stack([slot_values[s] for s in self.outputs],
+                           np.empty((len(self.outputs), m)))
 
     def _passes(self, x, v):
-        """Slot values and slot tangents along ``v`` from one value pass."""
+        """Slot values and slot tangents along ``v``."""
         x, v = _as_batch(x), _as_batch(v)
         if v.shape != x.shape:
             raise ValueError(f"direction {v.shape} does not match points {x.shape}")
-        self._check(x)
-        vals = self._value_pass(x)
+        self._check(x.shape[1])
+        vals = self._bound("slots")(x)
         seeds = [v[:, j].copy() for j in range(x.shape[1])]
         return vals, self._tangent_pass(vals, seeds)
 
@@ -325,7 +463,7 @@ class Program:
 
     def values_and_tangents(self, x, v):
         """(:meth:`values`, :meth:`tangents`) of the same arguments from one
-        value pass."""
+        evaluation of the slots."""
         vals, tans = self._passes(x, v)
         values = self._gather(vals, len(x))
         del vals  # frees the slot values before the second gather: a lower peak
@@ -335,9 +473,9 @@ class Program:
         """Values (K, m) and row-wise gradients (K, m, n), one unit-direction
         tangent pass per coordinate."""
         x = _as_batch(x)
-        self._check(x)
+        self._check(x.shape[1])
         m, n = x.shape
-        vals = self._value_pass(x)
+        vals = self._bound("slots")(x)
         grads = np.empty((len(self.outputs), m, n))
         ones = np.ones(m)
         for j in range(n):
@@ -347,16 +485,9 @@ class Program:
         return self._gather(vals, m), grads
 
 
-def _point(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a point of shape (n,), got {x.shape}")
-    return x[None, :]
-
-
 def evaluate(e: Expr, x) -> float:
     """Evaluate ``e`` at a single point ``x`` of shape (n,)."""
-    return float(Program((e,)).values(_point(x))[0, 0])
+    return float(Program((e,)).point(x)[0])
 
 
 def evaluate_many(e: Expr, x) -> np.ndarray:
@@ -366,18 +497,15 @@ def evaluate_many(e: Expr, x) -> np.ndarray:
 
 def gradient(e: Expr, x) -> np.ndarray:
     """Gradient of ``e`` at a single point ``x`` of shape (n,)."""
-    return Program((e,)).gradients(_point(x))[1][0, 0]
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"expected a point of shape (n,), got {x.shape}")
+    return Program((e,)).gradients(x[None, :])[1][0, 0]
 
 
 def gradient_many(e: Expr, x) -> np.ndarray:
     """Row-wise gradients of ``e``; input (m, n), output (m, n)."""
     return Program((e,)).gradients(x)[1][0]
-
-
-def evaluate_with_gradient_many(e: Expr, x):
-    """Values and row-wise gradients in one pass: ((m,), (m, n))."""
-    values, grads = Program((e,)).gradients(x)
-    return values[0], grads[0]
 
 
 def variables(e: Expr) -> frozenset:

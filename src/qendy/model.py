@@ -32,7 +32,7 @@ def kron_squared(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError(f"expected a vector, got shape {z.shape}")
-    return np.kron(z, z)
+    return np.multiply.outer(z, z).ravel()
 
 
 def kron_squared_cols(z_cols, *, out=None) -> np.ndarray:
@@ -128,7 +128,8 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float,
     step, which pins the path to the embedded manifold (a consistency
     diagnostic; exact embeddings are unaffected).  A non-finite lifted state
     raises :class:`IntegrationBlowupError` carrying the path up to the last
-    finite state.
+    finite state; as in :func:`~qendy.dynamics.rk4_integrate`, the overflow
+    that produced it is not warned.
     """
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
@@ -145,15 +146,16 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float,
         raise ValueError("start state lifts to non-finite values")
     z_states = np.empty((steps + 1, model.basis_size))
     z_states[0] = z
-    for k in range(steps):
-        z = rk4_step(f, z, dt)
-        if not np.all(np.isfinite(z)):
-            kept = z_states[:k + 1]
-            raise IntegrationBlowupError(k + 1, EmbeddedTrajectory(
-                np.arange(k + 1) * dt, kept, kept @ model.g.T))
-        if reembed:
-            z = feature_map(d, model.g @ z)
-        z_states[k + 1] = z
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            z = rk4_step(f, z, dt)
+            if not np.all(np.isfinite(z)):
+                kept = z_states[:k + 1]
+                raise IntegrationBlowupError(k + 1, EmbeddedTrajectory(
+                    np.arange(k + 1) * dt, kept, kept @ model.g.T))
+            if reembed:
+                z = feature_map(d, model.g @ z)
+            z_states[k + 1] = z
     times = np.arange(steps + 1) * dt
     return EmbeddedTrajectory(times, z_states, z_states @ model.g.T)
 

@@ -9,7 +9,10 @@ from qendy.baselines import (
     sindy_rhs, sindy_rhs_many, sindy_to_json,
 )
 from qendy.dictionary import Dictionary, feature_matrix, feature_time_derivatives
-from qendy.dynamics import TrainingSet, exact_derivatives, sample_uniform
+from qendy.dynamics import (
+    IntegrationBlowupError, TrainingSet, exact_derivatives, rk4_integrate,
+    sample_uniform,
+)
 from qendy.fitting import fit
 from qendy.model import extract_rhs_many
 from qendy.systems import (
@@ -58,6 +61,22 @@ def test_sindy_rhs_many_matches_scalar():
     batch = sindy_rhs_many(model, pts)
     for k in range(8):
         assert np.abs(batch[k] - sindy_rhs(model, pts[k])).max() < 1e-12
+
+
+def test_sindy_path_blows_up_like_a_batch_of_one():
+    # dx1 = exp(x1) + ...: the path overflows through exp and the power, and
+    # its last stages take sin of an infinity.
+    d = Dictionary.from_strings(2, ["x1", "x2", "exp(x1)", "sin(x1)", "x1^3", "x2^-2"])
+    model = SindyModel(np.array([[0.0, 0.1, 1.0, 0.5, 0.2, 0.0],
+                                 [0.3, 0.0, 0.0, -1.0, 0.0, 0.01]]), d)
+    errors = []
+    for rhs in (lambda x: sindy_rhs(model, x),
+                lambda x: sindy_rhs_many(model, x[None, :])[0]):
+        with pytest.raises(IntegrationBlowupError) as info:
+            rk4_integrate(rhs, [1.0, 2.0], 5.0, 0.01)
+        errors.append(info.value)
+    assert errors[0].step == errors[1].step > 1
+    assert errors[0].partial.states.tobytes() == errors[1].partial.states.tobytes()
 
 
 def test_sindy_in_span_residual_vanishes():

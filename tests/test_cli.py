@@ -559,6 +559,39 @@ def test_simulate_checks_system_dimension_before_integrating(tmp_path, capsys):
     assert not (tmp_path / "sim" / "simulation.csv").exists()
 
 
+def test_generate_overflow_prints_only_the_error_line(tmp_path):
+    # x2^4 overflows at the first stage; the blowup is the one message.
+    proc = subprocess.run(
+        [sys.executable, "-m", "qendy.cli", "generate", "--system", "quartic",
+         "--x0=1e100,1e100", "--out", str(tmp_path / "gen")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qendy: error in generate:"), proc.stderr
+
+
+def test_simulate_artifacts_do_not_depend_on_hash_order(tmp_path):
+    # Programs are emitted as source from hash-consed instruction lists; two
+    # interpreters with different string hashing must write the same bytes.
+    gen, fit = tmp_path / "gen", tmp_path / "fit"
+    assert main(["generate", "--system", "thomas", "--x0=1,-1,0", "--t-end", "10",
+                 "--m", "1000", "--out", str(gen)]) == 0
+    assert main(["fit", "--training", str(gen / "training.csv"),
+                 "--dictionary", "thomas9", "--out", str(fit)]) == 0
+    written = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"sim-{seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qendy.cli", "simulate",
+             "--model", str(fit / "model.json"), "--x0=0.5,-0.3,0.2",
+             "--t-end", "2", "--dt", "0.01", "--system", "thomas", "--out", str(out)],
+            env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        written.append([(out / name).read_bytes()
+                        for name in ("simulation.csv", "simulation_summary.json")])
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("method", ["qendy", "sindy", "gedmd"])
 def test_fit_overflow_prints_only_the_error_line(tmp_path, method):
     training = tmp_path / "training.csv"

@@ -194,6 +194,71 @@ def test_make_system_rejects_unknown():
         make_system("lorenz")
 
 
+# The hand-written NumPy right-hand sides that the expression fields replaced.
+HAND_WRITTEN = {
+    "pendulum": lambda x1, x2: [x2, -np.sin(x1) - 0.1 * x2],
+    "rational": lambda x: [-x / (1.0 + x)],
+    "thomas": lambda x1, x2, x3: [np.sin(x2) - 0.2 * x1 - 0.0 * x2 * np.cos(x1),
+                                  np.sin(x3) - 0.2 * x2 - 0.0 * x3 * np.cos(x2),
+                                  np.sin(x1) - 0.2 * x3 - 0.0 * x1 * np.cos(x3)],
+    "quartic": lambda x1, x2: [x1 - x2 ** 4, 2.0 * x2],
+    "quartic-coupled": lambda x1, x2: [x1 - x2 ** 4, x1 + 2.0 * x2],
+    "mean-field": lambda x1, x2, x3: [0.1 * x1 - 1.0 * x2 + -0.1 * x1 * x3,
+                                      1.0 * x1 + 0.1 * x2 + -0.1 * x2 * x3,
+                                      -10.0 * (x3 - x1 ** 2 - x2 ** 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_expression_systems_match_the_hand_written_fields(name):
+    field = make_system(name)
+    rng = np.random.default_rng(3)
+    lo = 0.0 if name == "rational" else -3.0
+    points = rng.uniform(lo, 3.0, (20_000, field.n))
+    expected = np.column_stack(HAND_WRITTEN[name](*points.T))
+    got = field.many(points)
+    if name != "rational":
+        assert got.tobytes() == expected.tobytes()
+        return
+    # -x/(1+x) is computed as (-x)*(1/(1+x)): at most one ulp away.
+    assert np.all(np.abs(got - expected) <= np.spacing(np.abs(expected)))
+
+
+def test_thomas_with_coupling_matches_the_hand_written_field():
+    points = np.random.default_rng(4).uniform(-5.0, 5.0, (20_000, 3))
+    x1, x2, x3 = points.T
+    expected = np.column_stack([
+        np.sin(x2) - 0.25 * x1 - 0.15 * x2 * np.cos(x1),
+        np.sin(x3) - 0.25 * x2 - 0.15 * x3 * np.cos(x2),
+        np.sin(x1) - 0.25 * x3 - 0.15 * x1 * np.cos(x3),
+    ])
+    assert thomas(alpha=0.25, beta=0.15).many(points).tobytes() == expected.tobytes()
+
+
+# Expression fields whose paths overflow: through exp, through a power, and
+# into sin/cos of an infinity (which math.sin rejects and NumPy maps to nan).
+BLOWUPS = [
+    (["exp(x1)", "sin(x1)*x2"], [1.0, 0.5]),
+    (["x1^3 - x2", "cos(x1) + x2^-2"], [2.0, 1.0]),
+    (["x2*x1^2", "exp(x2)*sin(x1)"], [0.5, 3.0]),
+]
+
+
+@pytest.mark.parametrize("texts, x0", BLOWUPS)
+def test_expression_field_blows_up_like_a_batch_of_one(texts, x0):
+    field = VectorField.from_exprs(len(texts), texts)
+    batch_of_one = VectorField(field.n, field.fn)  # opaque: no float binding
+    errors = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the integrator does not warn either
+        for f in (field, batch_of_one):
+            with pytest.raises(IntegrationBlowupError) as info:
+                rk4_integrate(f, x0, 5.0, 0.01)
+            errors.append(info.value)
+    assert errors[0].step == errors[1].step > 1
+    assert errors[0].partial.states.tobytes() == errors[1].partial.states.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # CSV round-trips
 

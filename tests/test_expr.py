@@ -2,6 +2,9 @@
 renderer."""
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from qendy.expr import (
     Mul, Pow, Program, Sin, Var, evaluate, evaluate_many, gradient,
     gradient_many, parse, render, variables,
 )
-from qendy.systems import make_dictionary
+from qendy.systems import make_dictionary, make_system
 
 # x/(1+x)^2 shows up in several dictionaries; build it once by hand.
 RATIONAL = Mul(Var(0), Pow(Add(Const(1.0), Var(0)), -2))
@@ -400,6 +403,175 @@ def test_long_entry_lifts_without_recursion_error():
     jac = jacobian(d, points[0])
     assert _row_relative(jac[0], np.array([d_dx1[0], d_dx2[0]])) <= 1e-12
     assert np.array_equal(jac[1], [1.0, 0.0])
+
+
+def test_long_entry_runs_at_one_point_with_bounded_nesting():
+    d = Dictionary.from_strings(2, [_long_entry_text(), "x1"])
+    points = np.random.default_rng(7).uniform(-1.0, 1.0, (20, 2))
+    z = feature_matrix(d, points)
+    for x, column in zip(points, z.T):
+        assert d.program.point(x).tobytes() == column.tobytes()
+    # Inlining stops at a bounded depth, far below the parser's ~200 levels.
+    for binding in ("point", "values", "slots"):
+        depth = deepest = 0
+        for char in d.program.source(binding):
+            depth += (char == "(") - (char == ")")
+            deepest = max(deepest, depth)
+        assert deepest < 50
+
+
+# ---------------------------------------------------------------------------
+# emitted source and its three bindings
+#
+# The reference for the array bindings is the interpreter they replaced: a
+# loop over the instruction list that computes every slot as an (m,) array.
+
+
+def _interpreted_values(program, x):
+    m = x.shape[0]
+    vals = []
+    for _, args, _, node, _ in program._instrs:
+        a = [vals[i] for i in args]
+        if isinstance(node, Const):
+            v = np.full(m, node.value)
+        elif isinstance(node, Var):
+            v = x[:, node.index].copy()
+        elif isinstance(node, Add):
+            v = a[0] + a[1]
+        elif isinstance(node, Mul):
+            v = a[0] * a[1]
+        elif isinstance(node, Pow):
+            v = a[0] ** node.exponent
+        elif isinstance(node, Sin):
+            v = np.sin(a[0])
+        elif isinstance(node, Cos):
+            v = np.cos(a[0])
+        elif isinstance(node, Exp):
+            v = np.exp(a[0])
+        else:
+            v = 1.0 / a[0]
+        vals.append(v)
+    return np.stack([vals[s] for s in program.outputs])
+
+
+# exp, positive and negative powers, reciprocals, shared and constant
+# subexpressions, and outputs that are a variable or a constant.
+POINT_CORPUS = [
+    "exp(x1)*x2", "exp(-x1^2/2)/x2", "x1^3 - x2^-2", "x2^-1 + x1^2", "(x1*x2)^-3",
+    "1/(x1 + 2*x2)", "sin(x1)^2 + cos(x2)^-1", "x1^5*exp(x2) - x2^4",
+    "2^3*x1 + sin(2) - 1/(1+1)", "-x1/(1+x2^2)", "x2", "3", "x1^0*x2",
+    "exp(sin(x1)*cos(x2))/(1 + x1^2)^2",
+]
+SYSTEMS = ["pendulum", "rational", "thomas", "quartic", "quartic-coupled", "mean-field"]
+
+
+def _programs_and_points(m=10_000):
+    """(label, program, points) of every builtin dictionary and system and of
+    the corpus; rational ones are sampled away from their pole at x = -1."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for name in BUILTIN_DICTIONARIES:
+        d = make_dictionary(name, **({"n": 3} if name == "identity" else {}))
+        cases.append((name, d.program, d.state_dim))
+    for name in SYSTEMS:
+        field = make_system(name)
+        cases.append((f"system {name}", field.program, field.n))
+    cases.append(("corpus", Program(parse(t) for t in POINT_CORPUS), 2))
+    return [(label, program,
+             rng.uniform(0.0, 3.0, (m, n)) if "rational" in label
+             else rng.uniform(-3.0, 3.0, (m, n)))
+            for label, program, n in cases]
+
+
+def test_float_binding_is_bit_equal_to_the_array_binding():
+    for label, program, points in _programs_and_points():
+        at_points = np.stack([program.point(x) for x in points], axis=1)
+        assert at_points.tobytes() == program.values(points).tobytes(), label
+
+
+def test_array_bindings_are_bit_equal_to_the_interpreter():
+    for label, program, points in _programs_and_points(m=2000):
+        expected = _interpreted_values(program, points).tobytes()
+        assert program.values(points).tobytes() == expected, label
+        values, _ = program.values_and_tangents(points, points)
+        assert values.tobytes() == expected, label
+        by_point = program.values(points, per_point=True)
+        assert by_point.flags.c_contiguous
+        assert by_point.T.tobytes(order="C") == expected, label
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_float_binding_matches_the_array_binding_off_the_finite_range():
+    # math.sin(inf) raises where NumPy returns nan, and exp or a power may
+    # overflow: one point still gives what a one-row batch gives.
+    program = Program(parse(t) for t in POINT_CORPUS + ["sin(x1) + cos(x2)"])
+    for x in ([np.inf, 1.0], [1.0, -np.inf], [np.nan, 2.0], [800.0, 1e200],
+              [-1e300, 1e-300]):
+        x = np.array(x)
+        assert np.array_equal(program.point(x), program.values(x[None, :])[:, 0],
+                              equal_nan=True), x
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x2 + 1/(x1 - 1)", "division by zero"),
+    ("x2*(x1 - 1)^-2", "zero raised to a negative power"),
+])
+def test_domain_errors_name_the_node_in_every_binding(text, message):
+    program = Program((Var(0), parse(text)))
+    pole = parse(text).right
+    points = np.array([[0.5, 2.0], [1.0, 2.0]])
+    for call in (lambda: program.point(points[1]), lambda: program.values(points),
+                 lambda: program.tangents(points, points),
+                 lambda: program.gradients(points)):
+        with pytest.raises(EvaluationDomainError, match=message) as info:
+            call()
+        assert info.value.node == pole
+    assert program.point(points[0]).tobytes() == program.values(points[:1])[:, 0].tobytes()
+
+
+def test_source_inlines_single_use_slots_and_names_shared_ones():
+    program = Program((parse("(x1*x2 + 1)*x3"), parse("sin(x1)*sin(x1) + 1/x2")))
+    lines = program.source("values").splitlines()
+    # Every intermediate of the first tree is read once: one nested expression.
+    assert "(((x0 * x1) + 1.0) * x2)" in lines[-1]
+    # sin(x1) is read twice and gets a local; the reciprocal's operand is
+    # tested for zero first.
+    assert sum(line.strip().startswith("v") for line in lines) == 1
+    assert any("_sin(x0)" in line and "=" in line for line in lines)
+    assert any(line.strip().startswith("if _any(x1 == 0.0)") for line in lines)
+    # The slots binding names every slot and returns all of them.
+    assert program.source("slots").splitlines()[-1].count(",") == len(program) - 1
+
+
+def test_bindings_compile_once_under_concurrent_first_use():
+    workers = 8
+    program = Program(parse(t) for t in POINT_CORPUS)
+    points = np.random.default_rng(5).uniform(-2.0, 2.0, (50, 2))
+    expected = _interpreted_values(program, points)
+    barrier = threading.Barrier(workers)
+
+    def first_use(_):
+        barrier.wait(timeout=30)
+        column = program.point(points[0])
+        values = program.values(points)
+        values_too, _ = program.values_and_tangents(points, points)
+        return ([id(program._bound(b)) for b in ("point", "values", "slots")],
+                column, values, values_too)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = [f.result(timeout=60)
+                       for f in [pool.submit(first_use, k) for k in range(workers)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({tuple(ids) for ids, *_ in results}) == 1
+    for _, column, values, values_too in results:
+        assert column.tobytes() == expected[:, 0].tobytes()
+        assert values.tobytes() == expected.tobytes()
+        assert values_too.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
