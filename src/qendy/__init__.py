@@ -37,7 +37,7 @@ from .model import (
     symmetrize,
 )
 from .reduction import (
-    PcaBasis, lift, pca_fit, project, reduced_identification_pipeline,
+    PcaBasis, pca_fit, project, reconstruct, reduced_identification_pipeline,
     synthetic_lift_data,
 )
 

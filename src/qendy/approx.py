@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Dictionary, feature_matrix_and_derivatives
+from .dictionary import Dictionary
 from .dynamics import VectorField, exact_derivatives, sample_uniform
 from .expr import Expr, evaluate_many
 from .fitting import assemble_gram, build_data_matrices, quadratic_normal_equations
@@ -142,11 +142,13 @@ def limit_gram_system(d: Dictionary, field: VectorField, space):
     Returns (rstar (D, D), sstar (D, N)) over the augmented basis of ``d``
     in its usual order (products, entries, constant); column l of sstar pairs
     every augmented entry with grad phi_l . F.  These are the fitting
-    code's normal equations on the quadrature nodes, weighted by the rule.
+    code's normal equations on the quadrature nodes, weighted by the rule,
+    with the nodes lifted like training data
+    (:func:`qendy.fitting.build_data_matrices`, which names a non-finite lift).
     """
     points, weights = space.nodes_weights()
-    return quadratic_normal_equations(
-        *feature_matrix_and_derivatives(d, points, field.many(points)), weights)
+    dm = build_data_matrices(d, exact_derivatives(field, points))
+    return quadratic_normal_equations(dm.z1, dm.zdot, weights)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ from .dictionary import (
     feature_matrix,
 )
 from .dynamics import TrainingSet
-from .fitting import check_state_dim, lift
+from .fitting import build_data_matrices, check_state_dim
 from .linalg import min_norm_solve, normal_equations
 
 __all__ = [
@@ -92,9 +92,10 @@ class GedmdModel:
 
 
 def gedmd_fit(d: Dictionary, ts: TrainingSet, rcond=None) -> GedmdModel:
-    """Minimum-norm regression of the lifted derivatives (``fitting.lift``) on phi."""
-    phi, phi_dot = lift(d, ts)
-    return GedmdModel(min_norm_solve(*normal_equations(phi, phi_dot), rcond).T, d)
+    """Minimum-norm regression of the lifted derivatives on phi (the training
+    lift of :func:`qendy.fitting.build_data_matrices`)."""
+    dm = build_data_matrices(d, ts)
+    return GedmdModel(min_norm_solve(*normal_equations(dm.z1, dm.zdot), rcond).T, d)
 
 
 def gedmd_rhs_many(model: GedmdModel, g, points) -> np.ndarray:

@@ -27,7 +27,7 @@ from .dynamics import (
     load_training, rk4_integrate, sample_trajectory, sample_uniform,
     save_training, save_trajectory, write_rows,
 )
-from .fitting import build_data_matrices, fit, lift, loss
+from .fitting import build_data_matrices, fit, loss
 from .model import (
     hurwitz_margin, model_from_json, save_model, simulate, sparsity_report,
 )
@@ -122,16 +122,14 @@ def _load_model_file(path):
 
 def _loss_fields(kind, model, ts):
     """Training loss of a fitted model, as summary fields."""
-    if kind == "qendy":
-        residual, regularized = loss(model, build_data_matrices(model.dictionary, ts),
-                                     model.metadata["lambda"])
-        return {"loss": residual, "regularized_loss": regularized}
     if kind == "sindy":
         residual = ts.derivatives - baselines.sindy_rhs_many(model, ts.states)
-    else:
-        z1, zdot = lift(model.dictionary, ts)
-        residual = zdot - model.theta @ z1
-    return {"loss": float(np.sum(residual ** 2))}
+        return {"loss": float(np.sum(residual ** 2))}
+    dm = build_data_matrices(model.dictionary, ts)
+    if kind == "qendy":
+        residual, regularized = loss(model, dm, model.metadata["lambda"])
+        return {"loss": residual, "regularized_loss": regularized}
+    return {"loss": float(np.sum((dm.zdot - model.theta @ dm.z1) ** 2))}
 
 
 # ---------------------------------------------------------------------------

@@ -158,12 +158,6 @@ class AugmentedBasis:
     def as_dictionary(self) -> Dictionary:
         return Dictionary(self.source.state_dim, self.exprs())
 
-    def feature_map(self, x) -> np.ndarray:
-        return feature_map(self.as_dictionary(), x)
-
-    def feature_matrix(self, points) -> np.ndarray:
-        return feature_matrix(self.as_dictionary(), points)
-
 
 def augment(d: Dictionary) -> AugmentedBasis:
     """Quadratically augmented basis of ``d`` (size N^2 + N + 1)."""

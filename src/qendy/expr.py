@@ -41,7 +41,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Sin", "Cos", "Exp", "Inv",
     "EvaluationDomainError", "ExpressionSyntaxError", "Program",
-    "evaluate", "evaluate_many", "gradient", "gradient_many", "variables",
+    "evaluate", "evaluate_many", "gradient", "variables",
     "parse", "render",
 ]
 
@@ -501,11 +501,6 @@ def gradient(e: Expr, x) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError(f"expected a point of shape (n,), got {x.shape}")
     return Program((e,)).gradients(x[None, :])[1][0, 0]
-
-
-def gradient_many(e: Expr, x) -> np.ndarray:
-    """Row-wise gradients of ``e``; input (m, n), output (m, n)."""
-    return Program((e,)).gradients(x)[1][0]
 
 
 def variables(e: Expr) -> frozenset:

@@ -5,17 +5,21 @@ Given lifted data Z1 (states), Z2 (columnwise Kronecker squares), and Zdot
 
     || Zdot - A Z2 - B Z1 - C 1^T ||_F^2  +  lam * ||A||_F^2.
 
+:func:`build_data_matrices` is the one training lift: Z1 and Zdot from one
+pass of the dictionary's program, with a named check for non-finite values.
+
 The problem decouples over the N output rows: every row solves the same
 symmetric system ``M v = s_row`` whose matrix is the Gram matrix of the
 stacked features [Z2; Z1; 1] (plus lam on the leading N^2 diagonal entries),
 so one factorization serves all rows.  M is typically rank-deficient
 (duplicate product pairs at least); solutions are minimum-norm.
 
-The fit never forms the stacked table.  The Gram system is accumulated
-over fixed-size chunks of samples on the N(N+1)/2 unique products
-``z_i z_j`` (i <= j), then expanded to the [Z2; Z1; 1] layout by an index
-gather, so beyond the lift memory stays O(D^2 + chunk * D) whatever the
-sample count.
+Neither the fit nor the audit (:func:`loss`, :func:`gradient_norms`) forms
+the stacked table.  The Gram system is accumulated over fixed-size chunks
+of samples on the N(N+1)/2 unique products ``z_i z_j`` (i <= j), then
+expanded to the [Z2; Z1; 1] layout by an index gather; the audit sums its
+residual products over the same chunks.  Beyond the lift, memory stays
+O(D^2 + chunk * D) whatever the sample count.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .linalg import min_norm_solve, normal_equations
 from .model import QuadraticModel, evaluate_cols, kron_squared_cols
 
 __all__ = [
-    "DataMatrices", "GramSystem", "lift", "quadratic_table",
+    "DataMatrices", "GramSystem", "quadratic_table",
     "build_data_matrices", "assemble_gram", "solve_row", "fit",
     "loss", "gradient_norms", "stationarity_gap",
 ]
@@ -43,31 +47,12 @@ def check_state_dim(d: Dictionary, ts: TrainingSet):
             f"training data has dimension {ts.n}, dictionary expects {d.state_dim}")
 
 
-def lift(d: Dictionary, ts: TrainingSet):
-    """(z1 (N, m), zdot (N, m)): a training set lifted through the dictionary.
-
-    Raises ValueError, naming the basis entry and the sample, when a lifted
-    value or lifted derivative is not finite (an overflow, say).
-    """
-    check_state_dim(d, ts)
-    z1, zdot = feature_matrix_and_derivatives(d, ts.states, ts.derivatives)
-    for what, lifted in (("value", z1), ("time derivative", zdot)):
-        if not np.isfinite(lifted).all():
-            entry, sample = np.argwhere(~np.isfinite(lifted))[0]
-            raise ValueError(
-                f"basis entry {entry} ({d.names[entry]}) has a non-finite lifted "
-                f"{what} ({float(lifted[entry, sample])!r}) at sample {sample}")
-    return z1, zdot
-
-
 def quadratic_table(z) -> np.ndarray:
-    """The regression table [z kron z; z; 1], (N^2 + N + 1, m), of columns z (N, m)."""
-    n, m = z.shape
-    table = np.empty((n * n + n + 1, m))
-    kron_squared_cols(z, out=table[:n * n])
-    table[n * n:-1] = z
-    table[-1] = 1.0
-    return table
+    """The regression table [z kron z; z; 1], (N^2 + N + 1, m), of columns z (N, m).
+
+    A reference for tests; neither the fit nor the audit builds it.
+    """
+    return np.vstack([kron_squared_cols(z), z, np.ones((1, z.shape[1]))])
 
 
 # Sample columns per step of the chunked accumulations; for thomas15 the
@@ -125,8 +110,7 @@ def quadratic_normal_equations(z, targets, weights=None):
 class DataMatrices:
     """Lifted training data: z1 (N, m) and zdot (N, m).
 
-    ``z2`` (N^2, m) and ``table`` [z2; z1; 1] are built on each access; the
-    fit itself never needs them.
+    ``z2`` (N^2, m) is built on each access; the fit itself never needs it.
     """
 
     z1: np.ndarray
@@ -142,10 +126,6 @@ class DataMatrices:
         return kron_squared_cols(self.z1)
 
     @property
-    def table(self) -> np.ndarray:
-        return quadratic_table(self.z1)
-
-    @property
     def basis_size(self) -> int:
         return self.zdot.shape[0]
 
@@ -155,8 +135,20 @@ class DataMatrices:
 
 
 def build_data_matrices(d: Dictionary, ts: TrainingSet) -> DataMatrices:
-    """Lift a training set through the dictionary (see :func:`lift`)."""
-    return DataMatrices(*lift(d, ts))
+    """Lift a training set through the dictionary in one pass of its program.
+
+    Raises ValueError, naming the basis entry and the sample, when a lifted
+    value or lifted derivative is not finite (an overflow, say).
+    """
+    check_state_dim(d, ts)
+    z1, zdot = feature_matrix_and_derivatives(d, ts.states, ts.derivatives)
+    for what, lifted in (("value", z1), ("time derivative", zdot)):
+        if not np.isfinite(lifted).all():
+            entry, sample = np.argwhere(~np.isfinite(lifted))[0]
+            raise ValueError(
+                f"basis entry {entry} ({d.names[entry]}) has a non-finite lifted "
+                f"{what} ({float(lifted[entry, sample])!r}) at sample {sample}")
+    return DataMatrices(z1, zdot)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,12 +215,16 @@ def fit(d: Dictionary, ts: TrainingSet, *, lam: float = 0.0,
     return QuadraticModel(a, b, c, full_state_matrix(d, g), d, metadata)
 
 
+def _residuals(model: QuadraticModel, dm: DataMatrices):
+    """(z1, zdot - model(z1)) for each chunk of samples."""
+    for cols in _chunks(dm.sample_count):
+        z = dm.z1[:, cols]
+        yield z, dm.zdot[:, cols] - evaluate_cols(model, z)
+
+
 def loss(model: QuadraticModel, dm: DataMatrices, lam: float = 0.0):
     """(residual, residual + lam * ||A||_F^2) for a model on lifted data."""
-    residual = 0.0
-    for cols in _chunks(dm.sample_count):
-        fitted = evaluate_cols(model, dm.z1[:, cols])
-        residual += float(np.sum((dm.zdot[:, cols] - fitted) ** 2))
+    residual = sum((float(np.sum(r ** 2)) for _, r in _residuals(model, dm)), 0.0)
     return residual, residual + float(lam) * float(np.sum(model.a ** 2))
 
 
@@ -236,24 +232,22 @@ def gradient_norms(model: QuadraticModel, dm: DataMatrices, lam: float = 0.0):
     """Max-abs entries of the loss gradients w.r.t. (A, B, C).
 
     Computed directly from the data matrices (not via the assembled Gram
-    system), so this doubles as an independent stationarity check:
+    system), so this doubles as an independent stationarity check.  With the
+    residual R = Zdot - A Z2 - B Z1 - C 1^T, summed over sample chunks:
 
-        dL/dA = 2 A Z2 Z2^T - 2 Zdot Z2^T + 2 B Z1 Z2^T + 2 C 1^T Z2^T + 2 lam A
-        dL/dB = 2 B Z1 Z1^T - 2 Zdot Z1^T + 2 A Z2 Z1^T + 2 C 1^T Z1^T
-        dL/dC = 2 m C - 2 Zdot 1 + 2 A Z2 1 + 2 B Z1 1
+        dL/dA = -2 R Z2^T + 2 lam A
+        dL/dB = -2 R Z1^T
+        dL/dC = -2 R 1
     """
-    z1, z2, zdot = dm.z1, dm.z2, dm.zdot
-    m = dm.sample_count
-    ones = np.ones(m)
-    c_col = model.c[:, None]
-    grad_a = 2.0 * (model.a @ z2 @ z2.T - zdot @ z2.T + model.b @ z1 @ z2.T
-                    + c_col @ (ones @ z2.T)[None, :] + lam * model.a)
-    grad_b = 2.0 * (model.b @ z1 @ z1.T - zdot @ z1.T + model.a @ z2 @ z1.T
-                    + c_col @ (ones @ z1.T)[None, :])
-    grad_c = 2.0 * (m * model.c - zdot @ ones + model.a @ (z2 @ ones)
-                    + model.b @ (z1 @ ones))
-    return (float(np.abs(grad_a).max()), float(np.abs(grad_b).max()),
-            float(np.abs(grad_c).max()))
+    n = dm.basis_size
+    r_z2, r_z1, r_1 = np.zeros((n, n * n)), np.zeros((n, n)), np.zeros(n)
+    for z, r in _residuals(model, dm):
+        r_z2 += r @ kron_squared_cols(z).T
+        r_z1 += r @ z.T
+        r_1 += r.sum(axis=1)
+    grad_a = 2.0 * (lam * model.a - r_z2)
+    return (float(np.abs(grad_a).max()), 2.0 * float(np.abs(r_z1).max()),
+            2.0 * float(np.abs(r_1).max()))
 
 
 def stationarity_gap(model: QuadraticModel, dm: DataMatrices,

@@ -35,22 +35,13 @@ def kron_squared(z) -> np.ndarray:
     return np.multiply.outer(z, z).ravel()
 
 
-def kron_squared_cols(z_cols, *, out=None) -> np.ndarray:
-    """Columnwise self-Kronecker: (N, m) in, (N^2, m) out.
-
-    ``out``, a C-contiguous (N^2, m) array such as the leading rows of a
-    larger table, receives the result in place of a new array.
-    """
+def kron_squared_cols(z_cols) -> np.ndarray:
+    """Columnwise self-Kronecker: (N, m) in, (N^2, m) out."""
     z_cols = np.asarray(z_cols, dtype=float)
     if z_cols.ndim != 2:
         raise ValueError(f"expected a (N, m) column stack, got shape {z_cols.shape}")
     n, m = z_cols.shape
-    if out is None:
-        return np.einsum("ik,jk->ijk", z_cols, z_cols).reshape(n * n, m)
-    if out.shape != (n * n, m) or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous ({n * n}, {m}) array")
-    np.einsum("ik,jk->ijk", z_cols, z_cols, out=out.reshape(n, n, m))
-    return out
+    return np.einsum("ik,jk->ijk", z_cols, z_cols).reshape(n * n, m)
 
 
 @dataclass(frozen=True, eq=False)

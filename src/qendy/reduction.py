@@ -20,7 +20,7 @@ from .model import QuadraticModel, simulate
 from .systems import identity_dictionary, mean_field
 
 __all__ = [
-    "PcaBasis", "pca_fit", "project", "lift",
+    "PcaBasis", "pca_fit", "project", "reconstruct",
     "PipelineResult", "reduced_identification_pipeline", "synthetic_lift_data",
 ]
 
@@ -64,7 +64,7 @@ def project(data, basis: PcaBasis) -> np.ndarray:
     return (data - basis.mean) @ basis.components.T
 
 
-def lift(reduced, basis: PcaBasis) -> np.ndarray:
+def reconstruct(reduced, basis: PcaBasis) -> np.ndarray:
     """Reconstruction from reduced coordinates: (m, k) in, (m, D) out."""
     reduced = np.asarray(reduced, dtype=float)
     return reduced @ basis.components + basis.mean

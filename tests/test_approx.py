@@ -7,10 +7,10 @@ from qendy.approx import (
     BoxQuadrature, ConvergenceStudy, DiscreteInnerProduct, approximation_error,
     best_approximation, convergence_study, gram_system, limit_gram_system,
 )
-from qendy.dictionary import Dictionary
+from qendy.dictionary import Dictionary, feature_matrix_and_derivatives
 from qendy.dynamics import VectorField, exact_derivatives, sample_uniform
 from qendy.expr import parse
-from qendy.fitting import assemble_gram, build_data_matrices
+from qendy.fitting import assemble_gram, build_data_matrices, quadratic_normal_equations
 from qendy.systems import pendulum, pendulum_dictionary
 
 MONOMIALS = [parse("1"), parse("x1"), parse("x1*x1"), parse("x1*x1*x1")]
@@ -147,6 +147,27 @@ def test_limit_gram_matches_empirical_assembly():
     gs = assemble_gram(build_data_matrices(d, exact_derivatives(field, pts)))
     assert np.abs(rstar - gs.matrix / 50.0).max() < 1e-12
     assert np.abs(sstar - gs.rhs / 50.0).max() < 1e-12
+
+
+def test_limit_gram_is_the_weighted_fitting_system_on_the_nodes():
+    d = pendulum_dictionary()
+    field = pendulum(c=0.1)
+    space = BoxQuadrature(((-1.0, 1.0), (-2.0, 2.0)), order=9)
+    points, weights = space.nodes_weights()
+    want = quadratic_normal_equations(
+        *feature_matrix_and_derivatives(d, points, field.many(points)), weights)
+    for got, expected in zip(limit_gram_system(d, field, space), want):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_limit_gram_rejects_a_non_finite_lift_by_name():
+    # exp(x1) overflows on the nodes of a +-1000 box: the limit names the
+    # entry instead of returning non-finite R*/S*.
+    d = Dictionary.from_strings(2, ["x1", "x2", "exp(x1)"])
+    space = BoxQuadrature(((-1000.0, 1000.0),) * 2, order=6)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=r"basis entry 2 \(exp\(x1\)\) has a non-finite lifted value"):
+        limit_gram_system(d, pendulum(c=0.1), space)
 
 
 # ---------------------------------------------------------------------------

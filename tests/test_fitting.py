@@ -7,10 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from qendy.dictionary import Dictionary, augment, feature_matrix, feature_time_derivatives
+from qendy.dictionary import (
+    Dictionary, augment, feature_matrix, feature_matrix_and_derivatives,
+    feature_time_derivatives,
+)
 from qendy.dynamics import TrainingSet, VectorField, exact_derivatives, sample_uniform
 from qendy.fitting import (
-    _CHUNK, assemble_gram, build_data_matrices, fit, gradient_norms, lift, loss,
+    _CHUNK, assemble_gram, build_data_matrices, fit, gradient_norms, loss,
     quadratic_normal_equations, quadratic_table, solve_row, stationarity_gap,
 )
 from qendy.linalg import min_norm_solve, normal_equations
@@ -23,6 +26,29 @@ PENDULUM_B_ROW2 = np.array([0.0, -0.1, -1.0, 0.0])
 def _pendulum_training(m=100, box=1.0, seed=0):
     pts = sample_uniform([(-box, box), (-box, box)], m, seed=seed)
     return exact_derivatives(pendulum(c=0.1), pts)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """thomas15 (N=15) lifted at m=2e4: (dictionary, training set, data matrices)."""
+    d = thomas_extended_dictionary()
+    ts = exact_derivatives(thomas(0.25, 0.15),
+                           sample_uniform([(-5.0, 5.0)] * 3, 20000, seed=1))
+    return d, ts, build_data_matrices(d, ts)
+
+
+def _table_bound(d, m):
+    """A quarter of the [z kron z; z; 1] table: streamed passes stay below it."""
+    return (d.size ** 2 + d.size + 1) * m * 8 / 4
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -313,26 +339,26 @@ def test_fit_rejects_overflowed_gram_matrix():
         fit(d, ts)
 
 
-def test_data_matrices_hold_only_the_lift():
+def test_data_matrices_hold_only_the_lift(wide):
+    d = pendulum_dictionary()
     ts = _pendulum_training(m=30)
-    dm = build_data_matrices(pendulum_dictionary(), ts)
-    z1, zdot = lift(pendulum_dictionary(), ts)
+    dm = build_data_matrices(d, ts)
+    z1, zdot = feature_matrix_and_derivatives(d, ts.states, ts.derivatives)
     assert np.array_equal(dm.z1, z1) and np.array_equal(dm.zdot, zdot)
     stacked = np.vstack([dm.z2, z1, np.ones((1, 30))])
-    assert np.array_equal(dm.table, stacked)
     assert np.array_equal(quadratic_table(z1), stacked)
     # The Gram system streams over sample chunks: no (D, m) table is built.
-    d = thomas_extended_dictionary()
-    m = 20000
-    wide = exact_derivatives(thomas(0.25, 0.15),
-                             sample_uniform([(-5.0, 5.0)] * 3, m, seed=1))
-    tracemalloc.start()
-    try:
-        assemble_gram(build_data_matrices(d, wide))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (d.size ** 2 + d.size + 1) * m * 8 / 4
+    d, ts, dm = wide
+    peak = _peak_bytes(lambda: assemble_gram(build_data_matrices(d, ts)))
+    assert peak < _table_bound(d, dm.sample_count)
+
+
+def test_stationarity_gap_streams_over_sample_chunks(wide):
+    d, ts, dm = wide
+    model = fit(d, ts)
+    peak = _peak_bytes(lambda: stationarity_gap(model, dm))
+    assert peak < _table_bound(d, dm.sample_count)
+    assert stationarity_gap(model, dm) < 1e-8
 
 
 @pytest.mark.parametrize("m", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
@@ -360,12 +386,48 @@ def test_quadratic_normal_equations_overflow_reaches_the_solver_unwarned():
             min_norm_solve(matrix, np.ones(matrix.shape[0]))
 
 
+def _expanded_gradient_norms(model, dm, lam):
+    """Reference: the expanded gradient formulas on the whole (N^2, m) block."""
+    z1, z2, zdot = dm.z1, dm.z2, dm.zdot
+    m = dm.sample_count
+    ones = np.ones(m)
+    c_col = model.c[:, None]
+    grad_a = 2.0 * (model.a @ z2 @ z2.T - zdot @ z2.T + model.b @ z1 @ z2.T
+                    + c_col @ (ones @ z2.T)[None, :] + lam * model.a)
+    grad_b = 2.0 * (model.b @ z1 @ z1.T - zdot @ z1.T + model.a @ z2 @ z1.T
+                    + c_col @ (ones @ z1.T)[None, :])
+    grad_c = 2.0 * (m * model.c - zdot @ ones + model.a @ (z2 @ ones)
+                    + model.b @ (z1 @ ones))
+    return (float(np.abs(grad_a).max()), float(np.abs(grad_b).max()),
+            float(np.abs(grad_c).max()))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+@pytest.mark.parametrize("case", ["pendulum", "thomas15"])
+def test_residual_gradients_match_the_expanded_formulas(case, lam, wide):
+    if case == "pendulum":
+        d, ts = pendulum_dictionary(), _pendulum_training(m=60)
+        dm = build_data_matrices(d, ts)
+    else:
+        d, ts, dm = wide
+    model = fit(d, ts, lam=lam)
+    off = dataclasses.replace(model, b=model.b + 0.05)
+    got = gradient_norms(off, dm, lam)
+    want = _expanded_gradient_norms(off, dm, lam)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * w
+
+
 def test_loss_sums_over_chunks_like_the_whole_residual():
     d = pendulum_dictionary()
-    ts = _pendulum_training(m=2 * _CHUNK + 7)
-    model = fit(d, ts, lam=0.1)
-    dm = build_data_matrices(d, ts)
-    residual = np.sum((dm.zdot - model.a @ dm.z2 - model.b @ dm.z1 - model.c[:, None]) ** 2)
-    got, regularized = loss(model, dm, 0.1)
-    assert abs(got - residual) <= 1e-12 * residual
-    assert regularized == got + 0.1 * float(np.sum(model.a ** 2))
+    model = fit(d, _pendulum_training(m=60), lam=0.1)
+    off = dataclasses.replace(model, b=model.b + 0.05)
+    for m in [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7]:
+        dm = build_data_matrices(d, _pendulum_training(m=m, seed=m))
+        residual = np.sum((dm.zdot - off.a @ dm.z2 - off.b @ dm.z1 - off.c[:, None]) ** 2)
+        got, regularized = loss(off, dm, 0.1)
+        assert abs(got - residual) <= 1e-12 * residual
+        assert regularized == got + 0.1 * float(np.sum(off.a ** 2))
+        want = _expanded_gradient_norms(off, dm, 0.1)
+        for g, w in zip(gradient_norms(off, dm, 0.1), want):
+            assert abs(g - w) <= 1e-12 * w

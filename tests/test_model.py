@@ -73,20 +73,6 @@ def test_kron_squared_cols_matches_columnwise():
         assert np.array_equal(k[:, c], kron_squared(z_cols[:, c]))
 
 
-def test_kron_squared_cols_writes_into_table_rows():
-    rng = np.random.default_rng(2)
-    z_cols = rng.standard_normal((4, 7))
-    table = np.zeros((17, 7))
-    rows = table[:16]
-    assert kron_squared_cols(z_cols, out=rows) is rows
-    assert np.array_equal(table[:16], kron_squared_cols(z_cols))
-    assert not table[16].any()
-    with pytest.raises(ValueError):
-        kron_squared_cols(z_cols, out=np.zeros((16, 8)))
-    with pytest.raises(ValueError):
-        kron_squared_cols(z_cols, out=np.zeros((7, 16)).T)
-
-
 def test_kron_squared_rejects_matrices():
     with pytest.raises(ValueError):
         kron_squared(np.zeros((2, 2)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qendy.reduction import (
-    PcaBasis, lift, pca_fit, project, reduced_identification_pipeline,
+    PcaBasis, pca_fit, project, reconstruct, reduced_identification_pipeline,
     synthetic_lift_data,
 )
 
@@ -59,21 +59,21 @@ def test_pca_k_validation():
         pca_fit(np.zeros(7), 1)
 
 
-def test_project_lift_round_trip_on_reduced():
-    """project after lift is the identity on reduced coordinates."""
+def test_project_reconstruct_round_trip_on_reduced():
+    """project after reconstruct is the identity on reduced coordinates."""
     rng = np.random.default_rng(3)
     basis = pca_fit(rng.standard_normal((25, 8)), 3)
     reduced = rng.standard_normal((12, 3))
-    back = project(lift(reduced, basis), basis)
+    back = project(reconstruct(reduced, basis), basis)
     assert np.abs(back - reduced).max() < 1e-12
 
 
-def test_lift_project_reconstructs_in_subspace_data():
+def test_reconstruct_project_reproduces_in_subspace_data():
     """Full-rank k reproduces every snapshot exactly."""
     rng = np.random.default_rng(4)
     data = rng.standard_normal((20, 5))
     basis = pca_fit(data, 5)
-    assert np.abs(lift(project(data, basis), basis) - data).max() < 1e-10
+    assert np.abs(reconstruct(project(data, basis), basis) - data).max() < 1e-10
 
 
 def test_pca_reconstruction_error_is_discarded_energy():
@@ -81,7 +81,7 @@ def test_pca_reconstruction_error_is_discarded_energy():
     rng = np.random.default_rng(5)
     data = rng.standard_normal((30, 6))
     basis = pca_fit(data, 2)
-    recon = lift(project(data, basis), basis)
+    recon = reconstruct(project(data, basis), basis)
     err_sq = np.sum((data - recon) ** 2)
     mean, sigma, _ = data.mean(axis=0), None, None
     sigma = np.linalg.svd(data - data.mean(axis=0), compute_uv=False)
@@ -93,12 +93,12 @@ def test_pca_beats_random_projections():
     rng = np.random.default_rng(6)
     data = rng.standard_normal((40, 7))
     basis = pca_fit(data, 2)
-    best = np.sum((data - lift(project(data, basis), basis)) ** 2)
+    best = np.sum((data - reconstruct(project(data, basis), basis)) ** 2)
     mean = data.mean(axis=0)
     for _ in range(50):
         q, _ = np.linalg.qr(rng.standard_normal((7, 2)))
         other = PcaBasis(mean, q.T, basis.singular_values)
-        err = np.sum((data - lift(project(data, other), other)) ** 2)
+        err = np.sum((data - reconstruct(project(data, other), other)) ** 2)
         assert err >= best - 1e-9
 
 
