@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import Dictionary
-from .dynamics import VectorField, exact_derivatives, sample_uniform
+from .dynamics import VectorField, exact_derivatives, sample_uniform, write_rows
 from .expr import Expr, evaluate_many
 from .fitting import assemble_gram, build_data_matrices, quadratic_normal_equations
 from .linalg import min_norm_solve, normal_equations
@@ -190,19 +190,16 @@ class ConvergenceStudy:
     def write_runs_csv(self, path):
         n_rows = self.e_s.shape[2]
         header = "m,run," + "e_R," + ",".join(f"e_s{l + 1}" for l in range(n_rows))
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for i, m in enumerate(self.sample_sizes):
-                for j in range(self.runs):
-                    cells = [str(int(m)), str(j), repr(float(self.e_r[i, j]))]
-                    cells += [repr(float(v)) for v in self.e_s[i, j]]
-                    fh.write(",".join(cells) + "\n")
+        write_rows(path, header, [
+            [int(m), j, e_r, *e_s]
+            for m, runs_r, runs_s in zip(self.sample_sizes, self.e_r.tolist(),
+                                         self.e_s.tolist())
+            for j, (e_r, e_s) in enumerate(zip(runs_r, runs_s))])
 
     def write_aggregate_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("m,e_R_mean,e_s_mean\n")
-            for m, er, es in zip(self.sample_sizes, self.e_r_mean, self.e_s_mean):
-                fh.write(f"{int(m)},{float(er)!r},{float(es)!r}\n")
+        write_rows(path, "m,e_R_mean,e_s_mean", [
+            [int(m), e_r, e_s] for m, e_r, e_s in zip(
+                self.sample_sizes, self.e_r_mean.tolist(), self.e_s_mean.tolist())])
 
 
 def _study_run(d, field, box, m, seed_seq, rstar, sstar, relative):

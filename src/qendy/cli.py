@@ -23,7 +23,7 @@ from .dictionary import (
     save_dictionary, write_json,
 )
 from .dynamics import (
-    IntegrationBlowupError, exact_derivatives, finite_diff_derivatives,
+    IntegrationBlowupError, _load_rows, exact_derivatives, finite_diff_derivatives,
     load_training, rk4_integrate, sample_trajectory, sample_uniform,
     save_training, save_trajectory, write_rows,
 )
@@ -291,7 +291,7 @@ def cmd_reduce(cfg):
     out = _outdir(cfg)
     printed = []
     if cfg.get("data") is not None:
-        snapshots = np.loadtxt(cfg["data"], delimiter=",", ndmin=2)
+        snapshots = _load_rows(cfg["data"], header=False)
     else:
         snapshots, _ = reduction.synthetic_lift_data(
             num_samples=int(cfg["samples"]), lift_dim=int(cfg["lift_dim"]),
@@ -358,11 +358,9 @@ def cmd_report(cfg):
     if cfg.get("training") is not None:
         summary.update(_loss_fields(kind, model, load_training(cfg["training"])))
     coeff_path = os.path.join(out, "coefficients.csv")
-    with open(coeff_path, "w") as fh:
-        fh.write("matrix,row,col,value\n")
-        for name, matrix in matrices:
-            for (r, c), v in np.ndenumerate(matrix):
-                fh.write(f"{name},{r},{c},{float(v)!r}\n")
+    write_rows(coeff_path, "matrix,row,col,value",
+               [(name, r, c, float(v)) for name, matrix in matrices
+                for (r, c), v in np.ndenumerate(matrix)])
     report_path = os.path.join(out, "report.json")
     write_json(report_path, summary)
     print(coeff_path)

@@ -105,8 +105,8 @@ def jacobian(d: Dictionary, x) -> np.ndarray:
     return d.program.gradients(x[None, :])[1][:, 0, :]
 
 
-def _motion(points, derivatives):
-    points = np.asarray(points, dtype=float)
+def _motion(d: Dictionary, points, derivatives):
+    points = _batch(d, points)
     derivatives = np.asarray(derivatives, dtype=float)
     if points.shape != derivatives.shape:
         raise ValueError(
@@ -121,14 +121,13 @@ def feature_time_derivatives(d: Dictionary, points, derivatives) -> np.ndarray:
     derivative of each lifted coordinate along the sampled motion.  It is one
     forward-mode tangent pass with the derivatives as the direction.
     """
-    return d.program.tangents(*_motion(points, derivatives))
+    return d.program.tangents(*_motion(d, points, derivatives))
 
 
 def feature_matrix_and_derivatives(d: Dictionary, points, derivatives):
     """(:func:`feature_matrix`, :func:`feature_time_derivatives`) of the same
     samples from one evaluation of the dictionary's program."""
-    points, derivatives = _motion(points, derivatives)
-    return d.program.values_and_tangents(_batch(d, points), derivatives)
+    return d.program.values_and_tangents(*_motion(d, points, derivatives))
 
 
 @dataclass(frozen=True)

@@ -250,12 +250,17 @@ def finite_diff_derivatives(traj: Trajectory) -> TrainingSet:
 
 
 def write_rows(path, header, rows):
-    """CSV lines of ``repr`` floats, under ``header`` unless it is None."""
+    """CSV lines under ``header`` unless it is None.  ``rows`` is an array of
+    floats, or rows of text, ints and floats: text is written as it is, an
+    int in decimal and a float as its ``repr``."""
+    if isinstance(rows, np.ndarray):
+        # Row by row: a whole-array tolist() holds every cell as a Python float.
+        rows = map(np.ndarray.tolist, rows.astype(float, copy=False))
     with open(path, "w") as fh:
         if header is not None:
             fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        # str() of a Python float is its repr().
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def save_trajectory(traj: Trajectory, path):
@@ -263,13 +268,15 @@ def save_trajectory(traj: Trajectory, path):
     write_rows(path, header, np.column_stack([traj.times, traj.states]))
 
 
-def _load_rows(path) -> np.ndarray:
-    """The data rows of a CSV file with one header line, as an (m, k) array."""
+def _load_rows(path, header: bool = True) -> np.ndarray:
+    """The data rows of a CSV file, under one header line unless ``header``
+    is False, as an (m, k) array."""
     with open(path) as fh:
-        fh.readline()
+        if header:
+            fh.readline()
         if not any(line.strip() for line in fh):
-            raise ValueError(f"{path} has a header but no data rows")
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            raise ValueError(f"{path} has no data rows")
+    return np.loadtxt(path, delimiter=",", skiprows=int(header), ndmin=2)
 
 
 def load_trajectory(path) -> Trajectory:

@@ -4,16 +4,13 @@ The node set is deliberately small: constants, variables, sums, products,
 integer powers, sin/cos/exp, and reciprocals.  Evaluation goes through a
 :class:`Program`: one or more trees flattened, without recursion, into a
 topologically ordered instruction list in which structurally equal subtrees
-share one slot.  The list is emitted once as straight-line Python source, in
-which a slot read by one consumer is inlined into it and any other slot gets
-a local, and that source is compiled in three bindings: over Python floats
-for one point, over NumPy columns for a batch, and with every slot kept for
-the tangent pass.  The float binding is bit-equal to the batch binding.  A
-forward-mode tangent pass carries one directional derivative per slot along
-a given direction, so a Jacobian-vector product such as the time derivative
-of a lift along sampled motion costs one pass and never forms a Jacobian;
-gradients take one unit-direction pass per coordinate.  Derivatives are
-exact to rounding.
+share one slot.  Each pass over the list is emitted as straight-line Python
+and compiled: the values over Python floats for one point (bit-equal to a
+batch), the values over NumPy columns for a batch, and the forward-mode
+tangent pass.  That pass carries one directional derivative per slot, so the
+time derivative of a lift along sampled motion costs one pass and never forms
+a Jacobian; gradients seed one tangent set per coordinate in the same call.
+Derivatives are exact to rounding.
 
 Surface syntax, used by :func:`parse` and :func:`render`::
 
@@ -143,9 +140,9 @@ def _as_batch(x) -> np.ndarray:
 # A Program flattens trees into a topologically ordered instruction list.
 # Structurally equal subtrees are hash-consed onto one slot (the key of a node
 # is its type, its operand slots and its payload), so a subexpression shared
-# by several trees, or repeated inside one, is computed once.  Flattening,
-# source emission and the tangent pass are loops over that list, so tree depth
-# is not bounded by the interpreter's recursion limit.
+# by several trees, or repeated inside one, is computed once.  Flattening and
+# source emission are loops over that list, so tree depth is not bounded by
+# the interpreter's recursion limit.
 
 _OP_CONST, _OP_VAR, _OP_ADD, _OP_MUL, _OP_POW, _OP_SIN, _OP_COS, _OP_EXP, _OP_INV = range(9)
 _OPCODES = {Const: _OP_CONST, Var: _OP_VAR, Add: _OP_ADD, Mul: _OP_MUL, Pow: _OP_POW,
@@ -203,37 +200,69 @@ _FLOAT_OPS = {"_sin": math.sin, "_cos": math.cos, "_exp": np.exp, "_any": bool}
 _ARRAY_OPS = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_any": np.any}
 
 # Binding -> (its operations, how it reads variable j from the argument ``x``,
-# whether operands are arrays, whether it returns every slot).  The slots
-# binding copies each variable column out of the (m, n) batch because the
-# tangent pass reads it again in every product rule; the values binding reads
-# the strided column in place.
+# whether operands are arrays).  The tangent bindings give every slot value a
+# local, since the tangent statements read them, and copy each variable column
+# out of the (m, n) batch because every product rule reads it again; the
+# values binding reads the strided column in place.
 _BINDINGS = {
-    "point": (_FLOAT_OPS, "x[{}]", False, False),
-    "values": (_ARRAY_OPS, "x[:, {}]", True, False),
-    "slots": (_ARRAY_OPS, "x[:, {}].copy()", True, True),
+    "point": (_FLOAT_OPS, "x[{}]", False),
+    "values": (_ARRAY_OPS, "x[:, {}]", True),
+    "tangents": (_ARRAY_OPS, "x[:, {}].copy()", True),
+    "gradients": (_ARRAY_OPS, "x[:, {}].copy()", True),
 }
+
+
+def _tangent_lines(instrs, refs, seeds: dict, suffix: str, lines: list) -> list:
+    """Append the tangent statements of one seed set, ``seeds[j]`` naming the
+    tangent of x_{j+1}, to ``lines``; returns every slot's tangent.  A tangent
+    known to be zero (no seeded operand, or ``^0``) is None and costs nothing."""
+    tans = []
+    for slot, (op, args, payload, _, partner) in enumerate(instrs):
+        a, t = [refs[i] for i in args], [tans[i] for i in args]
+        if op == _OP_VAR:
+            tans.append(seeds.get(payload))
+            continue
+        if op == _OP_ADD and None in t:
+            tans.append(t[1] if t[0] is None else t[0])
+            continue
+        if op == _OP_MUL:
+            text = (None if t == [None, None] else f"{a[0]} * {t[1]}" if t[0] is None
+                    else f"{a[1]} * {t[0]}" if t[1] is None
+                    else f"{a[0]} * {t[1]} + {a[1]} * {t[0]}")
+        elif op == _OP_CONST or t[0] is None or (op == _OP_POW and payload == 0):
+            text = None
+        elif op == _OP_ADD:
+            text = f"{t[0]} + {t[1]}"
+        elif op == _OP_POW:
+            text = f"({payload} * {a[0]} ** {payload - 1}) * {t[0]}"
+        elif op in (_OP_SIN, _OP_COS):
+            other = (refs[partner] if partner is not None
+                     else f"{('_cos', '_sin')[op - _OP_SIN]}({a[0]})")
+            text = f"{'-' if op == _OP_COS else ''}{other} * {t[0]}"
+        elif op == _OP_EXP:
+            text = f"{refs[slot]} * {t[0]}"
+        else:
+            text = f"-({refs[slot]} * {refs[slot]}) * {t[0]}"
+        if text is not None:
+            lines.append(f"    t{slot}{suffix} = {text}")
+            text = f"t{slot}{suffix}"
+        tans.append(text)
+    return tans
 
 
 class Program:
     """A tuple of trees compiled into one shared-subterm instruction list.
 
-    The instruction list is emitted once per binding as straight-line Python
-    source (see :meth:`source`) and compiled on first use.  There are three
-    bindings of the same source:
-
-    - ``point``: one point in Python floats, for :meth:`point`.  No NumPy
-      call runs except for ``exp`` and integer powers;
-    - ``values``: one (m,) NumPy column per slot, for :meth:`values`;
-    - ``slots``: like ``values`` but with a local for every slot, returning
-      all of them; it feeds the tangent pass.
-
-    The tangent pass carries one (m,) directional derivative per slot along
-    a direction given per variable, which is forward-mode differentiation (a
-    Jacobian-vector product) without ever forming a Jacobian.  Every binding
-    tests the operand of a reciprocal and the base of a negative power for
-    zero and raises :class:`EvaluationDomainError` naming that node.
-    Programs are immutable after construction, and the lazy compilation is
-    locked, so one may be run from several threads at once.
+    :meth:`source` emits the list as straight-line Python in four bindings,
+    each compiled on first use: ``point`` (Python floats, for :meth:`point`;
+    NumPy runs only ``exp`` and integer powers), ``values`` (one (m,) column
+    per slot), ``tangents`` (the values, then one directional derivative per
+    slot along a direction: a Jacobian-vector product without a Jacobian)
+    and ``gradients`` (the values, then one tangent set per coordinate).
+    Every binding tests the operand of a reciprocal and the base of a
+    negative power for zero and raises :class:`EvaluationDomainError` naming
+    that node.  Programs are immutable after construction, and the lazy
+    compilation is locked, so one may be run from several threads at once.
     """
 
     def __init__(self, exprs):
@@ -280,10 +309,13 @@ class Program:
                 f"expression references x{self._width} but points have dimension {n}")
 
     def source(self, binding: str) -> str:
-        """The Python source of one binding (``"point"``, ``"values"`` or
-        ``"slots"``): a function ``program(x)`` whose statements follow the
-        instruction list in slot order."""
-        _, read, arrays, every_slot = _BINDINGS[binding]
+        """The Python source of one binding: ``program(x)``, or
+        ``program(x, v)`` for ``"tangents"`` along ``v``.  All value statements
+        come first, in slot order, since a sin/cos partner slot can follow the
+        slot whose tangent reads it; a tangent binding returns (values,
+        tangents), with one tangent list per coordinate for ``"gradients"``."""
+        _, read, arrays = _BINDINGS[binding]
+        every_slot = binding in ("tangents", "gradients")
         instrs = self._instrs
         reads = [0] * len(instrs)
         for _, args, _, _, _ in instrs:
@@ -328,9 +360,24 @@ class Program:
                 text, depth = f"v{slot}", 0
             refs.append(text)
             depths.append(depth)
-        returned = range(len(instrs)) if every_slot else self.outputs
-        lines.append(f"    return [{', '.join(refs[s] for s in returned)}]")
-        return "\n".join(["def program(x):", *lines, ""])
+
+        def listed(slot_refs):
+            return f"[{', '.join(str(slot_refs[s]) for s in self.outputs)}]"
+
+        head, result = "def program(x):", listed(refs)
+        if binding == "tangents":
+            head = "def program(x, v):"
+            lines += [f"    d{j} = v[:, {j}].copy()" for j in sorted(self.variables)]
+            tans = _tangent_lines(instrs, refs, {j: f"d{j}" for j in self.variables},
+                                  "", lines)
+            result += ", " + listed(tans)
+        elif binding == "gradients":
+            lines.append("    one = _ones(len(x))")
+            sets = [listed(_tangent_lines(instrs, refs, {j: "one"}, f"_{j}", lines))
+                    for j in sorted(self.variables)]
+            result += f", [{', '.join(sets)}]"
+        lines.append(f"    return {result}")
+        return "\n".join([head, *lines, ""])
 
     def _bound(self, binding: str):
         """The compiled function of one binding, compiled on first use."""
@@ -350,7 +397,8 @@ class Program:
             raise EvaluationDomainError(node, "division by zero" if op == _OP_INV
                                         else "zero raised to a negative power")
 
-        namespace = {**_BINDINGS[binding][0], "_power": _power, "_fail": fail}
+        namespace = {**_BINDINGS[binding][0], "_power": _power, "_fail": fail,
+                     "_ones": np.ones}
         namespace.update((f"_c{slot}", node.value) for slot, (op, _, _, node, _)
                          in enumerate(instrs)
                          if op == _OP_CONST and not math.isfinite(node.value))
@@ -398,91 +446,40 @@ class Program:
             return out
         return self._stack(rows, np.empty((len(rows), x.shape[0])))
 
-    def _tangent_pass(self, vals: list, seeds) -> list:
-        """Slot tangents given ``seeds[j]``, the tangent of x_{j+1}.
-
-        ``None`` stands for an identically zero tangent, so subtrees that do
-        not depend on a seeded variable cost nothing.
-        """
-        tans = []
-        for slot, (op, args, payload, _, partner) in enumerate(self._instrs):
-            if op == _OP_MUL:
-                a, b = args
-                ta, tb = tans[a], tans[b]
-                if ta is None:
-                    t = None if tb is None else vals[a] * tb
-                elif tb is None:
-                    t = vals[b] * ta
-                else:
-                    t = vals[a] * tb + vals[b] * ta
-            elif op == _OP_ADD:
-                ta, tb = tans[args[0]], tans[args[1]]
-                t = tb if ta is None else ta if tb is None else ta + tb
-            elif op == _OP_VAR:
-                t = seeds[payload]
-            elif op == _OP_CONST:
-                t = None
-            else:
-                ta = tans[args[0]]
-                if ta is None:
-                    t = None
-                elif op == _OP_POW:
-                    t = None if payload == 0 else (
-                        payload * vals[args[0]] ** (payload - 1)) * ta
-                elif op == _OP_SIN:
-                    cos = vals[partner] if partner is not None else np.cos(vals[args[0]])
-                    t = cos * ta
-                elif op == _OP_COS:
-                    sin = vals[partner] if partner is not None else np.sin(vals[args[0]])
-                    t = -sin * ta
-                elif op == _OP_EXP:
-                    t = vals[slot] * ta
-                else:
-                    t = -(vals[slot] * vals[slot]) * ta
-            tans.append(t)
-        return tans
-
-    def _gather(self, slot_values: list, m: int) -> np.ndarray:
-        return self._stack([slot_values[s] for s in self.outputs],
-                           np.empty((len(self.outputs), m)))
-
-    def _passes(self, x, v):
-        """Slot values and slot tangents along ``v``."""
+    def _along(self, x, v):
+        """The ``tangents`` binding at ``x`` along ``v``: (output values,
+        output tangents)."""
         x, v = _as_batch(x), _as_batch(v)
         if v.shape != x.shape:
             raise ValueError(f"direction {v.shape} does not match points {x.shape}")
         self._check(x.shape[1])
-        vals = self._bound("slots")(x)
-        seeds = [v[:, j].copy() for j in range(x.shape[1])]
-        return vals, self._tangent_pass(vals, seeds)
+        return self._bound("tangents")(x, v)
 
     def tangents(self, x, v) -> np.ndarray:
         """Directional derivatives along ``v`` (m, n), row by row: entry
         (k, i) of the (K, m) result is grad f_k(x[i]) . v[i]."""
-        return self._gather(self._passes(x, v)[1], len(x))
+        tans = self._along(x, v)[1]  # the values are freed before the gather
+        return self._stack(tans, np.empty((len(tans), len(x))))
 
     def values_and_tangents(self, x, v):
         """(:meth:`values`, :meth:`tangents`) of the same arguments from one
         evaluation of the slots."""
-        vals, tans = self._passes(x, v)
-        values = self._gather(vals, len(x))
-        del vals  # frees the slot values before the second gather: a lower peak
-        return values, self._gather(tans, len(x))
+        vals, tans = self._along(x, v)
+        values = self._stack(vals, np.empty((len(vals), len(x))))
+        del vals  # frees the values before the second gather: a lower peak
+        return values, self._stack(tans, np.empty((len(tans), len(x))))
 
     def gradients(self, x):
-        """Values (K, m) and row-wise gradients (K, m, n), one unit-direction
-        tangent pass per coordinate."""
+        """Values (K, m) and row-wise gradients (K, m, n) from one call, with
+        one unit-direction tangent set per coordinate."""
         x = _as_batch(x)
         self._check(x.shape[1])
         m, n = x.shape
-        vals = self._bound("slots")(x)
-        grads = np.empty((len(self.outputs), m, n))
-        ones = np.ones(m)
-        for j in range(n):
-            seeds = [None] * n
-            seeds[j] = ones
-            grads[:, :, j] = self._gather(self._tangent_pass(vals, seeds), m)
-        return self._gather(vals, m), grads
+        vals, sets = self._bound("gradients")(x)
+        grads = np.zeros((len(vals), m, n))
+        for j, tans in zip(sorted(self.variables), sets):
+            self._stack(tans, grads[:, :, j])
+        return self._stack(vals, np.empty((len(vals), m))), grads
 
 
 def evaluate(e: Expr, x) -> float:

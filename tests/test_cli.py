@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,18 @@ def test_reduce_reads_snapshot_file(tmp_path):
     assert rc == 0
     assert not (tmp_path / "snapshots.csv").exists()
     assert len((tmp_path / "forecast.csv").read_text().splitlines()) == 151
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_reduce_rejects_a_snapshot_file_without_rows(tmp_path, capsys, text):
+    data_path = tmp_path / "data.csv"
+    data_path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["reduce", "--data", str(data_path), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"qendy: error in reduce: {data_path} has no data rows\n")
 
 
 # ---------------------------------------------------------------------------

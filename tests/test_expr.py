@@ -4,6 +4,7 @@ renderer."""
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -331,9 +332,12 @@ def test_one_pass_lift_is_bit_equal_to_the_separate_passes(name):
     values, tangents = feature_matrix_and_derivatives(d, points, direction)
     assert values.tobytes() == feature_matrix(d, points).tobytes()
     assert tangents.tobytes() == feature_time_derivatives(d, points, direction).tobytes()
-    with pytest.raises(ValueError, match="expected shape"):
-        wide = np.ones((3, d.state_dim + 1))
-        feature_matrix_and_derivatives(d, wide, wide)
+    # Points of a wider state do not lift, even where the entries read only
+    # the first coordinates.
+    wide = np.ones((3, d.state_dim + 1))
+    for lift in (feature_matrix_and_derivatives, feature_time_derivatives):
+        with pytest.raises(ValueError, match=rf"expected shape \(m, {d.state_dim}\)"):
+            lift(d, wide, wide)
 
 
 @pytest.mark.parametrize("name", BUILTIN_DICTIONARIES)
@@ -413,7 +417,7 @@ def test_long_entry_runs_at_one_point_with_bounded_nesting():
     for x, column in zip(points, z.T):
         assert d.program.point(x).tobytes() == column.tobytes()
     # Inlining stops at a bounded depth, far below the parser's ~200 levels.
-    for binding in ("point", "values", "slots"):
+    for binding in ("point", "values", "tangents", "gradients"):
         depth = deepest = 0
         for char in d.program.source(binding):
             depth += (char == "(") - (char == ")")
@@ -422,13 +426,14 @@ def test_long_entry_runs_at_one_point_with_bounded_nesting():
 
 
 # ---------------------------------------------------------------------------
-# emitted source and its three bindings
+# emitted source and its four bindings
 #
 # The reference for the array bindings is the interpreter they replaced: a
-# loop over the instruction list that computes every slot as an (m,) array.
+# loop over the instruction list that computes every slot as an (m,) array,
+# and a second loop that carries every slot's tangent.
 
 
-def _interpreted_values(program, x):
+def _interpreted_slots(program, x):
     m = x.shape[0]
     vals = []
     for _, args, _, node, _ in program._instrs:
@@ -452,7 +457,79 @@ def _interpreted_values(program, x):
         else:
             v = 1.0 / a[0]
         vals.append(v)
+    return vals
+
+
+def _interpreted_values(program, x):
+    vals = _interpreted_slots(program, x)
     return np.stack([vals[s] for s in program.outputs])
+
+
+def _interpreted_tangents(program, vals, seeds):
+    """Slot tangents given ``seeds[j]``, the tangent of x_{j+1}; None stands
+    for an identically zero tangent."""
+    tans = []
+    for slot, (_, args, _, node, partner) in enumerate(program._instrs):
+        if isinstance(node, Mul):
+            a, b = args
+            ta, tb = tans[a], tans[b]
+            if ta is None:
+                t = None if tb is None else vals[a] * tb
+            elif tb is None:
+                t = vals[b] * ta
+            else:
+                t = vals[a] * tb + vals[b] * ta
+        elif isinstance(node, Add):
+            ta, tb = tans[args[0]], tans[args[1]]
+            t = tb if ta is None else ta if tb is None else ta + tb
+        elif isinstance(node, Var):
+            t = seeds[node.index]
+        elif isinstance(node, Const):
+            t = None
+        else:
+            ta = tans[args[0]]
+            if ta is None:
+                t = None
+            elif isinstance(node, Pow):
+                k = node.exponent
+                t = None if k == 0 else (k * vals[args[0]] ** (k - 1)) * ta
+            elif isinstance(node, Sin):
+                cos = vals[partner] if partner is not None else np.cos(vals[args[0]])
+                t = cos * ta
+            elif isinstance(node, Cos):
+                sin = vals[partner] if partner is not None else np.sin(vals[args[0]])
+                t = -sin * ta
+            elif isinstance(node, Exp):
+                t = vals[slot] * ta
+            else:
+                t = -(vals[slot] * vals[slot]) * ta
+        tans.append(t)
+    return tans
+
+
+def _gathered(program, slot_values, m):
+    out = np.empty((len(program.outputs), m))
+    for r, slot in enumerate(program.outputs):
+        out[r] = 0.0 if slot_values[slot] is None else slot_values[slot]
+    return out
+
+
+def _interpreted_gradients(program, x):
+    """One interpreted unit-direction tangent pass per coordinate."""
+    m, n = x.shape
+    vals = _interpreted_slots(program, x)
+    grads = np.empty((len(program.outputs), m, n))
+    for j in range(n):
+        seeds = [None] * n
+        seeds[j] = np.ones(m)
+        grads[:, :, j] = _gathered(program, _interpreted_tangents(program, vals, seeds), m)
+    return grads
+
+
+def _off_finite_points(n):
+    """Points where exp and powers overflow: 800 and 1e200, mixed."""
+    return np.array([[800.0] * n, [1e200] * n, [-800.0] * n,
+                     ([800.0, 1e200, -1e200] * n)[:n]])
 
 
 # exp, positive and negative powers, reciprocals, shared and constant
@@ -503,6 +580,65 @@ def test_array_bindings_are_bit_equal_to_the_interpreter():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
+def test_tangent_bindings_are_bit_equal_to_the_interpreter():
+    rng = np.random.default_rng(3)
+    for label, program, points in _programs_and_points(m=2000):
+        n = points.shape[1]
+        for x in (points, _off_finite_points(n)):
+            m = x.shape[0]
+            direction = rng.normal(size=x.shape)
+            vals = _interpreted_slots(program, x)
+            seeds = [direction[:, j].copy() for j in range(n)]
+            expected = _gathered(program, _interpreted_tangents(program, vals, seeds), m)
+            assert program.tangents(x, direction).tobytes() == expected.tobytes(), label
+            values, tangents = program.values_and_tangents(x, direction)
+            assert values.tobytes() == _gathered(program, vals, m).tobytes(), label
+            assert tangents.tobytes() == expected.tobytes(), label
+            grad_values, grads = program.gradients(x)
+            assert grad_values.tobytes() == values.tobytes(), label
+            assert grads.tobytes() == _interpreted_gradients(program, x).tobytes(), label
+            # A coordinate an output does not read has an exact zero
+            # derivative, even where the output overflows.
+            for k, slot in enumerate(program.outputs):
+                for j in set(range(n)) - variables(program._instrs[slot][3]):
+                    assert np.all(grads[k, :, j] == 0.0), (label, k, j)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("name", BUILTIN_DICTIONARIES)
+def test_jacobian_and_gradient_are_bit_equal_to_the_interpreter(name):
+    d, points, _ = _dictionary_and_points(name, m=5)
+    for x in [*points, *_off_finite_points(d.state_dim)]:
+        expected = _interpreted_gradients(d.program, x[None, :])[:, 0, :]
+        assert jacobian(d, x).tobytes() == expected.tobytes(), x
+        for e, row in zip(d.basis, expected):
+            assert gradient(e, x).tobytes() == row.tobytes(), (x, e)
+
+
+def test_lifted_derivatives_peak_memory():
+    # thomas15: 15 entries over 15 slots.  Only the output tangents outlive
+    # the compiled call of feature_time_derivatives, and the output values are
+    # freed before feature_matrix_and_derivatives gathers the tangents.
+    d = make_dictionary("thomas15")
+    m = 20_000
+    rng = np.random.default_rng(4)
+    points, direction = rng.uniform(-3.0, 3.0, (m, 3)), rng.normal(size=(m, 3))
+    table = d.size * m * 8
+    for lift, bound in ((feature_time_derivatives, 2.2),
+                        (feature_matrix_and_derivatives, 3.1)):
+        lift(d, points, direction)  # compiles the binding
+        tracemalloc.start()
+        try:
+            lift(d, points, direction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * table, (lift.__name__, peak / table)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
 def test_float_binding_matches_the_array_binding_off_the_finite_range():
     # math.sin(inf) raises where NumPy returns nan, and exp or a power may
     # overflow: one point still gives what a one-row batch gives.
@@ -541,8 +677,14 @@ def test_source_inlines_single_use_slots_and_names_shared_ones():
     assert sum(line.strip().startswith("v") for line in lines) == 1
     assert any("_sin(x0)" in line and "=" in line for line in lines)
     assert any(line.strip().startswith("if _any(x1 == 0.0)") for line in lines)
-    # The slots binding names every slot and returns all of them.
-    assert program.source("slots").splitlines()[-1].count(",") == len(program) - 1
+    # The tangent binding names every slot value that is not a variable or a
+    # constant.  The constant 1.0 (slot 3) has no tangent statement, and the
+    # sum x1*x2 + 1 (slot 4) reuses the tangent of x1*x2.
+    tangent_lines = [line.strip() for line in program.source("tangents").splitlines()]
+    assert sum(line.startswith("v") for line in tangent_lines) == len(program) - 4
+    assert not [line for line in tangent_lines if line.startswith(("t3 ", "t4 "))]
+    assert "t6 = v4 * d2 + x2 * t2" in tangent_lines
+    assert tangent_lines[-1] == "return [v6, v10], [t6, t10]"
 
 
 def test_bindings_compile_once_under_concurrent_first_use():
@@ -557,7 +699,7 @@ def test_bindings_compile_once_under_concurrent_first_use():
         column = program.point(points[0])
         values = program.values(points)
         values_too, _ = program.values_and_tangents(points, points)
-        return ([id(program._bound(b)) for b in ("point", "values", "slots")],
+        return ([id(program._bound(b)) for b in ("point", "values", "tangents")],
                 column, values, values_too)
 
     interval = sys.getswitchinterval()
