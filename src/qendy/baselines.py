@@ -94,7 +94,11 @@ class GedmdModel:
 def gedmd_fit(d: Dictionary, ts: TrainingSet, rcond=None) -> GedmdModel:
     """Minimum-norm regression of the lifted derivatives on phi (the training
     lift of :func:`qendy.fitting.build_data_matrices`)."""
-    dm = build_data_matrices(d, ts)
+    return _gedmd_lifted(d, build_data_matrices(d, ts), rcond)
+
+
+def _gedmd_lifted(d: Dictionary, dm, rcond) -> GedmdModel:
+    """:func:`gedmd_fit` on ``dm``, the lift of a training set through ``d``."""
     return GedmdModel(min_norm_solve(*normal_equations(dm.z1, dm.zdot), rcond).T, d)
 
 

@@ -254,8 +254,9 @@ class Program:
     """A tuple of trees compiled into one shared-subterm instruction list.
 
     :meth:`source` emits the list as straight-line Python in four bindings,
-    each compiled on first use: ``point`` (Python floats, for :meth:`point`;
-    NumPy runs only ``exp`` and integer powers), ``values`` (one (m,) column
+    each compiled on first use: ``point`` (Python floats, for :meth:`point`
+    and the float RK4 steps of :func:`qendy.dynamics.rk4_integrate`; NumPy
+    runs only ``exp`` and integer powers), ``values`` (one (m,) column
     per slot), ``tangents`` (the values, then one directional derivative per
     slot along a direction: a Jacobian-vector product without a Jacobian)
     and ``gradients`` (the values, then one tangent set per coordinate).

@@ -199,7 +199,14 @@ def fit(d: Dictionary, ts: TrainingSet, *, lam: float = 0.0,
     overrides the state-recovery matrix; by default the coordinates must
     appear in the dictionary.  ``rcond`` overrides the pseudoinverse cutoff.
     """
-    gs = assemble_gram(build_data_matrices(d, ts), lam)
+    return _fit_lifted(d, ts, build_data_matrices(d, ts), lam=lam,
+                       force_c_zero=force_c_zero, rcond=rcond, g=g)
+
+
+def _fit_lifted(d: Dictionary, ts: TrainingSet, dm: DataMatrices, *, lam: float,
+                force_c_zero: bool, rcond, g) -> QuadraticModel:
+    """:func:`fit` on ``dm``, the lift of ``ts`` through ``d``."""
+    gs = assemble_gram(dm, lam)
     kept = gs.matrix.shape[0] - int(force_c_zero)
     coeffs = min_norm_solve(gs.matrix[:kept, :kept], gs.rhs[:kept], rcond)
     n = d.size

@@ -16,7 +16,7 @@ from .dictionary import (
     Dictionary, dictionary_from_json, dictionary_to_json, feature_map,
     feature_matrix, write_json,
 )
-from .dynamics import IntegrationBlowupError, Trajectory, rk4_step
+from .dynamics import IntegrationBlowupError, Trajectory, _step_count, rk4_step
 
 __all__ = [
     "kron_squared", "kron_squared_cols", "QuadraticModel", "EmbeddedTrajectory",
@@ -122,25 +122,21 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float,
     finite state; as in :func:`~qendy.dynamics.rk4_integrate`, the overflow
     that produced it is not warned.
     """
-    if dt <= 0.0:
-        raise ValueError(f"step size must be positive, got {dt}")
-    steps = int(round(t_end / dt))
-    if steps < 1:
-        raise ValueError(f"t_end={t_end} shorter than one step dt={dt}")
+    steps = _step_count(t_end, dt)
     d = model.dictionary
 
     def f(z):
         return evaluate(model, z)
 
     z = feature_map(d, np.asarray(x0, dtype=float))
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("start state lifts to non-finite values")
     z_states = np.empty((steps + 1, model.basis_size))
     z_states[0] = z
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             z = rk4_step(f, z, dt)
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 kept = z_states[:k + 1]
                 raise IntegrationBlowupError(k + 1, EmbeddedTrajectory(
                     np.arange(k + 1) * dt, kept, kept @ model.g.T))

@@ -619,3 +619,57 @@ def test_fit_overflow_prints_only_the_error_line(tmp_path, method):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("qendy: error in fit:"), proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# step counts and the training lift
+
+
+@pytest.mark.parametrize("method", ["qendy", "sindy"])
+@pytest.mark.parametrize("flags, message", [
+    (["--t-end", "inf"], "t_end must be finite, got inf"),
+    (["--dt", "nan"], "dt must be finite, got nan"),
+    (["--t-end", "1e300", "--dt", "1e-300"],
+     "t_end=1e+300 over dt=1e-300 is not a finite step count"),
+], ids=["t_end-inf", "dt-nan", "ratio-overflows"])
+def test_simulate_rejects_times_without_a_step_count(tmp_path, capsys, method, flags,
+                                                     message):
+    # A qendy model steps in model.simulate, a SINDy model in rk4_integrate.
+    model = _fit_method(tmp_path, method)
+    capsys.readouterr()
+    rc = main(["simulate", "--model", str(model), "--x0", "1,0", "--system", "pendulum",
+               *flags, "--out", str(tmp_path / "sim")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"qendy: error in simulate: {message}\n"
+    assert not (tmp_path / "sim" / "simulation.csv").exists()
+
+
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_generate_rejects_a_non_finite_t_end(tmp_path, capsys, t_end):
+    rc = main(["generate", "--system", "pendulum", "--x0", "1,0", "--t-end", t_end,
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"qendy: error in generate: t_end must be finite, got {t_end}\n")
+    assert not (tmp_path / "training.csv").exists()
+
+
+@pytest.mark.parametrize("method, lifts", [("qendy", 1), ("gedmd", 1), ("sindy", 0)])
+def test_fit_lifts_the_training_set_once(tmp_path, monkeypatch, method, lifts):
+    from qendy import baselines, cli, fitting
+    from qendy.dictionary import load_dictionary
+    lift = fitting.build_data_matrices
+    calls = []
+    for module in (cli, fitting, baselines):
+        monkeypatch.setattr(module, "build_data_matrices",
+                            lambda *args: calls.append(args) or lift(*args))
+    model_path = _fit_method(tmp_path, method)
+    assert len(calls) == lifts
+    if method != "qendy":
+        return
+    # The summary's loss is that of a fit and a loss on separate lifts.
+    d, _ = load_dictionary(tmp_path / "dictionary.json")
+    ts = load_training(tmp_path / "training.csv")
+    residual, regularized = fitting.loss(fitting.fit(d, ts), lift(d, ts), 0.0)
+    summary = _read_json(model_path.parent / "fit_summary.json")
+    assert (summary["loss"], summary["regularized_loss"]) == (residual, regularized)

@@ -1,17 +1,20 @@
 """Integrator, samplers, derivative estimation, benchmark systems, CSV IO."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from qendy import dynamics
 from qendy.dynamics import (
     IntegrationBlowupError, Trajectory, TrainingSet, VectorField,
     exact_derivatives, finite_diff_derivatives, load_training, load_trajectory,
     rk4_integrate, sample_trajectory, sample_uniform, save_training,
     save_trajectory,
 )
+from qendy.expr import EvaluationDomainError
 from qendy.systems import (
     make_system, mean_field, pendulum, quartic_coupled, quartic_decoupled,
     rational_decay, thomas,
@@ -336,3 +339,82 @@ def test_rk4_blowup_carries_the_finite_path():
 def test_rk4_rejects_non_finite_start():
     with pytest.raises(ValueError, match="start state"):
         rk4_integrate(DECAY, [np.inf], 1.0, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# float steps of expression fields
+
+
+@pytest.mark.parametrize("name, x0", [
+    ("pendulum", [1.0, 0.3]), ("rational", [0.7]), ("thomas", [1.0, -1.0, 0.0]),
+    ("quartic", [0.3, 0.2]), ("quartic-coupled", [0.3, -0.2]),
+    ("mean-field", [0.1, 0.0, 0.05]),
+])
+def test_float_steps_are_bit_equal_to_array_steps(name, x0):
+    field = make_system(name)
+    opaque = VectorField(field.n, field.fn)  # no program: stepped on arrays
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floats, arrays = (rk4_integrate(f, x0, 2.0, 0.01) for f in (field, opaque))
+    assert floats.states.tobytes() == arrays.states.tobytes()
+    assert floats.times.tobytes() == arrays.times.tobytes()
+
+
+def test_float_step_redoes_a_sin_of_infinity_on_arrays(monkeypatch):
+    # exp(x1) overflows to inf in a stage; the next stage then takes sin(inf),
+    # which math.sin rejects and the array step maps to nan.
+    field = VectorField.from_exprs(2, ["exp(x1)", "sin(x1)"])
+    redone = []
+    array_step = dynamics.rk4_step
+    monkeypatch.setattr(dynamics, "rk4_step",
+                        lambda *args: redone.append(args[1]) or array_step(*args))
+    errors = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (field, VectorField(field.n, field.fn)):
+            with pytest.raises(IntegrationBlowupError) as info:
+                rk4_integrate(f, [1.0, 0.0], 5.0, 0.1)
+            errors.append(info.value)
+    floats, arrays = errors
+    # The float path redid only its last step on arrays; the opaque field
+    # took every step there.
+    assert floats.step == arrays.step > 1
+    assert len(redone) == 1 + arrays.step
+    assert redone[0].tobytes() == floats.partial.states[-1].tobytes()
+    assert floats.partial.states.tobytes() == arrays.partial.states.tobytes()
+
+
+def test_float_step_keeps_the_domain_error():
+    # x1 steps 0.5 -> 0.25 -> 0; the last stage of step 2 divides by zero.
+    field = VectorField.from_exprs(2, ["-1", "x1^-1"])
+    for f in (field, VectorField(field.n, field.fn)):
+        with pytest.raises(EvaluationDomainError, match="negative power"):
+            rk4_integrate(f, [0.5, 0.0], 1.0, 0.25)
+
+
+def test_float_step_blowup_at_step_one_keeps_the_start_state():
+    field = VectorField.from_exprs(2, ["x1^3", "x2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationBlowupError) as info:
+            rk4_integrate(field, [1e200, 1.0], 1.0, 0.1)
+    assert info.value.step == 1
+    assert info.value.partial.states.shape == (1, 2)
+    assert info.value.partial.states.tolist() == [[1e200, 1.0]]
+
+
+def test_float_steps_allocate_only_the_path():
+    # Each float state is written into the preallocated (steps+1, n) array;
+    # the path is never held as Python floats.  Besides the states, the
+    # Trajectory holds its time grid, and its uniform-grid check makes three
+    # temporaries of that size.
+    field = thomas()
+    rk4_integrate(field, [1.0, -1.0, 0.0], 0.01, 0.01)  # compiles the binding
+    tracemalloc.start()
+    try:
+        traj = rk4_integrate(field, [1.0, -1.0, 0.0], 200.0, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (20_001, 3)
+    assert peak < traj.states.nbytes + 4 * traj.times.nbytes + 64 * 1024
