@@ -6,7 +6,9 @@ pairs, which share the weighted regression core of :mod:`qendy.linalg`.
 Continuous inner products use tensor-product Gauss-Legendre quadrature; with
 ``normalized=True`` the uniform measure is scaled to a probability measure,
 which is the convention under which the empirical Gram matrix divided by the
-sample count converges to its limit at the Monte Carlo rate.
+sample count converges to its limit at the Monte Carlo rate.  The limit and
+each Monte Carlo run sum the fitting code's Gram system as the fit does,
+lifting one chunk of nodes or samples at a time, so neither holds a whole lift.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .dictionary import Dictionary
 from .dynamics import VectorField, exact_derivatives, sample_uniform, write_rows
 from .expr import Expr, evaluate_many
-from .fitting import assemble_gram, build_data_matrices, quadratic_normal_equations
+from .fitting import lifted_chunks, quadratic_normal_equations
 from .linalg import min_norm_solve, normal_equations
 
 __all__ = [
@@ -143,12 +145,12 @@ def limit_gram_system(d: Dictionary, field: VectorField, space):
     in its usual order (products, entries, constant); column l of sstar pairs
     every augmented entry with grad phi_l . F.  These are the fitting
     code's normal equations on the quadrature nodes, weighted by the rule,
-    with the nodes lifted like training data
-    (:func:`qendy.fitting.build_data_matrices`, which names a non-finite lift).
+    with the nodes lifted like training data, a chunk at a time
+    (:func:`qendy.fitting.lifted_chunks`, which names a non-finite lift).
     """
     points, weights = space.nodes_weights()
-    dm = build_data_matrices(d, exact_derivatives(field, points))
-    return quadratic_normal_equations(dm.z1, dm.zdot, weights)
+    return quadratic_normal_equations(
+        lifted_chunks(d, exact_derivatives(field, points)), d.size, d.size, weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,11 +206,12 @@ class ConvergenceStudy:
 
 def _study_run(d, field, box, m, seed_seq, rstar, sstar, relative):
     points = sample_uniform(box, m, seed_seq)
-    gs = assemble_gram(build_data_matrices(d, exact_derivatives(field, points)))
+    matrix, rhs = quadratic_normal_equations(
+        lifted_chunks(d, exact_derivatives(field, points)), d.size, d.size)
     scale_r, scale_s = ((np.abs(rstar).mean(), np.abs(sstar).mean()) if relative
                         else (1.0, 1.0))
-    return (float(np.abs(gs.matrix / m - rstar).mean() / scale_r),
-            np.abs(gs.rhs / m - sstar).mean(axis=0) / scale_s)
+    return (float(np.abs(matrix / m - rstar).mean() / scale_r),
+            np.abs(rhs / m - sstar).mean(axis=0) / scale_s)
 
 
 def convergence_study(d: Dictionary, field: VectorField, box, sample_sizes,

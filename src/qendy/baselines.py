@@ -5,8 +5,10 @@ SINDy regresses the state derivatives directly on the dictionary,
 gEDMD regresses the lifted derivatives on the dictionary,
 ``Phi_dot ~= Theta Phi``; Theta^T then represents the generator of the
 dynamics on the span of the dictionary, so its left action on coefficient
-vectors yields eigenfunctions.  Both solve their normal equations through
-the shared regression core in :mod:`qendy.linalg`.
+vectors yields eigenfunctions.  Both sum their normal equations over chunks
+of samples (:func:`qendy.linalg.summed_normal_equations`), lifting one chunk
+at a time, so memory does not grow with the sample count, and solve them
+through the shared regression core in :mod:`qendy.linalg`.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .dictionary import (
     feature_matrix,
 )
 from .dynamics import TrainingSet
-from .fitting import build_data_matrices, check_state_dim
-from .linalg import min_norm_solve, normal_equations
+from .fitting import _chunks, check_state_dim, lifted_chunks
+from .linalg import min_norm_solve, summed_normal_equations
 
 __all__ = [
     "SindyModel", "GedmdModel", "GeneratorEigenfunction",
@@ -51,18 +53,21 @@ def sindy_fit(d: Dictionary, ts: TrainingSet, threshold: float = 0.0,
     """Row-wise minimum-norm regression of derivatives on the dictionary.
 
     With ``threshold > 0`` a single pass zeroes coefficients below the
-    threshold and refits each row on its surviving columns.
+    threshold and refits each row on its surviving columns, from the rows
+    and columns of the same normal equations.
     """
     check_state_dim(d, ts)
-    phi = feature_matrix(d, ts.states)
-    xi = min_norm_solve(*normal_equations(phi, ts.derivatives.T), rcond).T
+    gram, cross = summed_normal_equations(
+        ((samples, feature_matrix(d, ts.states[samples]), ts.derivatives[samples].T)
+         for samples in _chunks(ts.m)), d.size, ts.n)
+    xi = min_norm_solve(gram, cross, rcond).T
     if threshold > 0.0:
         for r in range(xi.shape[0]):
             keep = np.abs(xi[r]) >= threshold
             xi[r, ~keep] = 0.0
             if np.any(keep):
-                xi[r, keep] = min_norm_solve(
-                    *normal_equations(phi[keep, :], ts.derivatives[:, r]), rcond)
+                xi[r, keep] = min_norm_solve(gram[np.ix_(keep, keep)], cross[keep, r],
+                                             rcond)
     return SindyModel(xi, d)
 
 
@@ -93,13 +98,15 @@ class GedmdModel:
 
 def gedmd_fit(d: Dictionary, ts: TrainingSet, rcond=None) -> GedmdModel:
     """Minimum-norm regression of the lifted derivatives on phi (the training
-    lift of :func:`qendy.fitting.build_data_matrices`)."""
-    return _gedmd_lifted(d, build_data_matrices(d, ts), rcond)
+    lift of :func:`qendy.fitting.lifted_chunks`, a chunk at a time)."""
+    return _gedmd_lifted(d, lifted_chunks(d, ts), rcond)
 
 
-def _gedmd_lifted(d: Dictionary, dm, rcond) -> GedmdModel:
-    """:func:`gedmd_fit` on ``dm``, the lift of a training set through ``d``."""
-    return GedmdModel(min_norm_solve(*normal_equations(dm.z1, dm.zdot), rcond).T, d)
+def _gedmd_lifted(d: Dictionary, chunks, rcond) -> GedmdModel:
+    """:func:`gedmd_fit` on ``chunks`` of the lift of a training set through
+    ``d``, as :func:`qendy.fitting.lifted_chunks` yields them."""
+    gram, cross = summed_normal_equations(chunks, d.size, d.size)
+    return GedmdModel(min_norm_solve(gram, cross, rcond).T, d)
 
 
 def gedmd_rhs_many(model: GedmdModel, g, points) -> np.ndarray:

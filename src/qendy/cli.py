@@ -183,7 +183,7 @@ def cmd_fit(cfg):
     # qendy and gEDMD fit the lifted training set; the loss reuses the lift.
     dm = None if method == "sindy" else build_data_matrices(d, ts)
     if method == "qendy":
-        model = _fit_lifted(d, ts, dm, lam=float(cfg["lambda"]),
+        model = _fit_lifted(d, ts, dm.chunks(), lam=float(cfg["lambda"]),
                             force_c_zero=bool(cfg["force_c_zero"]),
                             rcond=cfg.get("rcond"), g=g_override)
         save_model(model, model_path)
@@ -192,7 +192,7 @@ def cmd_fit(cfg):
                                     rcond=cfg.get("rcond"))
         write_json(model_path, baselines.sindy_to_json(model))
     else:
-        model = baselines._gedmd_lifted(d, dm, rcond=cfg.get("rcond"))
+        model = baselines._gedmd_lifted(d, dm.chunks(), rcond=cfg.get("rcond"))
         write_json(model_path, baselines.gedmd_to_json(model))
     summary = {"method": method, "m": int(ts.m), **_loss_fields(method, model, ts, dm)}
     summary_path = os.path.join(out, "fit_summary.json")

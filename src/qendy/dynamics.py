@@ -82,14 +82,28 @@ class VectorField:
         return cls(n, fn, name, program)
 
 
+# Time steps compared per block of the grid check, so that its temporaries
+# stay small for any grid length.
+_GRID_BLOCK = 4096
+
+
 def _check_uniform(times: np.ndarray):
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a non-empty 1-D array")
-    if times.size >= 3:
-        steps = np.diff(times)
-        mean = (times[-1] - times[0]) / (times.size - 1)
-        slack = 1e-12 * max(1.0, float(np.abs(times).max()))
-        if np.max(np.abs(steps - mean)) > slack:
+    first, last = float(times[0]), float(times[-1])
+    if not (math.isfinite(first) and math.isfinite(last)):
+        raise ValueError("trajectory times must be finite")
+    if times.size < 3:
+        return
+    mean = (last - first) / (times.size - 1)
+    # On a uniform grid the largest |t| is at an end.
+    slack = 1e-12 * max(1.0, abs(first), abs(last))
+    for start in range(0, times.size - 1, _GRID_BLOCK):
+        block = times[start:start + _GRID_BLOCK + 1]
+        # Written so that a nan step fails it too.
+        if not np.abs(np.diff(block) - mean).max() <= slack:
+            if not np.isfinite(block).all():
+                raise ValueError("trajectory times must be finite")
             raise ValueError("trajectory time grid is not uniform")
 
 
@@ -242,15 +256,16 @@ def sample_trajectory(f, x0, t_end: float, num_samples: int,
     """``num_samples`` evenly spaced states over [0, t_end], both ends included.
 
     Integrates with ``substeps`` internal RK4 steps per output sample so that
-    the returned states are accurate well beyond the output resolution.
+    the returned states are accurate well beyond the output resolution.  The
+    kept states are copied out of the fine path, which is then freed.
     """
     if num_samples < 2:
         raise ValueError("need at least two samples")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     dt = t_end / ((num_samples - 1) * substeps)
-    fine = rk4_integrate(f, x0, t_end, dt)
-    out = fine.states[::substeps]
+    fine = rk4_integrate(f, x0, t_end, dt).states
+    out = fine if substeps == 1 else fine[::substeps].copy()
     times = np.arange(num_samples) * (t_end / (num_samples - 1))
     return Trajectory(times, out)
 

@@ -5,8 +5,10 @@ Given lifted data Z1 (states), Z2 (columnwise Kronecker squares), and Zdot
 
     || Zdot - A Z2 - B Z1 - C 1^T ||_F^2  +  lam * ||A||_F^2.
 
-:func:`build_data_matrices` is the one training lift: Z1 and Zdot from one
-pass of the dictionary's program, with a named check for non-finite values.
+:func:`lifted_chunks` is the one training lift: Z1 and Zdot of a chunk of
+samples from one pass of the dictionary's program, with a named check for
+non-finite values.  :func:`build_data_matrices` gathers its chunks into
+whole (N, m) arrays for callers that need them.
 
 The problem decouples over the N output rows: every row solves the same
 symmetric system ``M v = s_row`` whose matrix is the Gram matrix of the
@@ -14,12 +16,12 @@ stacked features [Z2; Z1; 1] (plus lam on the leading N^2 diagonal entries),
 so one factorization serves all rows.  M is typically rank-deficient
 (duplicate product pairs at least); solutions are minimum-norm.
 
-Neither the fit nor the audit (:func:`loss`, :func:`gradient_norms`) forms
-the stacked table.  The Gram system is accumulated over fixed-size chunks
-of samples on the N(N+1)/2 unique products ``z_i z_j`` (i <= j), then
-expanded to the [Z2; Z1; 1] layout by an index gather; the audit sums its
-residual products over the same chunks.  Beyond the lift, memory stays
-O(D^2 + chunk * D) whatever the sample count.
+:func:`fit` streams: it lifts a chunk of samples, adds it to the Gram system
+and drops it, so neither the lift nor the stacked table is ever held for all
+samples.  The system is summed on the N(N+1)/2 unique products ``z_i z_j``
+(i <= j), then expanded to the [Z2; Z1; 1] layout by an index gather; the
+audit (:func:`loss`, :func:`gradient_norms`) sums its residual products over
+the same chunks.  Memory stays O(D^2 + chunk * D) whatever the sample count.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ import numpy as np
 
 from .dictionary import Dictionary, feature_matrix_and_derivatives, full_state_matrix
 from .dynamics import TrainingSet
-from .linalg import min_norm_solve, normal_equations
+from .linalg import min_norm_solve, summed_normal_equations
 from .model import QuadraticModel, evaluate_cols, kron_squared_cols
 
 __all__ = [
-    "DataMatrices", "GramSystem", "quadratic_table",
+    "DataMatrices", "GramSystem", "quadratic_table", "lifted_chunks",
     "build_data_matrices", "assemble_gram", "solve_row", "fit",
     "loss", "gradient_norms", "stationarity_gap",
 ]
@@ -75,35 +77,60 @@ def _table_rows(n: int) -> np.ndarray:
                            np.arange(unique, unique + n + 1)])
 
 
-def quadratic_normal_equations(z, targets, weights=None):
+def quadratic_normal_equations(chunks, n: int, outputs: int, weights=None):
     """``normal_equations(quadratic_table(z), targets, weights)`` without the table.
 
-    The sums run over chunks of ``_CHUNK`` samples of the unique products
-    z_i z_j (i <= j), then z, then 1; the result is expanded to the
+    ``chunks`` yields ``(samples, z (n, c), targets (outputs, c))`` as
+    :func:`lifted_chunks` does; ``weights`` has one entry per sample of the
+    whole set, or is None.  Each chunk's table holds the unique products
+    z_i z_j (i <= j), then z, then 1; the sums are expanded to the
     (N^2 + N + 1) layout of :func:`quadratic_table` by one index gather.
     """
-    n, m = z.shape
     unique = n * (n + 1) // 2
     size = unique + n + 1
-    matrix = np.zeros((size, size))
-    rhs = np.zeros((size, targets.shape[0]))
-    buffer = np.empty((size, min(m, _CHUNK)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for cols in _chunks(m):
-            zc = z[:, cols]
-            chunk = buffer[:, :zc.shape[1]]
+    buffer = np.empty((size, 0))
+
+    def tables():
+        nonlocal buffer
+        for samples, z, targets in chunks:
+            if buffer.shape[1] < z.shape[1]:
+                buffer = np.empty((size, z.shape[1]))
+            table = buffer[:, :z.shape[1]]
             row = 0
-            for i in range(n):
-                np.multiply(zc[i], zc[i:], out=chunk[row:row + n - i])
-                row += n - i
-            chunk[unique:-1] = zc
-            chunk[-1] = 1.0
-            gram, cross = normal_equations(chunk, targets[:, cols],
-                                           None if weights is None else weights[cols])
-            matrix += gram
-            rhs += cross
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(n):
+                    np.multiply(z[i], z[i:], out=table[row:row + n - i])
+                    row += n - i
+            table[unique:-1] = z
+            table[-1] = 1.0
+            yield samples, table, targets
+
+    matrix, rhs = summed_normal_equations(tables(), size, outputs, weights)
     rows = _table_rows(n)
     return matrix[np.ix_(rows, rows)], rhs[rows]
+
+
+def lifted_chunks(d: Dictionary, ts: TrainingSet):
+    """Lift a training set through the dictionary, ``_CHUNK`` samples at a time.
+
+    Yields ``(samples, z1, zdot)`` per chunk: the slice of the chunk's
+    samples and their values and time derivatives (N, c) from one pass of the
+    dictionary's program.  Raises ValueError, naming the basis entry and the
+    sample by its index in ``ts``, when a lifted value or lifted derivative
+    is not finite (an overflow, say).
+    """
+    check_state_dim(d, ts)
+    for samples in _chunks(ts.m):
+        z1, zdot = feature_matrix_and_derivatives(
+            d, ts.states[samples], ts.derivatives[samples])
+        for what, lifted in (("value", z1), ("time derivative", zdot)):
+            if not np.isfinite(lifted).all():
+                entry, sample = np.argwhere(~np.isfinite(lifted))[0]
+                raise ValueError(
+                    f"basis entry {entry} ({d.names[entry]}) has a non-finite lifted "
+                    f"{what} ({float(lifted[entry, sample])!r}) at sample "
+                    f"{samples.start + sample}")
+        yield samples, z1, zdot
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,21 +160,19 @@ class DataMatrices:
     def sample_count(self) -> int:
         return self.zdot.shape[1]
 
+    def chunks(self):
+        """``(samples, z1, zdot)`` per chunk of samples, as :func:`lifted_chunks`
+        yields them, but as views of the held arrays."""
+        for samples in _chunks(self.sample_count):
+            yield samples, self.z1[:, samples], self.zdot[:, samples]
+
 
 def build_data_matrices(d: Dictionary, ts: TrainingSet) -> DataMatrices:
-    """Lift a training set through the dictionary in one pass of its program.
-
-    Raises ValueError, naming the basis entry and the sample, when a lifted
-    value or lifted derivative is not finite (an overflow, say).
-    """
-    check_state_dim(d, ts)
-    z1, zdot = feature_matrix_and_derivatives(d, ts.states, ts.derivatives)
-    for what, lifted in (("value", z1), ("time derivative", zdot)):
-        if not np.isfinite(lifted).all():
-            entry, sample = np.argwhere(~np.isfinite(lifted))[0]
-            raise ValueError(
-                f"basis entry {entry} ({d.names[entry]}) has a non-finite lifted "
-                f"{what} ({float(lifted[entry, sample])!r}) at sample {sample}")
+    """The chunks of :func:`lifted_chunks` gathered into (N, m) arrays, for
+    callers that need the whole lift; it raises the same named errors."""
+    z1, zdot = np.empty((d.size, ts.m)), np.empty((d.size, ts.m))
+    for samples, z1_chunk, zdot_chunk in lifted_chunks(d, ts):
+        z1[:, samples], zdot[:, samples] = z1_chunk, zdot_chunk
     return DataMatrices(z1, zdot)
 
 
@@ -167,16 +192,20 @@ class GramSystem:
     basis_size: int
 
 
-def assemble_gram(dm: DataMatrices, lam: float = 0.0) -> GramSystem:
-    """Build the shared system; lam shifts only the product-block diagonal."""
+def _gram_system(chunks, n: int, m: int, lam: float) -> GramSystem:
+    """The shared system summed over ``chunks`` of m samples of an N-entry lift."""
     if lam < 0.0:
         raise ValueError(f"regularization must be >= 0, got {lam}")
-    n = dm.basis_size
-    matrix, rhs = quadratic_normal_equations(dm.z1, dm.zdot)
+    matrix, rhs = quadratic_normal_equations(chunks, n, n)
     if lam > 0.0:
         idx = np.arange(n * n)
         matrix[idx, idx] += lam
-    return GramSystem(matrix, rhs, float(lam), dm.sample_count, n)
+    return GramSystem(matrix, rhs, float(lam), m, n)
+
+
+def assemble_gram(dm: DataMatrices, lam: float = 0.0) -> GramSystem:
+    """Build the shared system; lam shifts only the product-block diagonal."""
+    return _gram_system(dm.chunks(), dm.basis_size, dm.sample_count, lam)
 
 
 def solve_row(gs: GramSystem, row: int, rcond=None) -> np.ndarray:
@@ -193,20 +222,24 @@ def fit(d: Dictionary, ts: TrainingSet, *, lam: float = 0.0,
         force_c_zero: bool = False, rcond=None, g=None) -> QuadraticModel:
     """Fit a quadratic embedding model to a training set.
 
-    ``force_c_zero`` removes the constant feature from the regression (its
-    row and column are deleted before solving), which cuts down redundant
-    representations when the dictionary already spans constants.  ``g``
-    overrides the state-recovery matrix; by default the coordinates must
-    appear in the dictionary.  ``rcond`` overrides the pseudoinverse cutoff.
+    The training set is lifted chunk by chunk into the Gram system
+    (:func:`lifted_chunks`), with the same sums as :func:`assemble_gram` of
+    :func:`build_data_matrices`.  ``force_c_zero`` removes the constant
+    feature from the regression (its row and column are deleted before
+    solving), which cuts down redundant representations when the dictionary
+    already spans constants.  ``g`` overrides the state-recovery matrix; by
+    default the coordinates must appear in the dictionary.  ``rcond``
+    overrides the pseudoinverse cutoff.
     """
-    return _fit_lifted(d, ts, build_data_matrices(d, ts), lam=lam,
+    return _fit_lifted(d, ts, lifted_chunks(d, ts), lam=lam,
                        force_c_zero=force_c_zero, rcond=rcond, g=g)
 
 
-def _fit_lifted(d: Dictionary, ts: TrainingSet, dm: DataMatrices, *, lam: float,
+def _fit_lifted(d: Dictionary, ts: TrainingSet, chunks, *, lam: float,
                 force_c_zero: bool, rcond, g) -> QuadraticModel:
-    """:func:`fit` on ``dm``, the lift of ``ts`` through ``d``."""
-    gs = assemble_gram(dm, lam)
+    """:func:`fit` on ``chunks`` of the lift of ``ts`` through ``d``, as
+    :func:`lifted_chunks` or :meth:`DataMatrices.chunks` yields them."""
+    gs = _gram_system(chunks, d.size, ts.m, lam)
     kept = gs.matrix.shape[0] - int(force_c_zero)
     coeffs = min_norm_solve(gs.matrix[:kept, :kept], gs.rhs[:kept], rcond)
     n = d.size
@@ -224,9 +257,8 @@ def _fit_lifted(d: Dictionary, ts: TrainingSet, dm: DataMatrices, *, lam: float,
 
 def _residuals(model: QuadraticModel, dm: DataMatrices):
     """(z1, zdot - model(z1)) for each chunk of samples."""
-    for cols in _chunks(dm.sample_count):
-        z = dm.z1[:, cols]
-        yield z, dm.zdot[:, cols] - evaluate_cols(model, z)
+    for _, z, zdot in dm.chunks():
+        yield z, zdot - evaluate_cols(model, z)
 
 
 def loss(model: QuadraticModel, dm: DataMatrices, lam: float = 0.0):

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["default_rcond", "normal_equations", "SymmetricPinvSolver",
-           "min_norm_solve"]
+__all__ = ["default_rcond", "normal_equations", "summed_normal_equations",
+           "SymmetricPinvSolver", "min_norm_solve"]
 
 
 def default_rcond(dim: int) -> float:
@@ -29,6 +29,24 @@ def normal_equations(table, targets, weights=None):
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = table if weights is None else table * weights
         return weighted @ table.T, weighted @ targets.T
+
+
+def summed_normal_equations(chunks, size: int, outputs: int, weights=None):
+    """:func:`normal_equations` summed over chunks of samples.
+
+    ``chunks`` yields ``(samples, table (size, c), targets (outputs, c))``,
+    where ``samples`` indexes the chunk's samples in ``weights`` (one weight
+    per sample of the whole set, or None).  Only one chunk is held at a time,
+    so memory does not grow with the sample count.
+    """
+    matrix, rhs = np.zeros((size, size)), np.zeros((size, outputs))
+    for samples, table, targets in chunks:
+        gram, cross = normal_equations(
+            table, targets, None if weights is None else weights[samples])
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix += gram
+            rhs += cross
+    return matrix, rhs
 
 
 class SymmetricPinvSolver:

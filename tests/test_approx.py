@@ -10,7 +10,9 @@ from qendy.approx import (
 from qendy.dictionary import Dictionary, feature_matrix_and_derivatives
 from qendy.dynamics import VectorField, exact_derivatives, sample_uniform
 from qendy.expr import parse
-from qendy.fitting import assemble_gram, build_data_matrices, quadratic_normal_equations
+from qendy.fitting import (
+    DataMatrices, assemble_gram, build_data_matrices, quadratic_normal_equations,
+)
 from qendy.systems import pendulum, pendulum_dictionary
 
 MONOMIALS = [parse("1"), parse("x1"), parse("x1*x1"), parse("x1*x1*x1")]
@@ -154,8 +156,8 @@ def test_limit_gram_is_the_weighted_fitting_system_on_the_nodes():
     field = pendulum(c=0.1)
     space = BoxQuadrature(((-1.0, 1.0), (-2.0, 2.0)), order=9)
     points, weights = space.nodes_weights()
-    want = quadratic_normal_equations(
-        *feature_matrix_and_derivatives(d, points, field.many(points)), weights)
+    lift = DataMatrices(*feature_matrix_and_derivatives(d, points, field.many(points)))
+    want = quadratic_normal_equations(lift.chunks(), d.size, d.size, weights)
     for got, expected in zip(limit_gram_system(d, field, space), want):
         assert got.tobytes() == expected.tobytes()
 

@@ -8,12 +8,15 @@ from qendy.baselines import (
     gedmd_to_json, koopman_eigenfunctions, sindy_fit, sindy_from_json,
     sindy_rhs, sindy_rhs_many, sindy_to_json,
 )
-from qendy.dictionary import Dictionary, feature_matrix, feature_time_derivatives
+from qendy.dictionary import (
+    Dictionary, feature_matrix, feature_matrix_and_derivatives, feature_time_derivatives,
+)
 from qendy.dynamics import (
-    IntegrationBlowupError, TrainingSet, exact_derivatives, rk4_integrate,
+    IntegrationBlowupError, TrainingSet, VectorField, exact_derivatives, rk4_integrate,
     sample_uniform,
 )
-from qendy.fitting import fit
+from qendy.fitting import _CHUNK, fit
+from qendy.linalg import min_norm_solve, normal_equations
 from qendy.model import extract_rhs_many
 from qendy.systems import (
     pendulum, pendulum_dictionary, quartic_decoupled, quartic_dictionary,
@@ -257,3 +260,53 @@ def test_sindy_rejects_overflowed_gram_matrix():
     ts = TrainingSet(np.array([[0.5], [1e200]]), np.ones((2, 1)))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         sindy_fit(d, ts)
+
+
+# ---------------------------------------------------------------------------
+# streamed normal equations against the whole lift and brute force
+
+
+def _polynomial_case():
+    """A well-conditioned dictionary (Gram condition ~10) over several chunks;
+    two small terms fall under a 0.01 threshold."""
+    d = Dictionary.from_strings(2, ["x1", "x2", "x1*x2", "x1^2", "x2^2"])
+    field = VectorField.from_exprs(2, ["x2 - 0.1*x1*x2 + 0.004*x1^2",
+                                       "-x1 + 0.5*x2^2 - 0.003*x1*x2"])
+    pts = sample_uniform([(-1.0, 1.0)] * 2, 3 * _CHUNK + 7, seed=5)
+    return d, exact_derivatives(field, pts)
+
+
+def _normal_solve(table, targets):
+    return min_norm_solve(*normal_equations(table, targets))
+
+
+def _lstsq_solve(table, targets):
+    return np.linalg.lstsq(table.T, targets.T, rcond=None)[0]
+
+
+def _relative(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.01])
+def test_streamed_sindy_matches_the_whole_lift_and_lstsq(threshold):
+    d, ts = _polynomial_case()
+    phi = feature_matrix(d, ts.states)
+    got = sindy_fit(d, ts, threshold=threshold).xi
+    for solve in (_normal_solve, _lstsq_solve):
+        want = solve(phi, ts.derivatives.T).T
+        if threshold > 0.0:
+            for r in range(want.shape[0]):
+                keep = np.abs(want[r]) >= threshold
+                want[r, ~keep] = 0.0
+                want[r, keep] = solve(phi[keep], ts.derivatives[:, r])
+        assert _relative(got, want) <= 1e-12
+    assert np.count_nonzero(got) == (10 if threshold == 0.0 else 4)
+
+
+def test_streamed_gedmd_matches_the_whole_lift_and_lstsq():
+    d, ts = _polynomial_case()
+    z1, zdot = feature_matrix_and_derivatives(d, ts.states, ts.derivatives)
+    got = gedmd_fit(d, ts).theta
+    for solve in (_normal_solve, _lstsq_solve):
+        assert _relative(got, solve(z1, zdot).T) <= 1e-12

@@ -656,13 +656,14 @@ def test_generate_rejects_a_non_finite_t_end(tmp_path, capsys, t_end):
 
 @pytest.mark.parametrize("method, lifts", [("qendy", 1), ("gedmd", 1), ("sindy", 0)])
 def test_fit_lifts_the_training_set_once(tmp_path, monkeypatch, method, lifts):
-    from qendy import baselines, cli, fitting
+    from qendy import baselines, fitting
     from qendy.dictionary import load_dictionary
-    lift = fitting.build_data_matrices
+    lift, chunked = fitting.build_data_matrices, fitting.lifted_chunks
     calls = []
-    for module in (cli, fitting, baselines):
-        monkeypatch.setattr(module, "build_data_matrices",
-                            lambda *args: calls.append(args) or lift(*args))
+    # Every lift, whole or streamed, goes through fitting.lifted_chunks.
+    for module in (fitting, baselines):
+        monkeypatch.setattr(module, "lifted_chunks",
+                            lambda *args: calls.append(args) or chunked(*args))
     model_path = _fit_method(tmp_path, method)
     assert len(calls) == lifts
     if method != "qendy":

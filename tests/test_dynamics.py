@@ -70,6 +70,23 @@ def test_sample_trajectory_matches_rk4_grid():
     assert abs(traj.states[-1, 0] - math.exp(-2.0)) < 1e-10
 
 
+@pytest.mark.parametrize("substeps", [1, 10])
+def test_sample_trajectory_keeps_only_its_samples(substeps):
+    # A strided view of the fine path would keep all of it alive.
+    field = thomas()
+    sample_trajectory(field, [1.0, -1.0, 0.0], 0.1, 2, substeps)  # compiles the binding
+    tracemalloc.start()
+    try:
+        traj = sample_trajectory(field, [1.0, -1.0, 0.0], 20.0, 2000, substeps)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (2000, 3) and traj.states.flags.owndata
+    want = rk4_integrate(field, [1.0, -1.0, 0.0], 20.0, 20.0 / (1999 * substeps))
+    assert np.array_equal(traj.states, want.states[::substeps])
+    assert held < traj.states.nbytes + traj.times.nbytes + 16 * 1024
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -301,6 +318,34 @@ def test_trajectory_requires_uniform_times():
         Trajectory(times=np.array([0.0, 0.1, 0.3]), states=np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("times", [
+    [0.0, math.nan, 2.0, 3.0], [0.0, math.inf], [math.nan], [0.0, 1.0, math.inf, 3.0],
+    [-math.inf, 0.0, 1.0]])
+def test_trajectory_rejects_non_finite_times(times, tmp_path):
+    states = np.zeros((len(times), 1))
+    with pytest.raises(ValueError, match="trajectory times must be finite"):
+        Trajectory(np.array(times), states)
+    path = tmp_path / "trajectory.csv"
+    dynamics.write_rows(path, "t,x1", np.column_stack([times, states]))
+    with pytest.raises(ValueError, match="trajectory times must be finite"):
+        load_trajectory(path)
+
+
+def test_trajectory_grid_check_works_in_blocks():
+    times = np.arange(200_001) * 0.01
+    states = np.zeros((times.size, 1))
+    tracemalloc.start()
+    try:
+        Trajectory(times, states)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024 < times.nbytes
+    times[150_000] += 1e-3  # in the last block
+    with pytest.raises(ValueError, match="not uniform"):
+        Trajectory(times, states)
+
+
 def test_training_set_shape_check():
     with pytest.raises(ValueError):
         TrainingSet(states=np.zeros((3, 2)), derivatives=np.zeros((4, 2)),
@@ -406,8 +451,7 @@ def test_float_step_blowup_at_step_one_keeps_the_start_state():
 def test_float_steps_allocate_only_the_path():
     # Each float state is written into the preallocated (steps+1, n) array;
     # the path is never held as Python floats.  Besides the states, the
-    # Trajectory holds its time grid, and its uniform-grid check makes three
-    # temporaries of that size.
+    # Trajectory holds its time grid.
     field = thomas()
     rk4_integrate(field, [1.0, -1.0, 0.0], 0.01, 0.01)  # compiles the binding
     tracemalloc.start()

@@ -7,18 +7,25 @@ import warnings
 import numpy as np
 import pytest
 
+from qendy.approx import (
+    BoxQuadrature, DiscreteInnerProduct, convergence_study, limit_gram_system,
+)
+from qendy.baselines import gedmd_fit
 from qendy.dictionary import (
     Dictionary, augment, feature_matrix, feature_matrix_and_derivatives,
     feature_time_derivatives,
 )
 from qendy.dynamics import TrainingSet, VectorField, exact_derivatives, sample_uniform
 from qendy.fitting import (
-    _CHUNK, assemble_gram, build_data_matrices, fit, gradient_norms, loss,
-    quadratic_normal_equations, quadratic_table, solve_row, stationarity_gap,
+    _CHUNK, DataMatrices, _table_rows, assemble_gram, build_data_matrices, fit,
+    gradient_norms, loss, quadratic_normal_equations, quadratic_table, solve_row,
+    stationarity_gap,
 )
 from qendy.linalg import min_norm_solve, normal_equations
 from qendy.model import extract_rhs_many
-from qendy.systems import pendulum, pendulum_dictionary, thomas, thomas_extended_dictionary
+from qendy.systems import (
+    pendulum, pendulum_dictionary, thomas, thomas_dictionary, thomas_extended_dictionary,
+)
 
 PENDULUM_B_ROW2 = np.array([0.0, -0.1, -1.0, 0.0])
 
@@ -368,7 +375,8 @@ def test_quadratic_normal_equations_match_the_table(m, weighted):
     z = rng.normal(size=(5, m))
     targets = rng.normal(size=(5, m))
     weights = rng.uniform(0.1, 2.0, m) if weighted else None
-    matrix, rhs = quadratic_normal_equations(z, targets, weights)
+    matrix, rhs = quadratic_normal_equations(DataMatrices(z, targets).chunks(), 5, 5,
+                                             weights)
     want_matrix, want_rhs = normal_equations(quadratic_table(z), targets, weights)
     assert matrix.shape == want_matrix.shape and rhs.shape == want_rhs.shape
     assert np.abs(matrix - want_matrix).max() <= 1e-13 * np.abs(want_matrix).max()
@@ -381,7 +389,8 @@ def test_quadratic_normal_equations_overflow_reaches_the_solver_unwarned():
     z = np.array([[0.5, 1e200]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        matrix, _ = quadratic_normal_equations(z, np.ones((1, 2)))
+        matrix, _ = quadratic_normal_equations(
+            DataMatrices(z, np.ones((1, 2))).chunks(), 1, 1)
         with pytest.raises(ValueError, match="non-finite.*rescale"):
             min_norm_solve(matrix, np.ones(matrix.shape[0]))
 
@@ -431,3 +440,104 @@ def test_loss_sums_over_chunks_like_the_whole_residual():
         want = _expanded_gradient_norms(off, dm, 0.1)
         for g, w in zip(gradient_norms(off, dm, 0.1), want):
             assert abs(g - w) <= 1e-12 * w
+
+
+# ---------------------------------------------------------------------------
+# the streamed pass against the whole lift
+
+STREAM_SIZES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
+
+
+def _whole_lift_normal_equations(d, points, derivatives, weights=None):
+    """Reference: the Gram system as it was summed before the lift streamed.
+    One lift of every sample, then the unique-product table over column
+    slices of it, ``_CHUNK`` samples at a time."""
+    z, targets = feature_matrix_and_derivatives(d, points, derivatives)
+    n, m = z.shape
+    unique = n * (n + 1) // 2
+    size = unique + n + 1
+    matrix = np.zeros((size, size))
+    rhs = np.zeros((size, targets.shape[0]))
+    buffer = np.empty((size, min(m, _CHUNK)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, _CHUNK):
+            cols = slice(start, min(start + _CHUNK, m))
+            zc = z[:, cols]
+            chunk = buffer[:, :zc.shape[1]]
+            row = 0
+            for i in range(n):
+                np.multiply(zc[i], zc[i:], out=chunk[row:row + n - i])
+                row += n - i
+            chunk[unique:-1] = zc
+            chunk[-1] = 1.0
+            gram, cross = normal_equations(chunk, targets[:, cols],
+                                           None if weights is None else weights[cols])
+            matrix += gram
+            rhs += cross
+    rows = _table_rows(n)
+    return matrix[np.ix_(rows, rows)], rhs[rows]
+
+
+@pytest.mark.parametrize("m", STREAM_SIZES)
+def test_streamed_fit_is_bit_equal_to_the_whole_lift(m):
+    d = thomas_dictionary()
+    n = d.size
+    ts = exact_derivatives(thomas(0.25, 0.15),
+                           sample_uniform([(-2.0, 2.0)] * 3, m, seed=m))
+    for lam, force_c_zero in [(0.0, False), (0.1, True)]:
+        model = fit(d, ts, lam=lam, force_c_zero=force_c_zero)
+        matrix, rhs = _whole_lift_normal_equations(d, ts.states, ts.derivatives)
+        matrix[np.arange(n * n), np.arange(n * n)] += lam
+        kept = matrix.shape[0] - int(force_c_zero)
+        coeffs = min_norm_solve(matrix[:kept, :kept], rhs[:kept])
+        c = np.zeros(n) if force_c_zero else coeffs[-1]
+        assert model.a.tobytes() == coeffs[:n * n].T.tobytes()
+        assert model.b.tobytes() == coeffs[n * n:n * n + n].T.tobytes()
+        assert model.c.tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("m", STREAM_SIZES)
+def test_streamed_limit_is_bit_equal_to_the_whole_lift(m):
+    d, field = thomas_dictionary(), thomas(0.25, 0.15)
+    points = sample_uniform([(-2.0, 2.0)] * 3, m, seed=m)
+    weights = np.random.default_rng(m).uniform(0.1, 2.0, m)
+    got = limit_gram_system(d, field, DiscreteInnerProduct(points, weights))
+    want = _whole_lift_normal_equations(d, points, field.many(points), weights)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_streamed_study_errors_are_bit_equal_to_the_whole_lift():
+    d, field, box = pendulum_dictionary(), pendulum(c=0.1), [(-1.0, 1.0)] * 2
+    study = convergence_study(d, field, box, STREAM_SIZES, runs=2, seed=3, order=6)
+    nodes, weights = BoxQuadrature(box, 6).nodes_weights()
+    rstar, sstar = _whole_lift_normal_equations(d, nodes, field.many(nodes), weights)
+    for i, m in enumerate(STREAM_SIZES):
+        for j in range(2):
+            seed = np.random.SeedSequence(entropy=3, spawn_key=(i, j))
+            points = sample_uniform(box, m, seed)
+            matrix, rhs = _whole_lift_normal_equations(d, points, field.many(points))
+            assert study.e_r[i, j] == float(np.abs(matrix / m - rstar).mean())
+            e_s = np.abs(rhs / m - sstar).mean(axis=0)
+            assert study.e_s[i, j].tobytes() == e_s.tobytes()
+
+
+@pytest.mark.parametrize("lift", [build_data_matrices, fit, gedmd_fit])
+def test_non_finite_lift_is_named_by_its_index_in_the_training_set(lift):
+    d = Dictionary.from_strings(1, ["x1", "exp(x1^3)"])
+    states = np.full((3 * _CHUNK, 1), 0.5)
+    bad = 2 * _CHUNK + 5  # in the third chunk
+    states[bad] = 10.0
+    ts = TrainingSet(states, np.ones_like(states))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=rf"basis entry 1 .* lifted value .*at sample {bad}$"):
+        lift(d, ts)
+
+
+def test_fit_memory_does_not_grow_with_the_sample_count():
+    d, field = thomas_extended_dictionary(), thomas(0.25, 0.15)
+    peaks = []
+    for m in (20_000, 200_000):
+        ts = exact_derivatives(field, sample_uniform([(-5.0, 5.0)] * 3, m, seed=1))
+        peaks.append(_peak_bytes(lambda: fit(d, ts)))
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
