@@ -2,14 +2,12 @@
 
 Learns models of the form dz = A (z kron z) + B z + C for a lifted state
 z = phi(x), recovers the governing equations through x = G z, and ships
-SINDy and gEDMD baselines, best-approximation analysis of the data-rich
-limit, and a PCA pipeline for high-dimensional snapshot data.
+SINDy and gEDMD baselines, the data-rich limit of the fitting system with a
+Monte Carlo study of convergence to it, and a PCA pipeline for
+high-dimensional snapshot data.
 """
 
-from .approx import (
-    BoxQuadrature, DiscreteInnerProduct, best_approximation, convergence_study,
-    gram_system, limit_gram_system,
-)
+from .approx import BoxQuadrature, convergence_study, limit_gram_system
 from .baselines import (
     GedmdModel, SindyModel, gedmd_fit, koopman_eigenfunctions, sindy_fit,
 )

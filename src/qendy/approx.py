@@ -1,9 +1,9 @@
-"""Best approximation in weighted inner-product spaces, and the data-rich
-limit of the fitting problem.
+"""The data-rich limit of the fitting problem, and the Monte Carlo study of
+the empirical Gram system's convergence to it.
 
-Discrete point sets and continuous boxes are both reduced to (nodes, weights)
-pairs, which share the weighted regression core of :mod:`qendy.linalg`.
-Continuous inner products use tensor-product Gauss-Legendre quadrature; with
+A measure is anything with ``nodes_weights()`` returning (nodes (M, n),
+weights (M,)), such as :class:`BoxQuadrature`: the uniform measure on a box,
+integrated by tensor-product Gauss-Legendre quadrature; with
 ``normalized=True`` the uniform measure is scaled to a probability measure,
 which is the convention under which the empirical Gram matrix divided by the
 sample count converges to its limit at the Monte Carlo rate.  The limit and
@@ -20,41 +20,11 @@ import numpy as np
 
 from .dictionary import Dictionary
 from .dynamics import VectorField, exact_derivatives, sample_uniform, write_rows
-from .expr import Expr, evaluate_many
 from .fitting import lifted_chunks, quadratic_normal_equations
-from .linalg import min_norm_solve, normal_equations
 
 __all__ = [
-    "DiscreteInnerProduct", "BoxQuadrature",
-    "gram_system", "best_approximation", "approximation_error",
-    "limit_gram_system", "ConvergenceStudy", "convergence_study",
+    "BoxQuadrature", "limit_gram_system", "ConvergenceStudy", "convergence_study",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteInnerProduct:
-    """<f, g> = sum_k weights[k] f(points[k]) g(points[k])."""
-
-    points: np.ndarray
-    weights: np.ndarray = None
-
-    def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
-        if points.ndim != 2:
-            raise ValueError(f"points must be (m,) or (m, n), got {points.shape}")
-        weights = self.weights
-        weights = (np.ones(points.shape[0]) if weights is None
-                   else np.asarray(weights, dtype=float))
-        if weights.shape != (points.shape[0],):
-            raise ValueError(
-                f"weights shape {weights.shape} does not match {points.shape[0]} points")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
-
-    def nodes_weights(self):
-        return self.points, self.weights
 
 
 @dataclass(frozen=True)
@@ -93,49 +63,6 @@ class BoxQuadrature:
             volume = float(np.prod([hi - lo for lo, hi in self.box]))
             weights = weights / volume
         return points, weights
-
-
-def _values_on(f, points) -> np.ndarray:
-    """Values of an expression tree, a callable on point batches, or an array
-    of samples (one per point) on ``points``."""
-    if isinstance(f, Expr):
-        return evaluate_many(f, points)
-    values = np.asarray(f if isinstance(f, np.ndarray) else f(points), dtype=float)
-    if values.shape != (points.shape[0],):
-        raise ValueError(
-            f"target values of shape {values.shape} do not match "
-            f"{points.shape[0]} points")
-    return values
-
-
-def _sampled(basis, target, space):
-    """(basis table (K, M), target values (M,), weights (M,)) on the nodes."""
-    points, weights = space.nodes_weights()
-    table = np.stack([_values_on(f, points) for f in basis])
-    return table, _values_on(target, points), weights
-
-
-def gram_system(basis, target, space):
-    """Normal equations of best approximation: (matrix (K, K), rhs (K,)).
-
-    ``basis`` entries and ``target`` may be expression trees or callables on
-    point batches; for a discrete space the target may also be a plain array
-    of samples, one per point.
-    """
-    table, target_values, weights = _sampled(basis, target, space)
-    return normal_equations(table, target_values, weights)
-
-
-def best_approximation(basis, target, space, rcond=None) -> np.ndarray:
-    """Minimum-norm coefficients of the best approximation of target."""
-    return min_norm_solve(*gram_system(basis, target, space), rcond)
-
-
-def approximation_error(basis, coefficients, target, space) -> float:
-    """Weighted squared error <f - sum c_i phi_i, f - sum c_i phi_i>."""
-    table, target_values, weights = _sampled(basis, target, space)
-    residual = target_values - np.asarray(coefficients, dtype=float) @ table
-    return float(np.sum(weights * residual ** 2))
 
 
 def limit_gram_system(d: Dictionary, field: VectorField, space):

@@ -28,7 +28,7 @@ from .linalg import min_norm_solve, summed_normal_equations
 __all__ = [
     "SindyModel", "GedmdModel", "GeneratorEigenfunction",
     "sindy_fit", "sindy_rhs", "sindy_rhs_many",
-    "gedmd_fit", "gedmd_rhs_many", "koopman_eigenfunctions",
+    "gedmd_fit", "koopman_eigenfunctions",
     "sindy_to_json", "sindy_from_json", "gedmd_to_json", "gedmd_from_json",
 ]
 
@@ -99,20 +99,8 @@ class GedmdModel:
 def gedmd_fit(d: Dictionary, ts: TrainingSet, rcond=None) -> GedmdModel:
     """Minimum-norm regression of the lifted derivatives on phi (the training
     lift of :func:`qendy.fitting.lifted_chunks`, a chunk at a time)."""
-    return _gedmd_lifted(d, lifted_chunks(d, ts), rcond)
-
-
-def _gedmd_lifted(d: Dictionary, chunks, rcond) -> GedmdModel:
-    """:func:`gedmd_fit` on ``chunks`` of the lift of a training set through
-    ``d``, as :func:`qendy.fitting.lifted_chunks` yields them."""
-    gram, cross = summed_normal_equations(chunks, d.size, d.size)
+    gram, cross = summed_normal_equations(lifted_chunks(d, ts), d.size, d.size)
     return GedmdModel(min_norm_solve(gram, cross, rcond).T, d)
-
-
-def gedmd_rhs_many(model: GedmdModel, g, points) -> np.ndarray:
-    """State-space right-hand side G theta phi(x) at each row of ``points``."""
-    g = np.asarray(g, dtype=float)
-    return (g @ model.theta @ feature_matrix(model.dictionary, points)).T
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ from .dynamics import (
     load_training, rk4_integrate, sample_trajectory, sample_uniform,
     save_training, save_trajectory, write_rows,
 )
-from .fitting import _fit_lifted, build_data_matrices, loss
+from .fitting import fit, lifted_chunks, loss
 from .model import (
     hurwitz_margin, model_from_json, save_model, simulate, sparsity_report,
 )
@@ -120,18 +120,18 @@ def _load_model_file(path):
     raise _CliError(f"model file has none of the keys {', '.join(_KINDS)}")
 
 
-def _loss_fields(kind, model, ts, dm=None):
-    """Training loss of a fitted model, as summary fields; ``dm`` is the lift
-    of ``ts`` if the caller has it."""
+def _loss_fields(kind, model, ts):
+    """Training loss of a fitted model, as summary fields; qendy and gEDMD sum
+    theirs over the lift of ``ts``, a chunk at a time."""
     if kind == "sindy":
         residual = ts.derivatives - baselines.sindy_rhs_many(model, ts.states)
         return {"loss": float(np.sum(residual ** 2))}
-    if dm is None:
-        dm = build_data_matrices(model.dictionary, ts)
+    chunks = lifted_chunks(model.dictionary, ts)
     if kind == "qendy":
-        residual, regularized = loss(model, dm, model.metadata["lambda"])
+        residual, regularized = loss(model, chunks, model.metadata["lambda"])
         return {"loss": residual, "regularized_loss": regularized}
-    return {"loss": float(np.sum((dm.zdot - model.theta @ dm.z1) ** 2))}
+    return {"loss": sum((float(np.sum((zdot - model.theta @ z) ** 2))
+                         for _, z, zdot in chunks), 0.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +180,19 @@ def cmd_fit(cfg):
     method = cfg["method"]
     if method not in ("qendy", "sindy", "gedmd"):
         raise _CliError(f"unknown fit method {method!r}")
-    # qendy and gEDMD fit the lifted training set; the loss reuses the lift.
-    dm = None if method == "sindy" else build_data_matrices(d, ts)
     if method == "qendy":
-        model = _fit_lifted(d, ts, dm.chunks(), lam=float(cfg["lambda"]),
-                            force_c_zero=bool(cfg["force_c_zero"]),
-                            rcond=cfg.get("rcond"), g=g_override)
+        model = fit(d, ts, lam=float(cfg["lambda"]),
+                    force_c_zero=bool(cfg["force_c_zero"]),
+                    rcond=cfg.get("rcond"), g=g_override)
         save_model(model, model_path)
     elif method == "sindy":
         model = baselines.sindy_fit(d, ts, threshold=float(cfg["threshold"]),
                                     rcond=cfg.get("rcond"))
         write_json(model_path, baselines.sindy_to_json(model))
     else:
-        model = baselines._gedmd_lifted(d, dm.chunks(), rcond=cfg.get("rcond"))
+        model = baselines.gedmd_fit(d, ts, rcond=cfg.get("rcond"))
         write_json(model_path, baselines.gedmd_to_json(model))
-    summary = {"method": method, "m": int(ts.m), **_loss_fields(method, model, ts, dm)}
+    summary = {"method": method, "m": int(ts.m), **_loss_fields(method, model, ts)}
     summary_path = os.path.join(out, "fit_summary.json")
     write_json(summary_path, summary)
     print(model_path)

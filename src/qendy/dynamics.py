@@ -272,6 +272,8 @@ def sample_trajectory(f, x0, t_end: float, num_samples: int,
 
 def sample_uniform(box, num_samples: int, seed=0) -> np.ndarray:
     """(m, n) points drawn uniformly from an axis-aligned box [(lo, hi), ...]."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     lo = np.array([b[0] for b in box], dtype=float)
     hi = np.array([b[1] for b in box], dtype=float)
     if np.any(hi <= lo):

@@ -38,7 +38,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Sin", "Cos", "Exp", "Inv",
     "EvaluationDomainError", "ExpressionSyntaxError", "Program",
-    "evaluate", "evaluate_many", "gradient", "variables",
+    "evaluate", "gradient", "variables",
     "parse", "render",
 ]
 
@@ -486,11 +486,6 @@ class Program:
 def evaluate(e: Expr, x) -> float:
     """Evaluate ``e`` at a single point ``x`` of shape (n,)."""
     return float(Program((e,)).point(x)[0])
-
-
-def evaluate_many(e: Expr, x) -> np.ndarray:
-    """Evaluate ``e`` at each row of ``x`` (m, n); returns shape (m,)."""
-    return Program((e,)).values(x)[0]
 
 
 def gradient(e: Expr, x) -> np.ndarray:

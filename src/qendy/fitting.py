@@ -36,7 +36,7 @@ from .linalg import min_norm_solve, summed_normal_equations
 from .model import QuadraticModel, evaluate_cols, kron_squared_cols
 
 __all__ = [
-    "DataMatrices", "GramSystem", "quadratic_table", "lifted_chunks",
+    "DataMatrices", "GramSystem", "lifted_chunks",
     "build_data_matrices", "assemble_gram", "solve_row", "fit",
     "loss", "gradient_norms", "stationarity_gap",
 ]
@@ -47,14 +47,6 @@ def check_state_dim(d: Dictionary, ts: TrainingSet):
     if ts.n != d.state_dim:
         raise ValueError(
             f"training data has dimension {ts.n}, dictionary expects {d.state_dim}")
-
-
-def quadratic_table(z) -> np.ndarray:
-    """The regression table [z kron z; z; 1], (N^2 + N + 1, m), of columns z (N, m).
-
-    A reference for tests; neither the fit nor the audit builds it.
-    """
-    return np.vstack([kron_squared_cols(z), z, np.ones((1, z.shape[1]))])
 
 
 # Sample columns per step of the chunked accumulations; for thomas15 the
@@ -78,13 +70,13 @@ def _table_rows(n: int) -> np.ndarray:
 
 
 def quadratic_normal_equations(chunks, n: int, outputs: int, weights=None):
-    """``normal_equations(quadratic_table(z), targets, weights)`` without the table.
+    """``normal_equations([z kron z; z; 1], targets, weights)`` without that table.
 
     ``chunks`` yields ``(samples, z (n, c), targets (outputs, c))`` as
     :func:`lifted_chunks` does; ``weights`` has one entry per sample of the
     whole set, or is None.  Each chunk's table holds the unique products
     z_i z_j (i <= j), then z, then 1; the sums are expanded to the
-    (N^2 + N + 1) layout of :func:`quadratic_table` by one index gather.
+    (N^2 + N + 1) layout of [z kron z; z; 1] by one index gather.
     """
     unique = n * (n + 1) // 2
     size = unique + n + 1
@@ -231,15 +223,7 @@ def fit(d: Dictionary, ts: TrainingSet, *, lam: float = 0.0,
     default the coordinates must appear in the dictionary.  ``rcond``
     overrides the pseudoinverse cutoff.
     """
-    return _fit_lifted(d, ts, lifted_chunks(d, ts), lam=lam,
-                       force_c_zero=force_c_zero, rcond=rcond, g=g)
-
-
-def _fit_lifted(d: Dictionary, ts: TrainingSet, chunks, *, lam: float,
-                force_c_zero: bool, rcond, g) -> QuadraticModel:
-    """:func:`fit` on ``chunks`` of the lift of ``ts`` through ``d``, as
-    :func:`lifted_chunks` or :meth:`DataMatrices.chunks` yields them."""
-    gs = _gram_system(chunks, d.size, ts.m, lam)
+    gs = _gram_system(lifted_chunks(d, ts), d.size, ts.m, lam)
     kept = gs.matrix.shape[0] - int(force_c_zero)
     coeffs = min_norm_solve(gs.matrix[:kept, :kept], gs.rhs[:kept], rcond)
     n = d.size
@@ -255,15 +239,19 @@ def _fit_lifted(d: Dictionary, ts: TrainingSet, chunks, *, lam: float,
     return QuadraticModel(a, b, c, full_state_matrix(d, g), d, metadata)
 
 
-def _residuals(model: QuadraticModel, dm: DataMatrices):
-    """(z1, zdot - model(z1)) for each chunk of samples."""
-    for _, z, zdot in dm.chunks():
+def _residuals(model: QuadraticModel, chunks):
+    """(z1, zdot - model(z1)) for each chunk ``(samples, z1, zdot)``."""
+    for _, z, zdot in chunks:
         yield z, zdot - evaluate_cols(model, z)
 
 
-def loss(model: QuadraticModel, dm: DataMatrices, lam: float = 0.0):
-    """(residual, residual + lam * ||A||_F^2) for a model on lifted data."""
-    residual = sum((float(np.sum(r ** 2)) for _, r in _residuals(model, dm)), 0.0)
+def loss(model: QuadraticModel, chunks, lam: float = 0.0):
+    """(residual, residual + lam * ||A||_F^2) for a model on lifted data.
+
+    ``chunks`` yields ``(samples, z1, zdot)`` as :func:`lifted_chunks` and
+    :meth:`DataMatrices.chunks` do, so the sum streams like the fit.
+    """
+    residual = sum((float(np.sum(r ** 2)) for _, r in _residuals(model, chunks)), 0.0)
     return residual, residual + float(lam) * float(np.sum(model.a ** 2))
 
 
@@ -280,7 +268,7 @@ def gradient_norms(model: QuadraticModel, dm: DataMatrices, lam: float = 0.0):
     """
     n = dm.basis_size
     r_z2, r_z1, r_1 = np.zeros((n, n * n)), np.zeros((n, n)), np.zeros(n)
-    for z, r in _residuals(model, dm):
+    for z, r in _residuals(model, dm.chunks()):
         r_z2 += r @ kron_squared_cols(z).T
         r_z1 += r @ z.T
         r_1 += r.sum(axis=1)

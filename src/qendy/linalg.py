@@ -53,7 +53,9 @@ class SymmetricPinvSolver:
     """Eigendecomposition-backed pseudoinverse of a symmetric PSD matrix.
 
     A matrix with a non-finite entry (an overflow while assembling it) is
-    rejected with a ValueError instead of reaching the eigensolver.
+    rejected with a ValueError instead of reaching the eigensolver.  So is an
+    ``rcond`` outside [0, 1): nan or >= 1 would keep no eigenvalue, a negative
+    one every eigenvalue, numerical zeros included.
     """
 
     def __init__(self, matrix, rcond=None):
@@ -67,6 +69,9 @@ class SymmetricPinvSolver:
         if rcond is None:
             rcond = default_rcond(matrix.shape[0])
         self.rcond = float(rcond)
+        if not 0.0 <= self.rcond < 1.0:
+            raise ValueError(
+                f"rcond must be a finite number in [0, 1), got {self.rcond!r}")
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(matrix)
         scale = np.abs(self.eigenvalues).max() if self.eigenvalues.size else 0.0
         self.kept = np.abs(self.eigenvalues) > self.rcond * scale

@@ -16,7 +16,7 @@ from .dictionary import (
     Dictionary, dictionary_from_json, dictionary_to_json, feature_map,
     feature_matrix, write_json,
 )
-from .dynamics import IntegrationBlowupError, Trajectory, _step_count, rk4_step
+from .dynamics import IntegrationBlowupError, _step_count, rk4_step
 
 __all__ = [
     "kron_squared", "kron_squared_cols", "QuadraticModel", "EmbeddedTrajectory",
@@ -105,10 +105,6 @@ class EmbeddedTrajectory:
     times: np.ndarray
     z_states: np.ndarray
     x_states: np.ndarray
-
-    @property
-    def x_trajectory(self) -> Trajectory:
-        return Trajectory(self.times, self.x_states)
 
 
 def simulate(model: QuadraticModel, x0, t_end: float, dt: float,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 
 from qendy.cli import main
 from qendy.dictionary import Dictionary
-from qendy.dynamics import load_training
+from qendy.dynamics import exact_derivatives, load_training, sample_uniform
 from qendy.model import QuadraticModel, save_model
+from qendy.systems import thomas
 
 
 def _read_json(path):
@@ -654,23 +656,81 @@ def test_generate_rejects_a_non_finite_t_end(tmp_path, capsys, t_end):
     assert not (tmp_path / "training.csv").exists()
 
 
+def test_generate_rejects_zero_samples(tmp_path, capsys):
+    rc = main(["generate", "--system", "pendulum", "--m", "0", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "qendy: error in generate: num_samples must be >= 1, got 0\n")
+    assert not (tmp_path / "training.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["qendy", "sindy", "gedmd"])
+@pytest.mark.parametrize("config, shown", [
+    ('{"rcond": "nan"}', "nan"), ('{"rcond": 1e400}', "inf"),
+    ('{"rcond": 1.0}', "1.0"), ('{"rcond": -1e-12}', "-1e-12"),
+], ids=["nan", "overflows", "one", "negative"])
+def test_fit_rejects_an_rcond_outside_the_unit_interval(tmp_path, capsys, method,
+                                                        config, shown):
+    # Such an rcond kept no eigenvalue (an all-zero model) or every one.
+    _generate(tmp_path)
+    (tmp_path / "config.json").write_text(config)
+    capsys.readouterr()
+    rc = main(["fit", "--method", method, "--config", str(tmp_path / "config.json"),
+               "--training", str(tmp_path / "training.csv"),
+               "--dictionary", str(tmp_path / "dictionary.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"qendy: error in fit: rcond must be a finite number in [0, 1), got {shown}\n")
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 @pytest.mark.parametrize("method, lifts", [("qendy", 1), ("gedmd", 1), ("sindy", 0)])
 def test_fit_lifts_the_training_set_once(tmp_path, monkeypatch, method, lifts):
-    from qendy import baselines, fitting
+    from qendy import baselines, cli, fitting
     from qendy.dictionary import load_dictionary
-    lift, chunked = fitting.build_data_matrices, fitting.lifted_chunks
+    chunked = fitting.lifted_chunks
     calls = []
-    # Every lift, whole or streamed, goes through fitting.lifted_chunks.
-    for module in (fitting, baselines):
+    # Every lift goes through fitting.lifted_chunks.  qendy and gEDMD stream
+    # the training set through it once for the fit and once more for the
+    # loss; nothing holds a whole lift.
+    for module in (fitting, baselines, cli):
         monkeypatch.setattr(module, "lifted_chunks",
                             lambda *args: calls.append(args) or chunked(*args))
+
+    def whole_lift(*args):
+        raise AssertionError("build_data_matrices called")
+
+    monkeypatch.setattr(fitting, "build_data_matrices", whole_lift)
     model_path = _fit_method(tmp_path, method)
-    assert len(calls) == lifts
+    assert len(calls) == 2 * lifts
     if method != "qendy":
         return
     # The summary's loss is that of a fit and a loss on separate lifts.
     d, _ = load_dictionary(tmp_path / "dictionary.json")
     ts = load_training(tmp_path / "training.csv")
-    residual, regularized = fitting.loss(fitting.fit(d, ts), lift(d, ts), 0.0)
+    residual, regularized = fitting.loss(fitting.fit(d, ts), chunked(d, ts), 0.0)
     summary = _read_json(model_path.parent / "fit_summary.json")
     assert (summary["loss"], summary["regularized_loss"]) == (residual, regularized)
+
+
+@pytest.mark.parametrize("method", ["qendy", "gedmd"])
+def test_fit_peak_memory_does_not_grow_with_the_sample_count(tmp_path, monkeypatch,
+                                                             method):
+    # The training set is built before tracing starts, so the CSV reader and
+    # the data itself are not measured: only the fit and its loss are.
+    from qendy import cli
+    peaks = []
+    for m in (20_000, 200_000):
+        ts = exact_derivatives(thomas(0.25, 0.15),
+                               sample_uniform([(-5.0, 5.0)] * 3, m, seed=1))
+        monkeypatch.setattr(cli, "load_training", lambda path: ts)
+        tracemalloc.start()
+        try:
+            rc = main(["fit", "--method", method, "--training", "prebuilt",
+                       "--dictionary", "thomas15", "--out", str(tmp_path / str(m))])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+    assert peaks[1] <= 1.1 * peaks[0], peaks

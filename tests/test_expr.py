@@ -16,7 +16,7 @@ from qendy.dictionary import (
 )
 from qendy.expr import (
     Add, Const, Cos, EvaluationDomainError, Exp, ExpressionSyntaxError, Inv,
-    Mul, Pow, Program, Sin, Var, evaluate, evaluate_many, gradient, parse,
+    Mul, Pow, Program, Sin, Var, evaluate, gradient, parse,
     render, variables,
 )
 from qendy.systems import make_dictionary, make_system
@@ -55,7 +55,7 @@ def test_eval_pow_negative_exponent():
 def test_evaluate_many_matches_scalar_loop():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.5, 2.0, size=(40, 1))
-    batch = evaluate_many(RATIONAL, pts)
+    batch = Program((RATIONAL,)).values(pts)[0]
     for k in range(pts.shape[0]):
         assert abs(batch[k] - evaluate(RATIONAL, pts[k])) < 1e-15
 
@@ -314,7 +314,7 @@ def test_lift_is_bit_equal_to_oracle(name):
     expected = np.stack([_oracle_values(e, points) for e in d.basis])
     assert feature_matrix(d, points).tobytes() == expected.tobytes()
     for e, row in zip(d.basis, expected):
-        assert evaluate_many(e, points).tobytes() == row.tobytes()
+        assert Program((e,)).values(points)[0].tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("name", BUILTIN_DICTIONARIES)
@@ -380,7 +380,7 @@ def test_domain_error_names_offending_subtree():
 
 def test_evaluate_many_of_variable_is_a_copy():
     points = np.arange(6.0).reshape(3, 2)
-    out = evaluate_many(Var(1), points)
+    out = Program((Var(1),)).values(points)[0]
     assert not np.shares_memory(out, points)
     out[0] = -1.0
     assert points[0, 1] == 1.0

@@ -3,13 +3,12 @@
 import dataclasses
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qendy.approx import (
-    BoxQuadrature, DiscreteInnerProduct, convergence_study, limit_gram_system,
-)
+from qendy.approx import BoxQuadrature, convergence_study, limit_gram_system
 from qendy.baselines import gedmd_fit
 from qendy.dictionary import (
     Dictionary, augment, feature_matrix, feature_matrix_and_derivatives,
@@ -18,11 +17,11 @@ from qendy.dictionary import (
 from qendy.dynamics import TrainingSet, VectorField, exact_derivatives, sample_uniform
 from qendy.fitting import (
     _CHUNK, DataMatrices, _table_rows, assemble_gram, build_data_matrices, fit,
-    gradient_norms, loss, quadratic_normal_equations, quadratic_table, solve_row,
+    gradient_norms, lifted_chunks, loss, quadratic_normal_equations, solve_row,
     stationarity_gap,
 )
 from qendy.linalg import min_norm_solve, normal_equations
-from qendy.model import extract_rhs_many
+from qendy.model import extract_rhs_many, kron_squared_cols
 from qendy.systems import (
     pendulum, pendulum_dictionary, thomas, thomas_dictionary, thomas_extended_dictionary,
 )
@@ -236,7 +235,7 @@ def test_fit_loss_is_tiny_for_representable_system():
     ts = _pendulum_training(m=100)
     model = fit(pendulum_dictionary(), ts)
     dm = build_data_matrices(pendulum_dictionary(), ts)
-    residual, regularized = loss(model, dm)
+    residual, regularized = loss(model, dm.chunks())
     assert residual < 1e-12 * np.sum(dm.zdot ** 2)
     assert regularized == residual
 
@@ -247,7 +246,7 @@ def test_loss_zero_model_equals_zdot_norm():
     model = fit(pendulum_dictionary(), ts)
     zero = dataclasses.replace(model, a=np.zeros_like(model.a),
                                b=np.zeros_like(model.b), c=np.zeros_like(model.c))
-    residual, _ = loss(zero, dm)
+    residual, _ = loss(zero, dm.chunks())
     assert abs(residual - np.sum(dm.zdot ** 2)) < 1e-9
 
 
@@ -257,7 +256,7 @@ def test_fitted_model_is_local_minimum():
     d = pendulum_dictionary()
     model = fit(d, ts)
     dm = build_data_matrices(d, ts)
-    base, _ = loss(model, dm)
+    base, _ = loss(model, dm.chunks())
     rng = np.random.default_rng(21)
     for _ in range(25):
         i = rng.integers(0, model.a.shape[0])
@@ -265,7 +264,7 @@ def test_fitted_model_is_local_minimum():
         for delta in (1e-3, -1e-3):
             a = model.a.copy()
             a[i, j] += delta
-            bumped, _ = loss(dataclasses.replace(model, a=a), dm)
+            bumped, _ = loss(dataclasses.replace(model, a=a), dm.chunks())
             assert bumped >= base - 1e-15
 
 
@@ -352,8 +351,7 @@ def test_data_matrices_hold_only_the_lift(wide):
     dm = build_data_matrices(d, ts)
     z1, zdot = feature_matrix_and_derivatives(d, ts.states, ts.derivatives)
     assert np.array_equal(dm.z1, z1) and np.array_equal(dm.zdot, zdot)
-    stacked = np.vstack([dm.z2, z1, np.ones((1, 30))])
-    assert np.array_equal(quadratic_table(z1), stacked)
+    assert np.array_equal(dm.z2, kron_squared_cols(z1))
     # The Gram system streams over sample chunks: no (D, m) table is built.
     d, ts, dm = wide
     peak = _peak_bytes(lambda: assemble_gram(build_data_matrices(d, ts)))
@@ -377,7 +375,8 @@ def test_quadratic_normal_equations_match_the_table(m, weighted):
     weights = rng.uniform(0.1, 2.0, m) if weighted else None
     matrix, rhs = quadratic_normal_equations(DataMatrices(z, targets).chunks(), 5, 5,
                                              weights)
-    want_matrix, want_rhs = normal_equations(quadratic_table(z), targets, weights)
+    table = np.vstack([kron_squared_cols(z), z, np.ones((1, m))])  # [z kron z; z; 1]
+    want_matrix, want_rhs = normal_equations(table, targets, weights)
     assert matrix.shape == want_matrix.shape and rhs.shape == want_rhs.shape
     assert np.abs(matrix - want_matrix).max() <= 1e-13 * np.abs(want_matrix).max()
     assert np.abs(rhs - want_rhs).max() <= 1e-13 * np.abs(want_rhs).max()
@@ -432,9 +431,11 @@ def test_loss_sums_over_chunks_like_the_whole_residual():
     model = fit(d, _pendulum_training(m=60), lam=0.1)
     off = dataclasses.replace(model, b=model.b + 0.05)
     for m in [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 7]:
-        dm = build_data_matrices(d, _pendulum_training(m=m, seed=m))
+        ts = _pendulum_training(m=m, seed=m)
+        dm = build_data_matrices(d, ts)
         residual = np.sum((dm.zdot - off.a @ dm.z2 - off.b @ dm.z1 - off.c[:, None]) ** 2)
-        got, regularized = loss(off, dm, 0.1)
+        got, regularized = loss(off, dm.chunks(), 0.1)
+        assert loss(off, lifted_chunks(d, ts), 0.1) == (got, regularized)
         assert abs(got - residual) <= 1e-12 * residual
         assert regularized == got + 0.1 * float(np.sum(off.a ** 2))
         want = _expanded_gradient_norms(off, dm, 0.1)
@@ -501,7 +502,7 @@ def test_streamed_limit_is_bit_equal_to_the_whole_lift(m):
     d, field = thomas_dictionary(), thomas(0.25, 0.15)
     points = sample_uniform([(-2.0, 2.0)] * 3, m, seed=m)
     weights = np.random.default_rng(m).uniform(0.1, 2.0, m)
-    got = limit_gram_system(d, field, DiscreteInnerProduct(points, weights))
+    got = limit_gram_system(d, field, SimpleNamespace(nodes_weights=lambda: (points, weights)))
     want = _whole_lift_normal_equations(d, points, field.many(points), weights)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()

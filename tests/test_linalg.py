@@ -99,6 +99,14 @@ def test_rcond_override_drops_small_directions():
     assert SymmetricPinvSolver(m).rank == 3
     assert SymmetricPinvSolver(m, rcond=1e-8).rank == 2
     assert SymmetricPinvSolver(m, rcond=1e-2).rank == 1
+    assert SymmetricPinvSolver(m, rcond=0.0).rank == 3
+
+
+@pytest.mark.parametrize("rcond", [np.nan, np.inf, 1.0, 1e300, -1e-12])
+def test_rcond_outside_the_unit_interval_is_rejected(rcond):
+    # nan or >= 1 kept no eigenvalue (a zero solution), a negative rcond every one.
+    with pytest.raises(ValueError, match=r"rcond must be a finite number in \[0, 1\)"):
+        min_norm_solve(np.eye(2), np.ones(2), rcond)
 
 
 def test_min_norm_solve_wrapper():

@@ -182,14 +182,6 @@ def test_simulate_reembed_matches_plain_for_exact_model():
     assert np.abs(plain.x_states - pinned.x_states).max() < 1e-6
 
 
-def test_simulate_x_trajectory_property():
-    model = hand_rational_model()
-    traj = simulate(model, [1.0], t_end=0.5, dt=0.05)
-    t = traj.x_trajectory
-    assert np.array_equal(t.times, traj.times)
-    assert np.array_equal(t.states, traj.x_states)
-
-
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_simulate_blowup_raises():
