@@ -7,8 +7,9 @@ gEDMD regresses the lifted derivatives on the dictionary,
 dynamics on the span of the dictionary, so its left action on coefficient
 vectors yields eigenfunctions.  Both sum their normal equations over chunks
 of samples (:func:`qendy.linalg.summed_normal_equations`), lifting one chunk
-at a time, so memory does not grow with the sample count, and solve them
-through the shared regression core in :mod:`qendy.linalg`.
+at a time through the checked passes of :mod:`qendy.fitting`, so memory does
+not grow with the sample count, and solve them through the shared regression
+core in :mod:`qendy.linalg`.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from .dictionary import (
     feature_matrix,
 )
 from .dynamics import TrainingSet
-from .fitting import _chunks, check_state_dim, lifted_chunks
+from .fitting import lifted_chunks, value_chunks
 from .linalg import min_norm_solve, summed_normal_equations
 
 __all__ = [
     "SindyModel", "GedmdModel", "GeneratorEigenfunction",
-    "sindy_fit", "sindy_rhs", "sindy_rhs_many",
+    "sindy_fit", "sindy_rhs_many",
     "gedmd_fit", "koopman_eigenfunctions",
     "sindy_to_json", "sindy_from_json", "gedmd_to_json", "gedmd_from_json",
 ]
@@ -56,10 +57,7 @@ def sindy_fit(d: Dictionary, ts: TrainingSet, threshold: float = 0.0,
     threshold and refits each row on its surviving columns, from the rows
     and columns of the same normal equations.
     """
-    check_state_dim(d, ts)
-    gram, cross = summed_normal_equations(
-        ((samples, feature_matrix(d, ts.states[samples]), ts.derivatives[samples].T)
-         for samples in _chunks(ts.m)), d.size, ts.n)
+    gram, cross = summed_normal_equations(value_chunks(d, ts), d.size, ts.n)
     xi = min_norm_solve(gram, cross, rcond).T
     if threshold > 0.0:
         for r in range(xi.shape[0]):
@@ -69,11 +67,6 @@ def sindy_fit(d: Dictionary, ts: TrainingSet, threshold: float = 0.0,
                 xi[r, keep] = min_norm_solve(gram[np.ix_(keep, keep)], cross[keep, r],
                                              rcond)
     return SindyModel(xi, d)
-
-
-def sindy_rhs(model: SindyModel, x) -> np.ndarray:
-    """Identified right-hand side at one point: xi phi(x)."""
-    return model.xi @ feature_map(model.dictionary, np.asarray(x, dtype=float))
 
 
 def sindy_rhs_many(model: SindyModel, points) -> np.ndarray:

@@ -3,16 +3,20 @@
 Every subcommand reads an optional JSON or TOML config file plus flag
 overrides (flags win), writes its outputs as CSV/JSON files into --out, and
 is deterministic: rerunning the same configuration reproduces the files byte
-for byte.  QENDY_NUM_THREADS caps the worker count of the convergence study;
-everything else is single-threaded.
+for byte.  ``_SETTINGS`` declares each command's settings once, for the
+parser, the defaults and the required keys.  Each ``cmd_*`` returns the paths
+it wrote for :func:`main` to print.  QENDY_NUM_THREADS caps the worker count
+of the convergence study; everything else is single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .dynamics import (
     load_training, rk4_integrate, sample_trajectory, sample_uniform,
     save_training, save_trajectory, write_rows,
 )
-from .fitting import fit, lifted_chunks, loss
+from .fitting import fit, lifted_chunks, loss, value_chunks
 from .model import (
     hurwitz_margin, model_from_json, save_model, simulate, sparsity_report,
 )
@@ -35,16 +39,9 @@ from .systems import companion_dictionary, make_dictionary, make_system
 
 __all__ = ["main"]
 
-_STAGE = "startup"
-
 
 class _CliError(RuntimeError):
     pass
-
-
-def _set_stage(name):
-    global _STAGE
-    _STAGE = name
 
 
 def _load_config(path):
@@ -61,14 +58,19 @@ def _load_config(path):
         return json.load(fh)
 
 
-def _merge_config(defaults, config, overrides, command):
-    merged = dict(defaults)
-    unknown = sorted(set(config) - set(defaults))
+def _merge_config(command, config, overrides):
+    """The command's settings: table defaults, then config, then set flags."""
+    table = _SETTINGS[command]
+    unknown = sorted(set(config) - set(table))
     if unknown:
         raise _CliError(
             f"unknown config keys for '{command}': {', '.join(unknown)}")
+    merged = {key: s.default if isinstance(s, _Flag) else s for key, s in table.items()}
     merged.update(config)
     merged.update({k: v for k, v in overrides.items() if v is not None})
+    for key, s in table.items():
+        if isinstance(s, _Flag) and s.required and merged[key] is None:
+            raise _CliError(f"'{command}' needs {key!r} (flag or config)")
     return merged
 
 
@@ -85,8 +87,6 @@ def _system(cfg):
 
 def _resolve_dictionary(ref, state_dim=None):
     """A dictionary argument is either a JSON file path or a builtin name."""
-    if ref is None:
-        raise _CliError("no dictionary given")
     if os.path.exists(ref):
         return load_dictionary(ref)
     if ref == "identity":
@@ -121,17 +121,15 @@ def _load_model_file(path):
 
 
 def _loss_fields(kind, model, ts):
-    """Training loss of a fitted model, as summary fields; qendy and gEDMD sum
-    theirs over the lift of ``ts``, a chunk at a time."""
-    if kind == "sindy":
-        residual = ts.derivatives - baselines.sindy_rhs_many(model, ts.states)
-        return {"loss": float(np.sum(residual ** 2))}
-    chunks = lifted_chunks(model.dictionary, ts)
+    """Training loss of a fitted model, as summary fields, summed over the
+    chunks of ``ts``; SINDy and gEDMD sum ||t - W z||^2 over theirs."""
+    d = model.dictionary
     if kind == "qendy":
-        residual, regularized = loss(model, chunks, model.metadata["lambda"])
+        residual, regularized = loss(model, lifted_chunks(d, ts), model.metadata["lambda"])
         return {"loss": residual, "regularized_loss": regularized}
-    return {"loss": sum((float(np.sum((zdot - model.theta @ z) ** 2))
-                         for _, z, zdot in chunks), 0.0)}
+    w, chunks = ((model.xi, value_chunks(d, ts)) if kind == "sindy"
+                 else (model.theta, lifted_chunks(d, ts)))
+    return {"loss": sum((float(np.sum((t - w @ z) ** 2)) for _, z, t in chunks), 0.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,6 @@ def _loss_fields(kind, model, ts):
 
 
 def cmd_generate(cfg):
-    _set_stage("generate")
     system = _system(cfg)
     out = _outdir(cfg)
     wrote = []
@@ -166,13 +163,10 @@ def cmd_generate(cfg):
         wrote.append(dict_path)
     except ValueError:
         pass
-    for path in wrote:
-        print(path)
-    return 0
+    return wrote
 
 
 def cmd_fit(cfg):
-    _set_stage("fit")
     ts = load_training(cfg["training"])
     d, g_override = _resolve_dictionary(cfg["dictionary"], state_dim=ts.n)
     out = _outdir(cfg)
@@ -195,9 +189,7 @@ def cmd_fit(cfg):
     summary = {"method": method, "m": int(ts.m), **_loss_fields(method, model, ts)}
     summary_path = os.path.join(out, "fit_summary.json")
     write_json(summary_path, summary)
-    print(model_path)
-    print(summary_path)
-    return 0
+    return [model_path, summary_path]
 
 
 def _simulate_model(kind, model, x0, t_end, dt, reembed):
@@ -208,12 +200,11 @@ def _simulate_model(kind, model, x0, t_end, dt, reembed):
     try:
         if kind == "qendy":
             path = simulate(model, x0, t_end, dt, reembed=reembed)
-        elif kind == "sindy":
-            path = rk4_integrate(lambda x: baselines.sindy_rhs(model, x), x0, t_end, dt)
         else:
-            g_theta = full_state_matrix(model.dictionary) @ model.theta
-            path = rk4_integrate(
-                lambda x: g_theta @ feature_map(model.dictionary, x), x0, t_end, dt)
+            # The state-space field is w phi(x), with w = Xi or w = G Theta.
+            d = model.dictionary
+            w = model.xi if kind == "sindy" else full_state_matrix(d) @ model.theta
+            path = rk4_integrate(lambda x: w @ feature_map(d, x), x0, t_end, dt)
         blowup = None
     except IntegrationBlowupError as err:
         path, blowup = err.partial, err.step
@@ -222,7 +213,6 @@ def _simulate_model(kind, model, x0, t_end, dt, reembed):
 
 
 def cmd_simulate(cfg):
-    _set_stage("simulate")
     kind, model = _load_model_file(cfg["model"])
     system = None if cfg.get("system") is None else _system(cfg)
     if system is not None and system.n != model.dictionary.state_dim:
@@ -255,13 +245,10 @@ def cmd_simulate(cfg):
     write_rows(csv_path, header, np.column_stack(columns))
     summary_path = os.path.join(out, "simulation_summary.json")
     write_json(summary_path, summary)
-    print(csv_path)
-    print(summary_path)
-    return 0
+    return [csv_path, summary_path]
 
 
 def cmd_convergence(cfg):
-    _set_stage("convergence")
     system = _system(cfg)
     if cfg.get("dictionary") is not None:
         d, _ = _resolve_dictionary(cfg["dictionary"], state_dim=system.n)
@@ -282,16 +269,12 @@ def cmd_convergence(cfg):
                                "slope_s": study.slope_s,
                                "runs": study.runs,
                                "m_list": [int(m) for m in study.sample_sizes]})
-    print(runs_path)
-    print(agg_path)
-    print(summary_path)
-    return 0
+    return [runs_path, agg_path, summary_path]
 
 
 def cmd_reduce(cfg):
-    _set_stage("reduce")
     out = _outdir(cfg)
-    printed = []
+    wrote = []
     if cfg.get("data") is not None:
         snapshots = _load_rows(cfg["data"], header=False)
     else:
@@ -301,7 +284,7 @@ def cmd_reduce(cfg):
             seed=int(cfg["seed"]))
         snap_path = os.path.join(out, "snapshots.csv")
         write_rows(snap_path, None, snapshots)
-        printed.append(snap_path)
+        wrote.append(snap_path)
     result = reduction.reduced_identification_pipeline(
         snapshots, int(cfg["k"]), float(cfg["train_fraction"]),
         float(cfg["dt"]), lam=float(cfg["lambda"]))
@@ -321,22 +304,21 @@ def cmd_reduce(cfg):
     write_rows(forecast_path, header,
                np.column_stack([times, result.reduced, result.predicted]))
     report_path = os.path.join(out, "reduction_report.json")
+    gap = result.spectral_gap
     write_json(report_path, {
         "k": k,
         "n_train": result.n_train,
         "train_rel_rms": result.train_rel_rms,
         "forecast_rel_rms": result.forecast_rel_rms,
-        "spectral_gap": result.spectral_gap,
+        # inf when k covers the whole spectrum, which JSON cannot hold.
+        "spectral_gap": None if math.isinf(gap) else gap,
         "singular_values": result.singular_spectrum[:min(
             10, result.singular_spectrum.size)].tolist(),
     })
-    for path in printed + [pca_path, model_path, forecast_path, report_path]:
-        print(path)
-    return 0
+    return wrote + [pca_path, model_path, forecast_path, report_path]
 
 
 def cmd_report(cfg):
-    _set_stage("report")
     kind, model = _load_model_file(cfg["model"])
     out = _outdir(cfg)
     d = model.dictionary
@@ -365,60 +347,79 @@ def cmd_report(cfg):
                 for (r, c), v in np.ndenumerate(matrix)])
     report_path = os.path.join(out, "report.json")
     write_json(report_path, summary)
-    print(coeff_path)
-    print(report_path)
-    return 0
+    return [coeff_path, report_path]
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-_DEFAULTS = {
+
+class _Flag(NamedTuple):
+    """A setting that is also the flag ``--<key>`` (underscores as dashes),
+    made with the argparse keywords ``kwargs``; a ``required`` setting must
+    be given by flag or config."""
+    default: object
+    required: bool
+    kwargs: dict
+
+
+def _flag(default=None, required=False, **kwargs):
+    return _Flag(default, required, kwargs)
+
+
+_SEED, _OUT = _flag(0, type=int), _flag(help="output directory (default: .)")
+
+# Every setting of each command, declared once by its config key: a _Flag, or
+# a plain default for a config-only key.  The parser, the defaults and the
+# required-key check all read this table.
+_SETTINGS = {
     "generate": {
-        "system": None, "params": {}, "x0": None, "t_end": 10.0, "m": 100,
-        "substeps": 10, "box": None, "derivatives": "exact", "seed": 0,
-        "out": None,
+        "system": _flag(required=True), "params": {},
+        "x0": _flag(help="comma-separated start state (trajectory mode)"),
+        "t_end": _flag(10.0, type=float),
+        "m": _flag(100, type=int, help="number of samples"), "substeps": 10, "box": None,
+        "derivatives": _flag("exact", choices=["exact", "finite-difference"]),
+        "seed": _SEED, "out": _OUT,
     },
     "fit": {
-        "method": "qendy", "training": None, "dictionary": None,
-        "lambda": 0.0, "force_c_zero": False, "threshold": 0.0,
-        "rcond": None, "out": None,
+        "method": _flag("qendy", choices=["qendy", "sindy", "gedmd"]),
+        "training": _flag(required=True),
+        "dictionary": _flag(required=True, help="dictionary JSON path or builtin name"),
+        "lambda": _flag(0.0, type=float), "force_c_zero": _flag(False, action="store_true"),
+        "threshold": _flag(0.0, type=float), "rcond": None, "out": _OUT,
     },
     "simulate": {
-        "model": None, "x0": None, "t_end": 10.0, "dt": 1e-3,
-        "reembed": False, "system": None, "params": {}, "out": None,
+        "model": _flag(required=True),
+        "x0": _flag(required=True, help="comma-separated start state"),
+        "t_end": _flag(10.0, type=float), "dt": _flag(1e-3, type=float),
+        "reembed": _flag(False, action="store_true"),
+        "system": _flag(help="reference system for error columns"), "params": {},
+        "out": _OUT,
     },
     "convergence": {
-        "system": "pendulum", "params": {}, "dictionary": None, "box": None,
-        "m_list": [100, 1000, 10000], "runs": 10, "seed": 0, "order": 20,
-        "relative": False, "workers": None, "out": None,
+        "system": _flag("pendulum"), "params": {}, "dictionary": _flag(), "box": None,
+        "m_list": [100, 1000, 10000], "runs": _flag(10, type=int), "seed": _SEED,
+        "order": 20, "relative": False, "workers": None, "out": _OUT,
     },
     "reduce": {
-        "data": None, "samples": 500, "lift_dim": 100, "noise": 1e-3,
-        "seed": 0, "k": 3, "train_fraction": 0.8, "dt": 0.1, "lambda": 0.0,
-        "out": None,
+        "data": _flag(help="headerless snapshot CSV (default: synthetic)"),
+        "samples": 500, "lift_dim": 100, "noise": 1e-3, "seed": _SEED,
+        "k": _flag(3, type=int), "train_fraction": _flag(0.8, type=float),
+        "dt": _flag(0.1, type=float), "lambda": 0.0, "out": _OUT,
     },
     "report": {
-        "model": None, "training": None, "out": None,
+        "model": _flag(required=True),
+        "training": _flag(help="training CSV for loss reporting"), "out": _OUT,
     },
-}
-
-_REQUIRED = {
-    "generate": ("system",),
-    "fit": ("training", "dictionary"),
-    "simulate": ("model", "x0"),
-    "convergence": (),
-    "reduce": (),
-    "report": ("model",),
 }
 
 _COMMANDS = {
-    "generate": cmd_generate,
-    "fit": cmd_fit,
-    "simulate": cmd_simulate,
-    "convergence": cmd_convergence,
-    "reduce": cmd_reduce,
-    "report": cmd_report,
+    "generate": (cmd_generate, "sample training data from a benchmark system"),
+    "fit": (cmd_fit, "fit a model to a training CSV"),
+    "simulate": (cmd_simulate, "integrate a fitted model"),
+    "convergence": (cmd_convergence, "Monte Carlo limit-convergence study"),
+    "reduce": (cmd_reduce, "PCA reduction and reduced-order fit"),
+    "report": (cmd_report, "tidy coefficient tables for a model file"),
 }
 
 
@@ -427,80 +428,32 @@ def _build_parser():
         prog="qendy",
         description="Quadratic-embedding system identification toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seeded=False):
+    for command, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON or TOML config file")
-        if seeded:
-            p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory (default: .)")
-
-    p = sub.add_parser("generate", help="sample training data from a benchmark system")
-    common(p, seeded=True)
-    p.add_argument("--system")
-    p.add_argument("--m", type=int, help="number of samples")
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--x0", help="comma-separated start state (trajectory mode)")
-    p.add_argument("--derivatives", choices=["exact", "finite-difference"])
-
-    p = sub.add_parser("fit", help="fit a model to a training CSV")
-    common(p)
-    p.add_argument("--method", choices=["qendy", "sindy", "gedmd"])
-    p.add_argument("--training")
-    p.add_argument("--dictionary", help="dictionary JSON path or builtin name")
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--force-c-zero", action="store_true", dest="force_c_zero",
-                   default=None)
-    p.add_argument("--threshold", type=float)
-
-    p = sub.add_parser("simulate", help="integrate a fitted model")
-    common(p)
-    p.add_argument("--model")
-    p.add_argument("--x0", help="comma-separated start state")
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--system", help="reference system for error columns")
-    p.add_argument("--reembed", action="store_true", default=None)
-
-    p = sub.add_parser("convergence", help="Monte Carlo limit-convergence study")
-    common(p, seeded=True)
-    p.add_argument("--system")
-    p.add_argument("--dictionary")
-    p.add_argument("--runs", type=int)
-
-    p = sub.add_parser("reduce", help="PCA reduction and reduced-order fit")
-    common(p, seeded=True)
-    p.add_argument("--data", help="headerless snapshot CSV (default: synthetic)")
-    p.add_argument("--k", type=int)
-    p.add_argument("--train-fraction", type=float, dest="train_fraction")
-    p.add_argument("--dt", type=float)
-
-    p = sub.add_parser("report", help="tidy coefficient tables for a model file")
-    common(p)
-    p.add_argument("--model")
-    p.add_argument("--training", help="training CSV for loss reporting")
+        for key, s in _SETTINGS[command].items():
+            if isinstance(s, _Flag):
+                p.add_argument("--" + key.replace("_", "-"), default=None, **s.kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    command = args.command
-    _set_stage("config")
+    command, stage = args.command, "config"
     try:
         config = _load_config(args.config)
         overrides = {k: v for k, v in vars(args).items()
                      if k not in ("command", "config")}
-        if "lam" in overrides:
-            overrides["lambda"] = overrides.pop("lam")
-        cfg = _merge_config(_DEFAULTS[command], config, overrides, command)
-        for key in _REQUIRED[command]:
-            if cfg.get(key) is None:
-                raise _CliError(f"'{command}' needs {key!r} (flag or config)")
+        cfg = _merge_config(command, config, overrides)
         if command == "convergence" and cfg.get("workers") is None:
             cfg["workers"] = int(os.environ.get("QENDY_NUM_THREADS", "1"))
-        return _COMMANDS[command](cfg)
+        stage = command
+        for path in _COMMANDS[command][0](cfg):
+            print(path)
+        return 0
     except (_CliError, ConfigurationError, ValueError, OSError, KeyError,
             IntegrationBlowupError) as err:
-        print(f"qendy: error in {_STAGE}: {err}", file=sys.stderr)
+        print(f"qendy: error in {stage}: {err}", file=sys.stderr)
         return 1
 
 

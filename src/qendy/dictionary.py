@@ -230,10 +230,11 @@ def dictionary_from_json(obj: dict):
 
 
 def write_json(path, obj):
-    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
+    """Write ``obj`` as indented JSON with sorted keys and a final newline; a
+    NaN or infinity in ``obj`` raises ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def save_dictionary(d: Dictionary, path, g=None):

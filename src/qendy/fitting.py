@@ -7,8 +7,9 @@ Given lifted data Z1 (states), Z2 (columnwise Kronecker squares), and Zdot
 
 :func:`lifted_chunks` is the one training lift: Z1 and Zdot of a chunk of
 samples from one pass of the dictionary's program, with a named check for
-non-finite values.  :func:`build_data_matrices` gathers its chunks into
-whole (N, m) arrays for callers that need them.
+non-finite values.  :func:`value_chunks` is its values-only twin, with the
+same check, for fits of the state derivatives.  :func:`build_data_matrices`
+gathers the lifted chunks into whole (N, m) arrays for callers that need them.
 
 The problem decouples over the N output rows: every row solves the same
 symmetric system ``M v = s_row`` whose matrix is the Gram matrix of the
@@ -30,13 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import Dictionary, feature_matrix_and_derivatives, full_state_matrix
+from .dictionary import (
+    Dictionary, feature_matrix, feature_matrix_and_derivatives, full_state_matrix,
+)
 from .dynamics import TrainingSet
 from .linalg import min_norm_solve, summed_normal_equations
 from .model import QuadraticModel, evaluate_cols, kron_squared_cols
 
 __all__ = [
-    "DataMatrices", "GramSystem", "lifted_chunks",
+    "DataMatrices", "GramSystem", "lifted_chunks", "value_chunks",
     "build_data_matrices", "assemble_gram", "solve_row", "fit",
     "loss", "gradient_norms", "stationarity_gap",
 ]
@@ -102,6 +105,17 @@ def quadratic_normal_equations(chunks, n: int, outputs: int, weights=None):
     return matrix[np.ix_(rows, rows)], rhs[rows]
 
 
+def _check_lifted(d: Dictionary, samples: slice, what: str, lifted: np.ndarray):
+    """Raise ValueError, naming the basis entry and the sample by its index in
+    the training set, at the first non-finite entry of a lifted chunk."""
+    if not np.isfinite(lifted).all():
+        entry, sample = np.argwhere(~np.isfinite(lifted))[0]
+        raise ValueError(
+            f"basis entry {entry} ({d.names[entry]}) has a non-finite lifted "
+            f"{what} ({float(lifted[entry, sample])!r}) at sample "
+            f"{samples.start + sample}")
+
+
 def lifted_chunks(d: Dictionary, ts: TrainingSet):
     """Lift a training set through the dictionary, ``_CHUNK`` samples at a time.
 
@@ -109,20 +123,27 @@ def lifted_chunks(d: Dictionary, ts: TrainingSet):
     samples and their values and time derivatives (N, c) from one pass of the
     dictionary's program.  Raises ValueError, naming the basis entry and the
     sample by its index in ``ts``, when a lifted value or lifted derivative
-    is not finite (an overflow, say).
+    is not finite (an overflow, say); the overflow itself is not warned.
     """
     check_state_dim(d, ts)
     for samples in _chunks(ts.m):
-        z1, zdot = feature_matrix_and_derivatives(
-            d, ts.states[samples], ts.derivatives[samples])
-        for what, lifted in (("value", z1), ("time derivative", zdot)):
-            if not np.isfinite(lifted).all():
-                entry, sample = np.argwhere(~np.isfinite(lifted))[0]
-                raise ValueError(
-                    f"basis entry {entry} ({d.names[entry]}) has a non-finite lifted "
-                    f"{what} ({float(lifted[entry, sample])!r}) at sample "
-                    f"{samples.start + sample}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            z1, zdot = feature_matrix_and_derivatives(
+                d, ts.states[samples], ts.derivatives[samples])
+        _check_lifted(d, samples, "value", z1)
+        _check_lifted(d, samples, "time derivative", zdot)
         yield samples, z1, zdot
+
+
+def value_chunks(d: Dictionary, ts: TrainingSet):
+    """:func:`lifted_chunks` with the state derivatives xdot (n, c) in place
+    of the lifted ones: yields ``(samples, z1, xdot)``, with the same check."""
+    check_state_dim(d, ts)
+    for samples in _chunks(ts.m):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z1 = feature_matrix(d, ts.states[samples])
+        _check_lifted(d, samples, "value", z1)
+        yield samples, z1, ts.derivatives[samples].T
 
 
 @dataclass(frozen=True, eq=False)

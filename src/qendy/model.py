@@ -113,10 +113,11 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float,
 
     With ``reembed=True`` the lifted state is replaced by phi(G z) after every
     step, which pins the path to the embedded manifold (a consistency
-    diagnostic; exact embeddings are unaffected).  A non-finite lifted state
-    raises :class:`IntegrationBlowupError` carrying the path up to the last
-    finite state; as in :func:`~qendy.dynamics.rk4_integrate`, the overflow
-    that produced it is not warned.
+    diagnostic; exact embeddings are unaffected).  A non-finite lifted state,
+    after the step or after its re-embedding, raises
+    :class:`IntegrationBlowupError` carrying the path up to the last finite
+    state; as in :func:`~qendy.dynamics.rk4_integrate`, the overflow that
+    produced it is not warned, nor is one in the lift of x0.
     """
     steps = _step_count(t_end, dt)
     d = model.dictionary
@@ -124,7 +125,8 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float,
     def f(z):
         return evaluate(model, z)
 
-    z = feature_map(d, np.asarray(x0, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = feature_map(d, np.asarray(x0, dtype=float))
     if not np.isfinite(z).all():
         raise ValueError("start state lifts to non-finite values")
     z_states = np.empty((steps + 1, model.basis_size))
@@ -132,12 +134,12 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             z = rk4_step(f, z, dt)
+            if reembed and np.isfinite(z).all():
+                z = feature_map(d, model.g @ z)
             if not np.isfinite(z).all():
                 kept = z_states[:k + 1]
                 raise IntegrationBlowupError(k + 1, EmbeddedTrajectory(
                     np.arange(k + 1) * dt, kept, kept @ model.g.T))
-            if reembed:
-                z = feature_map(d, model.g @ z)
             z_states[k + 1] = z
     times = np.arange(steps + 1) * dt
     return EmbeddedTrajectory(times, z_states, z_states @ model.g.T)

@@ -296,6 +296,21 @@ def test_reduce_rejects_a_snapshot_file_without_rows(tmp_path, capsys, text):
         f"qendy: error in reduce: {data_path} has no data rows\n")
 
 
+def test_reduce_writes_a_null_gap_when_k_covers_the_spectrum(tmp_path):
+    # With k equal to the snapshot width there is no sigma_{k+1}: the gap is
+    # infinite, which JSON cannot hold.
+    t = np.arange(40) * 0.1
+    data_path = tmp_path / "data.csv"
+    np.savetxt(data_path, np.column_stack([np.cos(t), np.sin(t), np.cos(2 * t)]),
+               delimiter=",")
+    rc = main(["reduce", "--data", str(data_path), "--k", "3", "--dt", "0.1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "reduction_report.json").read_text()
+    assert json.loads(text)["spectral_gap"] is None
+    assert "Infinity" not in text
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -382,9 +397,8 @@ def test_fit_rejects_non_finite_lift(tmp_path, capsys):
     training.write_text("x1,dx1\n0.5,1.0\n10.0,1.0\n")
     dictionary = tmp_path / "dictionary.json"
     dictionary.write_text(json.dumps({"state_dim": 1, "basis": ["x1", "exp(x1^3)"]}))
-    with np.errstate(over="ignore"):
-        rc = main(["fit", "--training", str(training), "--dictionary", str(dictionary),
-                   "--out", str(tmp_path / "fit")])
+    rc = main(["fit", "--training", str(training), "--dictionary", str(dictionary),
+               "--out", str(tmp_path / "fit")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("qendy: error in fit:")
@@ -689,21 +703,24 @@ def test_fit_rejects_an_rcond_outside_the_unit_interval(tmp_path, capsys, method
 def test_fit_lifts_the_training_set_once(tmp_path, monkeypatch, method, lifts):
     from qendy import baselines, cli, fitting
     from qendy.dictionary import load_dictionary
-    chunked = fitting.lifted_chunks
-    calls = []
-    # Every lift goes through fitting.lifted_chunks.  qendy and gEDMD stream
-    # the training set through it once for the fit and once more for the
-    # loss; nothing holds a whole lift.
+    chunked, valued = fitting.lifted_chunks, fitting.value_chunks
+    calls, value_calls = [], []
+    # Every lift goes through fitting.lifted_chunks, or for SINDy through its
+    # values-only twin fitting.value_chunks.  Each method streams the training
+    # set through its pass once for the fit and once more for the loss;
+    # nothing holds a whole lift.
     for module in (fitting, baselines, cli):
         monkeypatch.setattr(module, "lifted_chunks",
                             lambda *args: calls.append(args) or chunked(*args))
+        monkeypatch.setattr(module, "value_chunks",
+                            lambda *args: value_calls.append(args) or valued(*args))
 
     def whole_lift(*args):
         raise AssertionError("build_data_matrices called")
 
     monkeypatch.setattr(fitting, "build_data_matrices", whole_lift)
     model_path = _fit_method(tmp_path, method)
-    assert len(calls) == 2 * lifts
+    assert (len(calls), len(value_calls)) == (2 * lifts, 2 * (1 - lifts))
     if method != "qendy":
         return
     # The summary's loss is that of a fit and a loss on separate lifts.
@@ -714,7 +731,7 @@ def test_fit_lifts_the_training_set_once(tmp_path, monkeypatch, method, lifts):
     assert (summary["loss"], summary["regularized_loss"]) == (residual, regularized)
 
 
-@pytest.mark.parametrize("method", ["qendy", "gedmd"])
+@pytest.mark.parametrize("method", ["qendy", "sindy", "gedmd"])
 def test_fit_peak_memory_does_not_grow_with_the_sample_count(tmp_path, monkeypatch,
                                                              method):
     # The training set is built before tracing starts, so the CSV reader and
@@ -734,3 +751,149 @@ def test_fit_peak_memory_does_not_grow_with_the_sample_count(tmp_path, monkeypat
             tracemalloc.stop()
         assert rc == 0
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+# ---------------------------------------------------------------------------
+# an overflowing lift in the checked passes
+
+
+_EXP_LIFT = "basis entry 1 (exp(x1)) has a non-finite lifted value (inf) at sample 1"
+
+
+@pytest.mark.parametrize("command, method", [
+    ("fit", "qendy"), ("fit", "sindy"), ("fit", "gedmd"),
+    ("report", "qendy"), ("report", "sindy"), ("report", "gedmd"),
+    ("simulate", "qendy"),
+])
+def test_an_overflowing_lift_prints_only_the_error_line(tmp_path, command, method):
+    # Models fitted on small x1 with the dictionary [x1, exp(x1)]; sample 1 of
+    # the training file and the start state lift exp(800), which overflows.
+    dictionary = tmp_path / "dictionary.json"
+    dictionary.write_text(json.dumps({"state_dim": 1, "basis": ["x1", "exp(x1)"]}))
+    small, big = tmp_path / "small.csv", tmp_path / "big.csv"
+    small.write_text("x1,dx1\n0.1,-0.1\n0.2,-0.2\n0.3,-0.3\n0.4,-0.4\n")
+    big.write_text("x1,dx1\n0.5,-0.5\n800.0,-800.0\n")
+    assert main(["fit", "--method", method, "--training", str(small),
+                 "--dictionary", str(dictionary), "--out", str(tmp_path / "fit")]) == 0
+    model = str(tmp_path / "fit" / "model.json")
+    argv, message = {
+        "fit": (["--method", method, "--training", str(big),
+                 "--dictionary", str(dictionary)], _EXP_LIFT),
+        "report": (["--model", model, "--training", str(big)], _EXP_LIFT),
+        "simulate": (["--model", model, "--x0", "800"],
+                     "start state lifts to non-finite values"),
+    }[command]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qendy.cli", command, *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, f"qendy: error in {command}: {message}\n")
+    assert not list((tmp_path / "out").glob("*"))
+
+
+# ---------------------------------------------------------------------------
+# the settings table: one declaration per setting
+
+
+# Each command's flags (with their argparse type, or the action of a switch),
+# choices, config defaults and required keys, pinned so that the settings
+# table in qendy.cli can neither add, drop nor change a setting unnoticed.
+_SETTINGS = {
+    "generate": (
+        {"--seed": int, "--out": None, "--system": None, "--m": int, "--t-end": float,
+         "--x0": None, "--derivatives": None},
+        {"--derivatives": ["exact", "finite-difference"]},
+        {"system": None, "params": {}, "x0": None, "t_end": 10.0, "m": 100,
+         "substeps": 10, "box": None, "derivatives": "exact", "seed": 0, "out": None},
+        ["system"]),
+    "fit": (
+        {"--out": None, "--method": None, "--training": None, "--dictionary": None,
+         "--lambda": float, "--force-c-zero": "store_true", "--threshold": float},
+        {"--method": ["qendy", "sindy", "gedmd"]},
+        {"method": "qendy", "training": None, "dictionary": None, "lambda": 0.0,
+         "force_c_zero": False, "threshold": 0.0, "rcond": None, "out": None},
+        ["training", "dictionary"]),
+    "simulate": (
+        {"--out": None, "--model": None, "--x0": None, "--t-end": float, "--dt": float,
+         "--system": None, "--reembed": "store_true"},
+        {},
+        {"model": None, "x0": None, "t_end": 10.0, "dt": 1e-3, "reembed": False,
+         "system": None, "params": {}, "out": None},
+        ["model", "x0"]),
+    "convergence": (
+        {"--seed": int, "--out": None, "--system": None, "--dictionary": None,
+         "--runs": int},
+        {},
+        {"system": "pendulum", "params": {}, "dictionary": None, "box": None,
+         "m_list": [100, 1000, 10000], "runs": 10, "seed": 0, "order": 20,
+         "relative": False, "workers": None, "out": None},
+        []),
+    "reduce": (
+        {"--seed": int, "--out": None, "--data": None, "--k": int,
+         "--train-fraction": float, "--dt": float},
+        {},
+        {"data": None, "samples": 500, "lift_dim": 100, "noise": 1e-3, "seed": 0,
+         "k": 3, "train_fraction": 0.8, "dt": 0.1, "lambda": 0.0, "out": None},
+        []),
+    "report": (
+        {"--out": None, "--model": None, "--training": None},
+        {},
+        {"model": None, "training": None, "out": None},
+        ["model"]),
+}
+
+
+def _subparsers():
+    import argparse
+    from qendy import cli
+    parser = cli._build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(_SETTINGS))
+def test_each_command_keeps_its_settings(command):
+    from qendy import cli
+    flags, choices, defaults, required = _SETTINGS[command]
+    options = {opt: action for action in _subparsers()[command]._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    assert options.pop("--help").help and options.pop("--config").help
+    switch = {opt: "store_true" for opt, a in options.items() if a.nargs == 0}
+    assert {opt: switch.get(opt, a.type) for opt, a in options.items()} == flags
+    assert {opt: a.choices for opt, a in options.items() if a.choices} == choices
+    # Every flag sets the config key of its name.
+    assert all(a.dest == opt[2:].replace("-", "_") for opt, a in options.items())
+    given = {key: "given" for key in required}
+    assert cli._merge_config(command, {}, given) == {**defaults, **given}
+    for key in required:
+        with pytest.raises(cli._CliError, match=f"'{command}' needs '{key}'"):
+            cli._merge_config(command, {}, {k: v for k, v in given.items() if k != key})
+
+
+@pytest.mark.parametrize("via", ["flag", "config", "both"])
+@pytest.mark.parametrize("command, flag, key, value, other, artifact, field, want", [
+    ("fit", ["--lambda", "0.5"], "lambda", 0.5, 0.25, "model.json", "lambda", 0.5),
+    ("fit", ["--force-c-zero"], "force_c_zero", True, False, "model.json",
+     "force_c_zero", True),
+    ("simulate", ["--t-end", "0.5"], "t_end", 0.5, 0.25, "simulation_summary.json",
+     "t_end", 0.5),
+    ("reduce", ["--train-fraction", "0.6"], "train_fraction", 0.6, 0.9,
+     "reduction_report.json", "n_train", 120),
+], ids=["lambda", "force_c_zero", "t_end", "train_fraction"])
+def test_a_flag_and_its_config_key_are_one_setting(tmp_path, via, command, flag, key,
+                                                   value, other, artifact, field, want):
+    # The flag, the config key or both (the flag wins) set the same value.
+    config = {"samples": 200, "lift_dim": 20} if command == "reduce" else {}
+    argv = [command]
+    if command == "fit":
+        _generate(tmp_path)
+        argv += ["--training", str(tmp_path / "training.csv"), "--dictionary", "pendulum"]
+    elif command == "simulate":
+        argv += ["--model", str(_fit_pendulum(tmp_path)), "--x0", "1,0", "--dt", "0.05"]
+    if via != "flag":
+        config[key] = value if via == "config" else other
+    if via != "config":
+        argv += flag
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+    assert _read_json(out / artifact)[field] == want

@@ -9,7 +9,7 @@ import pytest
 from qendy.dictionary import (
     AugmentedBasis, ConfigurationError, Dictionary, augment, dictionary_from_json,
     dictionary_to_json, feature_map, feature_matrix, full_state_matrix, jacobian,
-    load_dictionary, save_dictionary,
+    load_dictionary, save_dictionary, write_json,
 )
 from qendy.expr import Var
 from qendy.systems import (
@@ -165,6 +165,14 @@ def test_json_round_trip(tmp_path):
     assert np.array_equal(g, np.array([[1.0, 0.0, 0.0]]))
     x = [0.7]
     assert np.abs(feature_map(loaded, x) - feature_map(d, x)).max() < 1e-15
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_rejects_what_json_cannot_hold(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"fine": 1.0, "values": [0.5, value]})
+    assert not path.exists()
 
 
 def test_json_without_g(tmp_path):

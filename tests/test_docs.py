@@ -28,3 +28,16 @@ def test_readme_qendy_names_resolve():
                 missing.append(f"qendy.{module}.{path}")
                 break
     assert not missing, f"README names what does not exist: {missing}"
+
+
+def test_readme_lists_each_command_s_config_only_keys():
+    from qendy import cli
+    section = README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    bullets = dict(re.findall(r"^\* `(\w+)` (.*?)(?=^\S)", section, re.S | re.M))
+    assert sorted(bullets) == sorted(cli._SETTINGS)
+    for command, text in bullets.items():
+        listed = re.search(r"Config-only keys:\s+(.*?)\.(?:\s|$)", text, re.S)
+        assert listed, f"README gives no config-only keys for {command}"
+        config_only = {key for key, s in cli._SETTINGS[command].items()
+                       if not isinstance(s, cli._Flag)}
+        assert set(re.findall(r"`(\w+)`", listed.group(1))) == config_only, command

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qendy.approx import BoxQuadrature, convergence_study, limit_gram_system
-from qendy.baselines import gedmd_fit
+from qendy.baselines import gedmd_fit, sindy_fit
 from qendy.dictionary import (
     Dictionary, augment, feature_matrix, feature_matrix_and_derivatives,
     feature_time_derivatives,
@@ -18,7 +18,7 @@ from qendy.dynamics import TrainingSet, VectorField, exact_derivatives, sample_u
 from qendy.fitting import (
     _CHUNK, DataMatrices, _table_rows, assemble_gram, build_data_matrices, fit,
     gradient_norms, lifted_chunks, loss, quadratic_normal_equations, solve_row,
-    stationarity_gap,
+    stationarity_gap, value_chunks,
 )
 from qendy.linalg import min_norm_solve, normal_equations
 from qendy.model import extract_rhs_many, kron_squared_cols
@@ -358,6 +358,17 @@ def test_data_matrices_hold_only_the_lift(wide):
     assert peak < _table_bound(d, dm.sample_count)
 
 
+def test_value_chunks_are_the_lifted_values_with_the_state_derivatives():
+    d = pendulum_dictionary()
+    ts = _pendulum_training(m=2 * _CHUNK + 7)
+    pairs = list(zip(value_chunks(d, ts), lifted_chunks(d, ts), strict=True))
+    assert len(pairs) == 3
+    for (samples, z1, xdot), (lifted_samples, lifted_z1, _) in pairs:
+        assert samples == lifted_samples
+        assert np.array_equal(z1, lifted_z1)
+        assert np.array_equal(xdot, ts.derivatives[samples].T)
+
+
 def test_stationarity_gap_streams_over_sample_chunks(wide):
     d, ts, dm = wide
     model = fit(d, ts)
@@ -523,14 +534,15 @@ def test_streamed_study_errors_are_bit_equal_to_the_whole_lift():
             assert study.e_s[i, j].tobytes() == e_s.tobytes()
 
 
-@pytest.mark.parametrize("lift", [build_data_matrices, fit, gedmd_fit])
+@pytest.mark.parametrize("lift", [build_data_matrices, fit, gedmd_fit, sindy_fit])
 def test_non_finite_lift_is_named_by_its_index_in_the_training_set(lift):
+    # The overflow of exp is not warned: the named error is the one message.
     d = Dictionary.from_strings(1, ["x1", "exp(x1^3)"])
     states = np.full((3 * _CHUNK, 1), 0.5)
     bad = 2 * _CHUNK + 5  # in the third chunk
     states[bad] = 10.0
     ts = TrainingSet(states, np.ones_like(states))
-    with np.errstate(over="ignore"), pytest.raises(
+    with pytest.raises(
             ValueError, match=rf"basis entry 1 .* lifted value .*at sample {bad}$"):
         lift(d, ts)
 

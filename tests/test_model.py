@@ -335,3 +335,19 @@ def test_simulate_blowup_carries_the_finite_path(reembed):
                          reembed=reembed)
         for name in ("times", "z_states", "x_states"):
             assert getattr(partial, name).tobytes() == getattr(rerun, name).tobytes()
+
+
+def test_simulate_checks_the_re_embedded_state():
+    # phi(x) = (x, exp(x) - exp(x)) is (x, 0) until exp overflows: dx = 1 from
+    # 708.5 takes a finite step 2 to 710.5, whose re-embedding is (710.5, nan).
+    d = Dictionary.from_strings(1, ["x1", "exp(x1) - exp(x1)"])
+    model = QuadraticModel(np.zeros((2, 4)), np.zeros((2, 2)), np.array([1.0, 0.0]),
+                           np.array([[1.0, 0.0]]), d)
+    with pytest.raises(IntegrationBlowupError) as exc:
+        simulate(model, [708.5], t_end=5.0, dt=1.0, reembed=True)
+    assert exc.value.step == 2
+    assert np.array_equal(exc.value.partial.z_states, [[708.5, 0.0], [709.5, 0.0]])
+    assert np.array_equal(exc.value.partial.x_states, [[708.5], [709.5]])
+    # Without re-embedding the lifted state never leaves (x, 0).
+    plain = simulate(model, [708.5], t_end=5.0, dt=1.0)
+    assert np.array_equal(plain.x_states[:, 0], 708.5 + np.arange(6.0))
