@@ -2,11 +2,10 @@
 the empirical Gram system's convergence to it.
 
 A measure is anything with ``nodes_weights()`` returning (nodes (M, n),
-weights (M,)), such as :class:`BoxQuadrature`: the uniform measure on a box,
-integrated by tensor-product Gauss-Legendre quadrature; with
-``normalized=True`` the uniform measure is scaled to a probability measure,
-which is the convention under which the empirical Gram matrix divided by the
-sample count converges to its limit at the Monte Carlo rate.  The limit and
+weights (M,)), such as :class:`BoxQuadrature`: the uniform probability
+measure on a box, integrated by tensor-product Gauss-Legendre quadrature.
+Under a probability measure the empirical Gram matrix divided by the sample
+count converges to its limit at the Monte Carlo rate.  The limit and
 each Monte Carlo run sum the fitting code's Gram system as the fit does,
 lifting one chunk of nodes or samples at a time, so neither holds a whole lift.
 """
@@ -32,13 +31,12 @@ class BoxQuadrature:
     """Uniform measure on an axis-aligned box, integrated by Gauss-Legendre.
 
     ``box`` is a tuple of (lo, hi) pairs; ``order`` nodes per axis integrate
-    polynomials up to degree 2*order - 1 exactly per axis.  Normalization
-    divides the weights by the box volume (probability measure).
+    polynomials up to degree 2*order - 1 exactly per axis.  The weights are
+    divided by the box volume, so they sum to 1 (a probability measure).
     """
 
     box: tuple
     order: int = 20
-    normalized: bool = True
 
     def __post_init__(self):
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
@@ -59,10 +57,8 @@ class BoxQuadrature:
         weights = np.ones(1)
         for wa in axis_weights:
             weights = np.multiply.outer(weights, wa).ravel()
-        if self.normalized:
-            volume = float(np.prod([hi - lo for lo, hi in self.box]))
-            weights = weights / volume
-        return points, weights
+        volume = float(np.prod([hi - lo for lo, hi in self.box]))
+        return points, weights / volume
 
 
 def limit_gram_system(d: Dictionary, field: VectorField, space):

@@ -53,10 +53,12 @@ def sindy_fit(d: Dictionary, ts: TrainingSet, threshold: float = 0.0,
               rcond=None) -> SindyModel:
     """Row-wise minimum-norm regression of derivatives on the dictionary.
 
-    With ``threshold > 0`` a single pass zeroes coefficients below the
-    threshold and refits each row on its surviving columns, from the rows
-    and columns of the same normal equations.
+    A ``threshold`` above 0 (it must be finite and >= 0) makes one pass zero
+    the coefficients below it and refit each row on its surviving columns,
+    from the rows and columns of the same normal equations.
     """
+    if not (np.isfinite(threshold) and threshold >= 0.0):
+        raise ValueError(f"threshold must be a finite number >= 0, got {threshold!r}")
     gram, cross = summed_normal_equations(value_chunks(d, ts), d.size, ts.n)
     xi = min_norm_solve(gram, cross, rcond).T
     if threshold > 0.0:
@@ -107,9 +109,6 @@ class GeneratorEigenfunction:
     def __call__(self, x) -> complex:
         return complex(self.coefficients @ feature_map(self.dictionary,
                                                        np.asarray(x, dtype=float)))
-
-    def evaluate_many(self, points) -> np.ndarray:
-        return feature_matrix(self.dictionary, points).T @ self.coefficients
 
 
 def koopman_eigenfunctions(model: GedmdModel):

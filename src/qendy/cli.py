@@ -5,8 +5,9 @@ overrides (flags win), writes its outputs as CSV/JSON files into --out, and
 is deterministic: rerunning the same configuration reproduces the files byte
 for byte.  ``_SETTINGS`` declares each command's settings once, for the
 parser, the defaults and the required keys.  Each ``cmd_*`` returns the paths
-it wrote for :func:`main` to print.  QENDY_NUM_THREADS caps the worker count
-of the convergence study; everything else is single-threaded.
+it wrote for :func:`main` to print.  The ``workers`` key of ``convergence``
+(default 1) sets the worker threads of its Monte Carlo runs; everything else
+is single-threaded.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .dynamics import (
 )
 from .fitting import fit, lifted_chunks, loss, value_chunks
 from .model import (
-    hurwitz_margin, model_from_json, save_model, simulate, sparsity_report,
+    hurwitz_margin, model_from_json, model_to_json, save_model, simulate, sparsity_report,
 )
 from .systems import companion_dictionary, make_dictionary, make_system
 
@@ -120,16 +121,25 @@ def _load_model_file(path):
     raise _CliError(f"model file has none of the keys {', '.join(_KINDS)}")
 
 
-def _loss_fields(kind, model, ts):
-    """Training loss of a fitted model, as summary fields, summed over the
-    chunks of ``ts``; SINDy and gEDMD sum ||t - W z||^2 over theirs."""
+def _loss_fields(kind, model, ts, path):
+    """Training loss of a fitted model on the training file ``path``, as
+    summary fields, summed over the chunks of ``ts``; SINDy and gEDMD sum
+    ||t - W z||^2 over theirs.  A loss that overflows raises ValueError
+    and is not warned as well."""
     d = model.dictionary
-    if kind == "qendy":
-        residual, regularized = loss(model, lifted_chunks(d, ts), model.metadata["lambda"])
-        return {"loss": residual, "regularized_loss": regularized}
-    w, chunks = ((model.xi, value_chunks(d, ts)) if kind == "sindy"
-                 else (model.theta, lifted_chunks(d, ts)))
-    return {"loss": sum((float(np.sum((t - w @ z) ** 2)) for _, z, t in chunks), 0.0)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "qendy":
+            residual, regularized = loss(model, lifted_chunks(d, ts),
+                                         model.metadata["lambda"])
+            fields = {"loss": residual, "regularized_loss": regularized}
+        else:
+            w, chunks = ((model.xi, value_chunks(d, ts)) if kind == "sindy"
+                         else (model.theta, lifted_chunks(d, ts)))
+            fields = {"loss": sum((float(np.sum((t - w @ z) ** 2))
+                                   for _, z, t in chunks), 0.0)}
+    if not all(map(math.isfinite, fields.values())):
+        raise ValueError(f"the training loss of {path} is not finite")
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +188,17 @@ def cmd_fit(cfg):
         model = fit(d, ts, lam=float(cfg["lambda"]),
                     force_c_zero=bool(cfg["force_c_zero"]),
                     rcond=cfg.get("rcond"), g=g_override)
-        save_model(model, model_path)
+        obj = model_to_json(model)
     elif method == "sindy":
         model = baselines.sindy_fit(d, ts, threshold=float(cfg["threshold"]),
                                     rcond=cfg.get("rcond"))
-        write_json(model_path, baselines.sindy_to_json(model))
+        obj = baselines.sindy_to_json(model)
     else:
         model = baselines.gedmd_fit(d, ts, rcond=cfg.get("rcond"))
-        write_json(model_path, baselines.gedmd_to_json(model))
-    summary = {"method": method, "m": int(ts.m), **_loss_fields(method, model, ts)}
+        obj = baselines.gedmd_to_json(model)
+    summary = {"method": method, "m": int(ts.m),
+               **_loss_fields(method, model, ts, cfg["training"])}
+    write_json(model_path, obj)
     summary_path = os.path.join(out, "fit_summary.json")
     write_json(summary_path, summary)
     return [model_path, summary_path]
@@ -228,7 +240,10 @@ def cmd_simulate(cfg):
     header = "t," + ",".join(f"x{j + 1}_model" for j in range(n))
     columns = [times] + [states[:, j] for j in range(n)]
     if system is not None:
-        reference = rk4_integrate(system, x0, t_end, dt)
+        try:
+            reference = rk4_integrate(system, x0, t_end, dt)
+        except IntegrationBlowupError as err:
+            raise _CliError(f"reference system {cfg['system']!r}: {err}") from None
         ref_states = reference.states[:times.size]
         header += "," + ",".join(f"x{j + 1}_true" for j in range(n))
         columns += [ref_states[:, j] for j in range(n)]
@@ -340,7 +355,8 @@ def cmd_report(cfg):
         summary["eigenvalues"] = [[p.eigenvalue.real, p.eigenvalue.imag]
                                   for p in baselines.koopman_eigenfunctions(model)]
     if cfg.get("training") is not None:
-        summary.update(_loss_fields(kind, model, load_training(cfg["training"])))
+        summary.update(_loss_fields(kind, model, load_training(cfg["training"]),
+                                    cfg["training"]))
     coeff_path = os.path.join(out, "coefficients.csv")
     write_rows(coeff_path, "matrix,row,col,value",
                [(name, r, c, float(v)) for name, matrix in matrices
@@ -399,7 +415,7 @@ _SETTINGS = {
     "convergence": {
         "system": _flag("pendulum"), "params": {}, "dictionary": _flag(), "box": None,
         "m_list": [100, 1000, 10000], "runs": _flag(10, type=int), "seed": _SEED,
-        "order": 20, "relative": False, "workers": None, "out": _OUT,
+        "order": 20, "relative": False, "workers": 1, "out": _OUT,
     },
     "reduce": {
         "data": _flag(help="headerless snapshot CSV (default: synthetic)"),
@@ -445,8 +461,6 @@ def main(argv=None) -> int:
         overrides = {k: v for k, v in vars(args).items()
                      if k not in ("command", "config")}
         cfg = _merge_config(command, config, overrides)
-        if command == "convergence" and cfg.get("workers") is None:
-            cfg["workers"] = int(os.environ.get("QENDY_NUM_THREADS", "1"))
         stage = command
         for path in _COMMANDS[command][0](cfg):
             print(path)

@@ -136,18 +136,6 @@ class AugmentedBasis:
 
     source: Dictionary
 
-    @property
-    def size(self) -> int:
-        n = self.source.size
-        return n * n + n + 1
-
-    def product_index(self, i: int, j: int) -> int:
-        """Flat position of the product phi_i * phi_j (0-based indices)."""
-        n = self.source.size
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"product index ({i}, {j}) out of range for size {n}")
-        return n * i + j
-
     def exprs(self) -> tuple:
         """All entries as expression trees, in augmented order."""
         basis = self.source.basis
@@ -163,15 +151,13 @@ def augment(d: Dictionary) -> AugmentedBasis:
     return AugmentedBasis(d)
 
 
-def full_state_matrix(d: Dictionary, override=None, *, domain=None,
-                      n_check: int = 100, seed: int = 0,
-                      tol: float = 1e-10) -> np.ndarray:
+def full_state_matrix(d: Dictionary, override=None) -> np.ndarray:
     """The (n, N) matrix G with G phi(x) = x.
 
     Without ``override``, each coordinate x_j must literally appear as a
     dictionary entry; G then selects those entries.  A supplied ``override``
-    is validated on ``n_check`` uniform samples from ``domain`` (a list of
-    (lo, hi) pairs, default the unit box) before being returned.
+    is checked to recover the state within 1e-10 on 100 uniform samples
+    (seed 0) from the unit box [-1, 1]^n before being returned.
     """
     n, size = d.state_dim, d.size
     if override is not None:
@@ -179,12 +165,10 @@ def full_state_matrix(d: Dictionary, override=None, *, domain=None,
         if override.shape != (n, size):
             raise ConfigurationError(
                 f"projection matrix must have shape ({n}, {size}), got {override.shape}")
-        if domain is None:
-            domain = [(-1.0, 1.0)] * n
-        points = sample_uniform(domain, n_check, seed)
+        points = sample_uniform([(-1.0, 1.0)] * n, 100, 0)
         recovered = (override @ feature_matrix(d, points)).T
         worst = np.max(np.abs(recovered - points))
-        if not worst < tol:
+        if not worst < 1e-10:
             raise ConfigurationError(
                 f"projection matrix does not recover the state (max error {worst:.3e})")
         return override

@@ -43,43 +43,34 @@ class IntegrationBlowupError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
-    """A vector field on R^n with vectorized evaluation.
+    """A vector field on R^n whose components are compiled expressions.
 
-    ``fn`` maps a batch of states (m, n) to derivatives (m, n).  A field made
-    by :meth:`from_exprs` also keeps its compiled ``program``; a call at one
-    state then runs the program's float binding instead of a batch of one.
+    ``program`` holds the n component trees.  A call at one state runs the
+    program's float binding; :meth:`many` runs its array binding on a batch.
     """
 
     n: int
-    fn: object
+    program: Program
     name: str = ""
-    program: Program | None = None
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected state of shape ({self.n},), got {x.shape}")
-        if self.program is not None:
-            return self.program.point(x)
-        return np.asarray(self.fn(x[None, :]), dtype=float)[0]
+        return self.program.point(x)
 
     def many(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.n:
             raise ValueError(f"expected shape (m, {self.n}), got {points.shape}")
-        return np.asarray(self.fn(points), dtype=float)
+        return self.program.values(points, per_point=True)
 
     @classmethod
     def from_exprs(cls, n: int, exprs, name: str = "") -> "VectorField":
         exprs = tuple(parse(e) if isinstance(e, str) else e for e in exprs)
         if len(exprs) != n:
             raise ValueError(f"{len(exprs)} component expressions for dimension {n}")
-        program = Program(exprs)
-
-        def fn(points):
-            return program.values(points, per_point=True)
-
-        return cls(n, fn, name, program)
+        return cls(n, Program(exprs), name)
 
 
 # Time steps compared per block of the grid check, so that its temporaries
@@ -211,10 +202,9 @@ def rk4_integrate(f, x0, t_end: float, dt: float) -> Trajectory:
     The number of steps is round(t_end / dt); t = 0 is included.  Raises
     :class:`IntegrationBlowupError`, carrying the path up to the last finite
     state, at the first non-finite state; the overflow that produced it is
-    not warned.  An expression field (a :class:`VectorField` with a
-    ``program``) is stepped in Python floats through its float binding, bit
-    for bit as :func:`rk4_step` steps it on arrays; any other callable is
-    stepped on arrays.
+    not warned.  A :class:`VectorField` is stepped in Python floats through
+    its program's float binding, bit for bit as :func:`rk4_step` steps it on
+    arrays; any other callable is stepped on arrays.
     """
     dt = float(dt)
     steps = _step_count(t_end, dt)
@@ -224,7 +214,7 @@ def rk4_integrate(f, x0, t_end: float, dt: float) -> Trajectory:
     states = np.empty((steps + 1, x.size))
     states[0] = x
     point = None
-    if isinstance(f, VectorField) and f.program is not None and x.shape == (f.n,):
+    if isinstance(f, VectorField) and x.shape == (f.n,):
         f.program._check(f.n)
         point, x = f.program._bound("point"), x.tolist()
     # A non-finite state raises IntegrationBlowupError, so the overflow that

@@ -200,20 +200,19 @@ class GramSystem:
 
     matrix: np.ndarray
     rhs: np.ndarray
-    lam: float
     sample_count: int
     basis_size: int
 
 
 def _gram_system(chunks, n: int, m: int, lam: float) -> GramSystem:
     """The shared system summed over ``chunks`` of m samples of an N-entry lift."""
-    if lam < 0.0:
-        raise ValueError(f"regularization must be >= 0, got {lam}")
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lambda must be a finite number >= 0, got {lam!r}")
     matrix, rhs = quadratic_normal_equations(chunks, n, n)
     if lam > 0.0:
         idx = np.arange(n * n)
         matrix[idx, idx] += lam
-    return GramSystem(matrix, rhs, float(lam), m, n)
+    return GramSystem(matrix, rhs, m, n)
 
 
 def assemble_gram(dm: DataMatrices, lam: float = 0.0) -> GramSystem:
@@ -221,14 +220,14 @@ def assemble_gram(dm: DataMatrices, lam: float = 0.0) -> GramSystem:
     return _gram_system(dm.chunks(), dm.basis_size, dm.sample_count, lam)
 
 
-def solve_row(gs: GramSystem, row: int, rcond=None) -> np.ndarray:
+def solve_row(gs: GramSystem, row: int) -> np.ndarray:
     """Minimum-norm coefficient vector for one output row (0-based).
 
     Layout of the result: N^2 quadratic coefficients, N linear, 1 constant.
     """
     if not 0 <= row < gs.basis_size:
         raise ValueError(f"row must be in [0, {gs.basis_size}), got {row}")
-    return min_norm_solve(gs.matrix, gs.rhs[:, row], rcond)
+    return min_norm_solve(gs.matrix, gs.rhs[:, row])
 
 
 def fit(d: Dictionary, ts: TrainingSet, *, lam: float = 0.0,

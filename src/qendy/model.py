@@ -193,17 +193,15 @@ class SparsityReport:
     a_nonzeros: int
     b_nonzeros: int
     c_nonzeros: int
-    threshold: float
     a_frobenius: float
 
 
-def sparsity_report(model: QuadraticModel, threshold: float = 1e-6) -> SparsityReport:
-    """Counts of entries with magnitude above ``threshold``, plus ||A||_F."""
+def sparsity_report(model: QuadraticModel) -> SparsityReport:
+    """Counts of entries of A, B and C with magnitude above 1e-6, plus ||A||_F."""
     return SparsityReport(
-        int(np.sum(np.abs(model.a) > threshold)),
-        int(np.sum(np.abs(model.b) > threshold)),
-        int(np.sum(np.abs(model.c) > threshold)),
-        float(threshold),
+        int(np.sum(np.abs(model.a) > 1e-6)),
+        int(np.sum(np.abs(model.b) > 1e-6)),
+        int(np.sum(np.abs(model.c) > 1e-6)),
         float(np.linalg.norm(model.a)),
     )
 

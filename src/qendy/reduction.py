@@ -105,8 +105,7 @@ def _rel_rms(predicted, reference) -> float:
 
 
 def reduced_identification_pipeline(data, k: int, train_fraction: float,
-                                    dt: float, lam: float = 0.0,
-                                    rcond=None) -> PipelineResult:
+                                    dt: float, lam: float = 0.0) -> PipelineResult:
     """PCA-reduce snapshots, fit a quadratic model, simulate the full horizon.
 
     PCA uses all snapshots; the model is fitted (finite-difference
@@ -125,7 +124,7 @@ def reduced_identification_pipeline(data, k: int, train_fraction: float,
     reduced = project(data, basis)
     train_traj = Trajectory(np.arange(n_train) * dt, reduced[:n_train])
     ts = finite_diff_derivatives(train_traj)
-    model = fit(identity_dictionary(k), ts, lam=lam, rcond=rcond)
+    model = fit(identity_dictionary(k), ts, lam=lam)
     result = simulate(model, reduced[0], (m - 1) * dt, dt)
     predicted = result.z_states
     train_rel = _rel_rms(predicted[:n_train], reduced[:n_train])

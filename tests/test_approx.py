@@ -70,9 +70,10 @@ def _approximation_error(basis, coefficients, target, space):
 
 
 def test_box_quadrature_weights_sum_to_volume():
-    pts, w = BoxQuadrature(((-1.0, 1.0),), order=5, normalized=False).nodes_weights()
+    """The weights are the probability measure: the box has volume 1."""
+    pts, w = BoxQuadrature(((-1.0, 1.0),), order=5).nodes_weights()
     assert pts.shape == (5, 1)
-    assert abs(w.sum() - 2.0) < 1e-14
+    assert abs(w.sum() - 1.0) < 1e-14
 
 
 def test_box_quadrature_normalized_is_probability():
@@ -82,7 +83,7 @@ def test_box_quadrature_normalized_is_probability():
 
 def test_box_quadrature_polynomial_exactness():
     """Order n integrates degree 2n-1 exactly: x^3 on [0, 1] with two nodes."""
-    pts, w = BoxQuadrature(((0.0, 1.0),), order=2, normalized=False).nodes_weights()
+    pts, w = BoxQuadrature(((0.0, 1.0),), order=2).nodes_weights()
     assert abs(np.sum(w * pts[:, 0] ** 3) - 0.25) < 1e-15
 
 
@@ -98,25 +99,25 @@ def test_box_quadrature_validation():
 
 
 def test_gram_system_legendre_moments():
-    """<1,1>=2, <1,x>=0, <x,x>=2/3 on [-1,1] without normalization."""
-    space = BoxQuadrature(((-1.0, 1.0),), order=8, normalized=False)
+    """<1,1>=1, <1,x>=0, <x,x>=1/3 under the uniform probability on [-1,1]."""
+    space = BoxQuadrature(((-1.0, 1.0),), order=8)
     matrix, rhs = _gram_system(MONOMIALS[:2], parse("x1*x1"), space)
-    assert np.abs(matrix - np.array([[2.0, 0.0], [0.0, 2.0 / 3.0]])).max() < 1e-13
-    assert np.abs(rhs - np.array([2.0 / 3.0, 0.0])).max() < 1e-13
+    assert np.abs(matrix - np.array([[1.0, 0.0], [0.0, 1.0 / 3.0]])).max() < 1e-13
+    assert np.abs(rhs - np.array([1.0 / 3.0, 0.0])).max() < 1e-13
 
 
 def test_best_approximation_of_square_by_affine():
     """The L2([-1,1]) projection of x^2 onto {1, x} is the constant 1/3."""
-    space = BoxQuadrature(((-1.0, 1.0),), order=8, normalized=False)
+    space = BoxQuadrature(((-1.0, 1.0),), order=8)
     coeffs = _best_approximation(MONOMIALS[:2], parse("x1*x1"), space)
     assert np.abs(coeffs - np.array([1.0 / 3.0, 0.0])).max() < 1e-13
     err = _approximation_error(MONOMIALS[:2], coeffs, parse("x1*x1"), space)
-    assert abs(err - 8.0 / 45.0) < 1e-13
+    assert abs(err - 4.0 / 45.0) < 1e-13
 
 
 def test_best_approximation_beats_other_candidates():
     """No coefficient vector does better than the projection of sin(pi x)."""
-    space = BoxQuadrature(((-1.0, 1.0),), order=30, normalized=False)
+    space = BoxQuadrature(((-1.0, 1.0),), order=30)
     target = lambda pts: np.sin(np.pi * pts[:, 0])
     coeffs = _best_approximation(MONOMIALS, target, space)
     best_err = _approximation_error(MONOMIALS, coeffs, target, space)
@@ -132,7 +133,7 @@ def test_best_approximation_beats_other_candidates():
 
 
 def test_best_approximation_in_span_is_interpolation():
-    space = BoxQuadrature(((-1.0, 1.0),), order=10, normalized=False)
+    space = BoxQuadrature(((-1.0, 1.0),), order=10)
     coeffs = _best_approximation(MONOMIALS, parse("x1*x1*x1"), space)
     assert np.abs(coeffs - np.array([0.0, 0.0, 0.0, 1.0])).max() < 1e-12
 

@@ -110,6 +110,13 @@ def test_sindy_threshold_prunes_and_refits():
     assert model.xi[1, 2] != 0.0
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
+def test_sindy_threshold_that_is_not_finite_and_non_negative_is_rejected(threshold):
+    # nan and negative thresholds kept every coefficient without a word.
+    with pytest.raises(ValueError, match=r"threshold must be a finite number >= 0"):
+        sindy_fit(pendulum_dictionary(), _pendulum_training(), threshold=threshold)
+
+
 def test_sindy_monte_carlo_consistency():
     """Out-of-span regressions approach the continuum solution as m grows."""
     d = rational_dictionary()
@@ -222,7 +229,7 @@ def test_koopman_eigenfunction_call_matches_many():
     model = gedmd_fit(quartic_dictionary(), _quartic_training())
     func = koopman_eigenfunctions(model)[1]
     pts = np.array([[0.3, -1.2], [1.0, 0.5]])
-    batch = func.evaluate_many(pts)
+    batch = feature_matrix(model.dictionary, pts).T @ func.coefficients
     assert abs(batch[0] - func(pts[0])) < 1e-12
     assert abs(batch[1] - func(pts[1])) < 1e-12
 

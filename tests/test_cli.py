@@ -232,19 +232,14 @@ def test_convergence_outputs(tmp_path):
 
 def test_convergence_thread_count_does_not_change_results(tmp_path):
     outputs = {}
-    for threads in ("1", "3"):
+    for threads in (1, 3):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, QENDY_NUM_THREADS=threads)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"m_list": [50, 200]}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qendy.cli", "convergence",
-             "--system", "pendulum", "--runs", "4",
-             "--config", str(config), "--out", str(out)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
+        config.write_text(json.dumps({"m_list": [50, 200], "workers": threads}))
+        assert main(["convergence", "--system", "pendulum", "--runs", "4",
+                     "--config", str(config), "--out", str(out)]) == 0
         outputs[threads] = (out / "convergence_runs.csv").read_bytes()
-    assert outputs["1"] == outputs["3"]
+    assert outputs[1] == outputs[3]
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +583,22 @@ def test_simulate_checks_system_dimension_before_integrating(tmp_path, capsys):
     assert not (tmp_path / "sim" / "simulation.csv").exists()
 
 
+def test_a_blowup_of_the_reference_system_names_it(tmp_path, capsys):
+    # The model of the decoupled quartic stays finite from this start over
+    # t in [0, 5]; the coupled reference system blows up at step 272.
+    main(["generate", "--system", "quartic", "--m", "200", "--out", str(tmp_path)])
+    main(["fit", "--training", str(tmp_path / "training.csv"),
+          "--dictionary", str(tmp_path / "dictionary.json"), "--out", str(tmp_path)])
+    capsys.readouterr()
+    rc = main(["simulate", "--model", str(tmp_path / "model.json"), "--x0", "0.3,-0.2",
+               "--t-end", "5", "--dt", "0.01", "--system", "quartic-coupled",
+               "--out", str(tmp_path / "sim")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("qendy: error in simulate: reference system "
+                                       "'quartic-coupled': integration blew up at step 272\n")
+    assert not list((tmp_path / "sim").glob("*"))
+
+
 def test_generate_overflow_prints_only_the_error_line(tmp_path):
     # x2^4 overflows at the first stage; the blowup is the one message.
     proc = subprocess.run(
@@ -699,6 +710,38 @@ def test_fit_rejects_an_rcond_outside_the_unit_interval(tmp_path, capsys, method
     assert not (tmp_path / "out" / "model.json").exists()
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["fit", "--lambda", "nan"], "lambda must be a finite number >= 0, got nan"),
+    (["fit", "--lambda", "inf"], "lambda must be a finite number >= 0, got inf"),
+    (["fit", "--lambda=-1"], "lambda must be a finite number >= 0, got -1.0"),
+    (["fit", "--method", "sindy", "--threshold", "nan"],
+     "threshold must be a finite number >= 0, got nan"),
+    (["fit", "--method", "sindy", "--threshold", "inf"],
+     "threshold must be a finite number >= 0, got inf"),
+    (["fit", "--method", "sindy", "--threshold=-1"],
+     "threshold must be a finite number >= 0, got -1.0"),
+    (["reduce", "--config", '{"lambda": "nan", "samples": 40, "lift_dim": 5}'],
+     "lambda must be a finite number >= 0, got nan"),
+], ids=["lambda-nan", "lambda-inf", "lambda-negative", "threshold-nan",
+        "threshold-inf", "threshold-negative", "reduce-lambda-nan"])
+def test_a_lambda_or_threshold_that_is_not_finite_and_non_negative_is_rejected(
+        tmp_path, capsys, argv, shown):
+    # A nan lambda ran the whole fit and failed writing its loss; an infinite
+    # one was blamed on the data; a nan or negative threshold was ignored.
+    command, *argv = argv
+    if command == "fit":
+        _generate(tmp_path)
+        argv += ["--training", str(tmp_path / "training.csv"),
+                 "--dictionary", str(tmp_path / "dictionary.json")]
+    else:
+        (tmp_path / "config.json").write_text(argv[1])
+        argv[1] = str(tmp_path / "config.json")
+    capsys.readouterr()
+    assert main([command, *argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"qendy: error in {command}: {shown}\n"
+    assert not list((tmp_path / "out").glob("*.json"))
+
+
 @pytest.mark.parametrize("method, lifts", [("qendy", 1), ("gedmd", 1), ("sindy", 0)])
 def test_fit_lifts_the_training_set_once(tmp_path, monkeypatch, method, lifts):
     from qendy import baselines, cli, fitting
@@ -790,6 +833,33 @@ def test_an_overflowing_lift_prints_only_the_error_line(tmp_path, command, metho
     assert not list((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize("command", ["fit", "report"])
+@pytest.mark.parametrize("method", ["qendy", "sindy", "gedmd"])
+def test_an_overflowing_loss_names_the_training_file(tmp_path, command, method):
+    # Models fitted on small x1 with the dictionary [x1].  The residuals of the
+    # fit's file (derivatives of +-1e200) and of the report's file (a row at
+    # x1 = 1e200) are finite, but their squares overflow.  A fresh process
+    # shows any warning, which is printed only once per line in a process.
+    dictionary = tmp_path / "dictionary.json"
+    dictionary.write_text(json.dumps({"state_dim": 1, "basis": ["x1"]}))
+    small, training = tmp_path / "small.csv", tmp_path / "training.csv"
+    small.write_text("x1,dx1\n0.1,-0.1\n0.2,-0.2\n0.3,-0.3\n0.4,-0.4\n")
+    assert main(["fit", "--method", method, "--training", str(small),
+                 "--dictionary", str(dictionary), "--out", str(tmp_path / "fit")]) == 0
+    if command == "fit":
+        training.write_text("x1,dx1\n0.1,1e200\n0.2,-1e200\n0.3,1e200\n0.4,-1e200\n")
+        argv = ["--method", method, "--dictionary", str(dictionary)]
+    else:
+        training.write_text("x1,dx1\n0.5,-0.5\n1e200,1e200\n")
+        argv = ["--model", str(tmp_path / "fit" / "model.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qendy.cli", command, *argv, "--training", str(training),
+         "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        1, f"qendy: error in {command}: the training loss of {training} is not finite\n")
+    assert not list((tmp_path / "out").glob("*"))
+
+
 # ---------------------------------------------------------------------------
 # the settings table: one declaration per setting
 
@@ -825,7 +895,7 @@ _SETTINGS = {
         {},
         {"system": "pendulum", "params": {}, "dictionary": None, "box": None,
          "m_list": [100, 1000, 10000], "runs": 10, "seed": 0, "order": 20,
-         "relative": False, "workers": None, "out": None},
+         "relative": False, "workers": 1, "out": None},
         []),
     "reduce": (
         {"--seed": int, "--out": None, "--data": None, "--k": int,

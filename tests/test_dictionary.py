@@ -69,7 +69,7 @@ def test_jacobian_rational_at_zero():
 def test_augment_single_function():
     d = Dictionary.from_strings(1, ["x1"])
     aug = augment(d)
-    assert aug.size == 3
+    assert len(aug.exprs()) == 3
     z = feature_map(aug.as_dictionary(), [2.0])
     assert np.abs(z - np.array([4.0, 2.0, 1.0])).max() < 1e-15
 
@@ -77,7 +77,7 @@ def test_augment_single_function():
 def test_augment_two_functions_ordering():
     d = Dictionary.from_strings(1, ["x1", "x1^2"])
     aug = augment(d)
-    assert aug.size == 7
+    assert len(aug.exprs()) == 7
     x = [3.0]
     base = feature_map(d, x)
     z = feature_map(aug.as_dictionary(), x)
@@ -92,10 +92,10 @@ def test_augment_two_functions_ordering():
 def test_augment_pendulum_product_entry():
     d = pendulum_dictionary()
     aug = augment(d)
-    assert aug.size == 21
+    assert len(aug.exprs()) == 21
     z = feature_map(aug.as_dictionary(), [0.0, 1.0])
-    # pair (2,4) is x2*cos(x1) = 1 at [0,1]
-    assert abs(z[aug.product_index(1, 3)] - 1.0) < 1e-15
+    # pair (2,4) is x2*cos(x1) = 1 at [0,1], at flat position N*i + j
+    assert abs(z[4 * 1 + 3] - 1.0) < 1e-15
 
 
 def test_augment_product_block_consistency():
@@ -109,7 +109,7 @@ def test_augment_product_block_consistency():
         z = feature_map(aug.as_dictionary(), x)
         for i in range(9):
             for j in range(9):
-                assert abs(z[aug.product_index(i, j)] - base[i] * base[j]) < 1e-12
+                assert abs(z[9 * i + j] - base[i] * base[j]) < 1e-12
     assert abs(z[-1] - 1.0) == 0.0
 
 
@@ -143,11 +143,11 @@ def test_full_state_matrix_exactness():
 def test_full_state_matrix_override_validated():
     d = pendulum_dictionary()
     good = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
-    out = full_state_matrix(d, override=good, domain=[(-1, 1), (-1, 1)])
+    out = full_state_matrix(d, override=good)
     assert np.array_equal(out, good)
     bad = np.array([[0, 0, 1, 0], [0, 1, 0, 0]], dtype=float)
     with pytest.raises(ConfigurationError):
-        full_state_matrix(d, override=bad, domain=[(-1, 1), (-1, 1)])
+        full_state_matrix(d, override=bad)
 
 
 def test_dictionary_validates_variable_range():

@@ -34,7 +34,7 @@ def test_rk4_exponential_decay():
 
 
 def test_rk4_zero_field_constant():
-    zero = VectorField(2, lambda x: np.zeros_like(x), "zero")
+    zero = VectorField.from_exprs(2, ["0", "0"], "zero")
     traj = rk4_integrate(zero, [2.0, 3.0], 1.0, 0.1)
     assert np.abs(traj.states - np.array([2.0, 3.0])).max() == 0.0
 
@@ -57,7 +57,7 @@ def test_rk4_fourth_order_convergence():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_rk4_blowup_reports_step():
-    unstable = VectorField(1, lambda x: x ** 3, "cubic")
+    unstable = VectorField.from_exprs(1, ["x1^3"], "cubic")
     with pytest.raises(IntegrationBlowupError) as info:
         rk4_integrate(unstable, [5.0], 10.0, 0.5)
     assert info.value.step >= 1
@@ -124,7 +124,7 @@ def test_exact_derivatives_rational():
 
 
 def test_exact_derivatives_zero_field():
-    zero = VectorField(2, lambda x: np.zeros_like(x), "zero")
+    zero = VectorField.from_exprs(2, ["0", "0"], "zero")
     ts = exact_derivatives(zero, np.zeros((5, 2)))
     assert np.abs(ts.derivatives).max() == 0.0
 
@@ -267,7 +267,7 @@ BLOWUPS = [
 @pytest.mark.parametrize("texts, x0", BLOWUPS)
 def test_expression_field_blows_up_like_a_batch_of_one(texts, x0):
     field = VectorField.from_exprs(len(texts), texts)
-    batch_of_one = VectorField(field.n, field.fn)  # opaque: no float binding
+    batch_of_one = lambda x: field.many(x[None, :])[0]  # stepped on arrays
     errors = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the integrator does not warn either
@@ -397,10 +397,10 @@ def test_rk4_rejects_non_finite_start():
 ])
 def test_float_steps_are_bit_equal_to_array_steps(name, x0):
     field = make_system(name)
-    opaque = VectorField(field.n, field.fn)  # no program: stepped on arrays
+    batch_of_one = lambda x: field.many(x[None, :])[0]  # stepped on arrays
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        floats, arrays = (rk4_integrate(f, x0, 2.0, 0.01) for f in (field, opaque))
+        floats, arrays = (rk4_integrate(f, x0, 2.0, 0.01) for f in (field, batch_of_one))
     assert floats.states.tobytes() == arrays.states.tobytes()
     assert floats.times.tobytes() == arrays.times.tobytes()
 
@@ -416,12 +416,12 @@ def test_float_step_redoes_a_sin_of_infinity_on_arrays(monkeypatch):
     errors = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f in (field, VectorField(field.n, field.fn)):
+        for f in (field, lambda x: field.many(x[None, :])[0]):
             with pytest.raises(IntegrationBlowupError) as info:
                 rk4_integrate(f, [1.0, 0.0], 5.0, 0.1)
             errors.append(info.value)
     floats, arrays = errors
-    # The float path redid only its last step on arrays; the opaque field
+    # The float path redid only its last step on arrays; the batch of one
     # took every step there.
     assert floats.step == arrays.step > 1
     assert len(redone) == 1 + arrays.step
@@ -432,7 +432,7 @@ def test_float_step_redoes_a_sin_of_infinity_on_arrays(monkeypatch):
 def test_float_step_keeps_the_domain_error():
     # x1 steps 0.5 -> 0.25 -> 0; the last stage of step 2 divides by zero.
     field = VectorField.from_exprs(2, ["-1", "x1^-1"])
-    for f in (field, VectorField(field.n, field.fn)):
+    for f in (field, lambda x: field.many(x[None, :])[0]):
         with pytest.raises(EvaluationDomainError, match="negative power"):
             rk4_integrate(f, [0.5, 0.0], 1.0, 0.25)
 

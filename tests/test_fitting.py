@@ -216,7 +216,7 @@ def test_fit_small_box():
 
 
 def test_fit_zero_field_gives_zero_model():
-    zero = VectorField(2, lambda x: np.zeros_like(x), "zero")
+    zero = VectorField.from_exprs(2, ["0", "0"], "zero")
     ts = exact_derivatives(zero, sample_uniform([(-1, 1)] * 2, 30, seed=3))
     model = fit(pendulum_dictionary(), ts)
     assert np.abs(model.a).max() < 1e-10
@@ -289,6 +289,18 @@ def test_gradient_norms_nonzero_off_optimum():
     dm = build_data_matrices(d, ts)
     grads = gradient_norms(off, dm)
     assert max(grads) > 1e-3
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+def test_lambda_that_is_not_finite_and_non_negative_is_rejected(lam):
+    # nan ran the whole fit into a nan loss; inf overflowed the Gram matrix.
+    ts = _pendulum_training(m=20)
+    d = pendulum_dictionary()
+    message = r"lambda must be a finite number >= 0, got (nan|inf|-1\.0)"
+    with pytest.raises(ValueError, match=message):
+        fit(d, ts, lam=lam)
+    with pytest.raises(ValueError, match=message):
+        assemble_gram(build_data_matrices(d, ts), lam)
 
 
 def test_regularization_monotone_in_lambda():

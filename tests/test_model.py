@@ -258,8 +258,12 @@ def test_sparsity_report_counts():
 
 
 def test_sparsity_report_threshold():
-    model = hand_rational_model()
-    assert sparsity_report(model, threshold=1.5).a_nonzeros == 1
+    """An entry counts when its magnitude is above 1e-6, not at it."""
+    a = np.zeros((3, 9))
+    a[0, 0], a[1, 4] = 2e-6, 1e-6
+    model = QuadraticModel(a, np.zeros((3, 3)), np.zeros(3), np.array([[1.0, 0.0, 0.0]]),
+                           rational_dictionary())
+    assert sparsity_report(model).a_nonzeros == 1
 
 
 # ---------------------------------------------------------------------------
