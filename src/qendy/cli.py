@@ -289,20 +289,24 @@ def cmd_convergence(cfg):
 
 def cmd_reduce(cfg):
     out = _outdir(cfg)
-    wrote = []
-    if cfg.get("data") is not None:
-        snapshots = _load_rows(cfg["data"], header=False)
-    else:
+    synthetic = cfg.get("data") is None
+    if synthetic:
         snapshots, _ = reduction.synthetic_lift_data(
             num_samples=int(cfg["samples"]), lift_dim=int(cfg["lift_dim"]),
             dt=float(cfg["dt"]), noise=float(cfg["noise"]),
             seed=int(cfg["seed"]))
-        snap_path = os.path.join(out, "snapshots.csv")
-        write_rows(snap_path, None, snapshots)
-        wrote.append(snap_path)
+    else:
+        snapshots = _load_rows(cfg["data"], header=False)
     result = reduction.reduced_identification_pipeline(
         snapshots, int(cfg["k"]), float(cfg["train_fraction"]),
         float(cfg["dt"]), lam=float(cfg["lambda"]))
+    # Written only once the pipeline has succeeded, so a failed reduce
+    # leaves nothing behind.
+    wrote = []
+    if synthetic:
+        snap_path = os.path.join(out, "snapshots.csv")
+        write_rows(snap_path, None, snapshots)
+        wrote.append(snap_path)
     pca_path = os.path.join(out, "pca.json")
     write_json(pca_path, {
         "mean": result.basis.mean.tolist(),

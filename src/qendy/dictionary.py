@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import sample_uniform
-from .expr import Const, Mul, Program, Var, parse, render, variables
+from .expr import Const, Mul, Program, Var, parse, render
 
 __all__ = [
     "ConfigurationError", "Dictionary", "AugmentedBasis",
@@ -59,13 +59,12 @@ class Dictionary:
                 f"{len(names)} names for {len(basis)} basis functions")
         object.__setattr__(self, "names", names)
         program = Program(basis)
-        if max(program.variables, default=-1) >= self.state_dim:
-            for i, e in enumerate(basis):
-                out = [v for v in variables(e) if v >= self.state_dim]
-                if out:
-                    raise ConfigurationError(
-                        f"basis entry {i} ({names[i]}) references x{min(out) + 1} "
-                        f"but state dimension is {self.state_dim}")
+        beyond = program.first_beyond(self.state_dim)
+        if beyond is not None:
+            i, v = beyond
+            raise ConfigurationError(
+                f"basis entry {i} ({names[i]}) references x{v + 1} "
+                f"but state dimension is {self.state_dim}")
         object.__setattr__(self, "program", program)
 
     @property

@@ -53,6 +53,16 @@ class VectorField:
     program: Program
     name: str = ""
 
+    def __post_init__(self):
+        if len(self.program.outputs) != self.n:
+            raise ValueError(
+                f"{len(self.program.outputs)} component expressions for dimension {self.n}")
+        beyond = self.program.first_beyond(self.n)
+        if beyond is not None:
+            i, v = beyond
+            raise ValueError(f"component {i} references x{v + 1} "
+                             f"but the state dimension is {self.n}")
+
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
@@ -68,8 +78,6 @@ class VectorField:
     @classmethod
     def from_exprs(cls, n: int, exprs, name: str = "") -> "VectorField":
         exprs = tuple(parse(e) if isinstance(e, str) else e for e in exprs)
-        if len(exprs) != n:
-            raise ValueError(f"{len(exprs)} component expressions for dimension {n}")
         return cls(n, Program(exprs), name)
 
 

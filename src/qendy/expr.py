@@ -309,6 +309,17 @@ class Program:
             raise ValueError(
                 f"expression references x{self._width} but points have dimension {n}")
 
+    def first_beyond(self, n: int):
+        """(i, v) for the first output tree i that references a variable
+        index v >= n (the smallest such v), or None if every tree stays
+        within x1..xn."""
+        if self._width <= n:
+            return None
+        for i, slot in enumerate(self.outputs):
+            out = [v for v in variables(self._instrs[slot][3]) if v >= n]
+            if out:
+                return i, min(out)
+
     def source(self, binding: str) -> str:
         """The Python source of one binding: ``program(x)``, or
         ``program(x, v)`` for ``"tangents"`` along ``v``.  All value statements

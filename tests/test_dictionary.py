@@ -151,8 +151,12 @@ def test_full_state_matrix_override_validated():
 
 
 def test_dictionary_validates_variable_range():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError,
+                       match=r"^basis entry 0 \(x2\) references x2 but state dimension is 1$"):
         Dictionary.from_strings(1, ["x2"])
+    with pytest.raises(ConfigurationError,
+                       match=r"^basis entry 1 \(x4\*x3\) references x3 but state dimension is 2$"):
+        Dictionary.from_strings(2, ["x1", "x4*x3", "x5"])
 
 
 def test_json_round_trip(tmp_path):

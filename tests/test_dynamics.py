@@ -1,6 +1,7 @@
 """Integrator, samplers, derivative estimation, benchmark systems, CSV IO."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -14,7 +15,7 @@ from qendy.dynamics import (
     rk4_integrate, sample_trajectory, sample_uniform, save_training,
     save_trajectory,
 )
-from qendy.expr import EvaluationDomainError
+from qendy.expr import EvaluationDomainError, Program, parse
 from qendy.systems import (
     make_system, mean_field, pendulum, quartic_coupled, quartic_decoupled,
     rational_decay, thomas,
@@ -253,6 +254,25 @@ def test_thomas_with_coupling_matches_the_hand_written_field():
         np.sin(x1) - 0.25 * x3 - 0.15 * x1 * np.cos(x3),
     ])
     assert thomas(alpha=0.25, beta=0.15).many(points).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n, texts, shown", [
+    (1, ["x2"], "component 0 references x2 but the state dimension is 1"),
+    (2, ["x1", "x3*sin(x4)"], "component 1 references x3 but the state dimension is 2"),
+])
+def test_field_rejects_a_variable_beyond_its_dimension(n, texts, shown):
+    # Such a field used to build and fail only on its first call.
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+        VectorField.from_exprs(n, texts)
+    with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+        VectorField(n, Program(tuple(map(parse, texts))))
+
+
+def test_field_needs_one_component_per_dimension():
+    with pytest.raises(ValueError, match="^1 component expressions for dimension 2$"):
+        VectorField.from_exprs(2, ["x1"])
+    with pytest.raises(ValueError, match="^2 component expressions for dimension 1$"):
+        VectorField(1, Program((parse("x1"), parse("x1"))))
 
 
 # Expression fields whose paths overflow: through exp, through a power, and

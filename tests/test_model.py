@@ -7,7 +7,8 @@ import pytest
 
 from qendy.dictionary import Dictionary, feature_map
 from qendy.dynamics import (
-    IntegrationBlowupError, exact_derivatives, sample_trajectory, sample_uniform,
+    IntegrationBlowupError, exact_derivatives, rk4_step, sample_trajectory,
+    sample_uniform,
 )
 from qendy.fitting import build_data_matrices, fit, stationarity_gap
 from qendy.model import (
@@ -17,7 +18,8 @@ from qendy.model import (
     symmetrize,
 )
 from qendy.systems import (
-    pendulum, pendulum_dictionary, rational_decay, rational_dictionary,
+    pendulum, pendulum_dictionary, rational_decay, rational_dictionary, thomas,
+    thomas_dictionary,
 )
 
 
@@ -205,6 +207,82 @@ def test_simulate_rejects_bad_steps():
         simulate(model, [1.0], t_end=1.0, dt=0.0)
     with pytest.raises(ValueError):
         simulate(model, [1.0], t_end=0.001, dt=1.0)
+
+
+def reference_path(model, x0, steps, dt, reembed=False):
+    """The lifted path of ``rk4_step`` on :func:`evaluate`, the stepper that
+    ``simulate`` replaces, and the step of its first non-finite state, if any."""
+    z = feature_map(model.dictionary, np.asarray(x0, dtype=float))
+    z_states = [z]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            z = rk4_step(lambda v: evaluate(model, v), z, dt)
+            if reembed and np.isfinite(z).all():
+                z = feature_map(model.dictionary, model.g @ z)
+            if not np.isfinite(z).all():
+                return np.array(z_states), k + 1
+            z_states.append(z)
+    return np.array(z_states), None
+
+
+@pytest.fixture(scope="module")
+def thomas9_model():
+    """thomas9 fitted on criterion 5's trajectory."""
+    field = thomas(alpha=0.2, beta=0.0)
+    traj = sample_trajectory(field, [1.0, -1.0, 0.0], 100.0, 1000, substeps=10)
+    return fit(thomas_dictionary(), exact_derivatives(field, traj.states))
+
+
+def _equivalence_cases(thomas9):
+    starts = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 3))
+    cases = [(hand_pendulum_model(), [1.0, 0.0], reembed) for reembed in (False, True)]
+    cases += [(thomas9, x0, reembed) for x0 in starts for reembed in (False, True)]
+    return cases
+
+
+def test_simulate_matches_rk4_step_on_evaluate(thomas9_model):
+    # The homogeneous form sums in BLAS order: equal to rounding, not in bits.
+    for model, x0, reembed in _equivalence_cases(thomas9_model):
+        want, blowup = reference_path(model, x0, 1000, 0.01, reembed)
+        assert blowup is None
+        got = simulate(model, x0, t_end=10.0, dt=0.01, reembed=reembed)
+        assert got.z_states.shape == want.shape
+        scale = np.abs(want).max()
+        assert np.abs(got.z_states - want).max() <= 1e-12 * scale
+        assert np.abs(got.x_states - want @ model.g.T).max() <= 1e-12 * scale
+
+
+def test_simulate_reruns_are_byte_identical(thomas9_model):
+    for model, x0, reembed in _equivalence_cases(thomas9_model):
+        first = simulate(model, x0, t_end=10.0, dt=0.01, reembed=reembed)
+        again = simulate(model, x0, t_end=10.0, dt=0.01, reembed=reembed)
+        for name in ("times", "z_states", "x_states"):
+            assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
+
+
+@pytest.mark.parametrize("reembed", [False, True])
+def test_simulate_blows_up_at_the_reference_step(reembed):
+    # The models of the blowup tests below, stepped by both steppers.
+    d1 = Dictionary.from_strings(1, ["x1"])
+    square = QuadraticModel(np.array([[1.0]]), np.zeros((1, 1)), np.zeros(1),
+                            np.array([[1.0]]), d1)
+    d2 = Dictionary.from_strings(1, ["x1", "x1^2"])
+    lifted = QuadraticModel(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]]),
+                            np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2),
+                            np.array([[1.0, 0.0]]), d2)
+    for model, x0 in ((square, 2.0), (lifted, 2.0), (lifted, 1e100)):
+        want, step = reference_path(model, [x0], 100, 0.01, reembed)
+        assert step is not None
+        with pytest.raises(IntegrationBlowupError) as exc:
+            simulate(model, [x0], t_end=1.0, dt=0.01, reembed=reembed)
+        assert exc.value.step == step
+        got = exc.value.partial.z_states
+        assert got.shape == want.shape
+        assert got.flags.owndata  # not a view of the preallocated path
+        # The last steps grow |z| up to 1e160-fold, and a rounding difference
+        # with it: rowwise 1.2e-11 at the last finite state of dz = z^2.
+        rowwise = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert rowwise.max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
