@@ -2,12 +2,13 @@
 
 All trajectory data in the package lives on uniform time grids produced by
 classical fourth-order Runge-Kutta; there is deliberately no adaptive
-stepping, so reruns are bit-reproducible.  An expression field is stepped in
-Python floats through its program's float binding, with the operations of
-the array step in the same order, so both give the same bits; NumPy
-dispatch on (n,) arrays would cost more than the field itself.  Derivative
-data for training comes either from evaluating the governing vector field at
-the samples or from second-order finite differences along a trajectory.
+stepping, so reruns are bit-reproducible.  An expression field runs the
+whole loop as one compiled function of its program, in Python floats, with
+the operations of the array step in the same order, so both give the same
+bits; NumPy dispatch on (n,) arrays would cost more than the field itself.
+Derivative data for training comes either from evaluating the governing
+vector field at the samples or from second-order finite differences along a
+trajectory.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvaluationDomainError, Program, parse
+from .expr import Program, parse
 
 __all__ = [
     "IntegrationBlowupError", "VectorField", "Trajectory", "TrainingSet",
@@ -32,7 +33,7 @@ class IntegrationBlowupError(RuntimeError):
     """The integrator produced a non-finite state at step ``step``.
 
     ``partial`` is what the call would have returned, cut after the last
-    finite state (steps 0 to step - 1).
+    finite state (steps 0 to step - 1); it holds a copy of those rows only.
     """
 
     def __init__(self, step: int, partial):
@@ -176,18 +177,6 @@ def rk4_step(f, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _float_step(point, x: list, dt: float) -> list:
-    """:func:`rk4_step` over Python floats with the float binding ``point``
-    of a field: the same operations in the same order, so bit-equal."""
-    half, sixth = 0.5 * dt, dt / 6.0
-    k1 = point(x)
-    k2 = point([a + half * k for a, k in zip(x, k1)])
-    k3 = point([a + half * k for a, k in zip(x, k2)])
-    k4 = point([a + dt * k for a, k in zip(x, k3)])
-    return [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-
-
 def _step_count(t_end: float, dt: float) -> int:
     """round(t_end / dt), the number of fixed steps over [0, t_end]."""
     for name, value in (("t_end", t_end), ("dt", dt)):
@@ -208,44 +197,43 @@ def rk4_integrate(f, x0, t_end: float, dt: float) -> Trajectory:
     """Integrate from x0 over [0, t_end] with fixed step dt.
 
     The number of steps is round(t_end / dt); t = 0 is included.  Raises
-    :class:`IntegrationBlowupError`, carrying the path up to the last finite
-    state, at the first non-finite state; the overflow that produced it is
-    not warned.  A :class:`VectorField` is stepped in Python floats through
-    its program's float binding, bit for bit as :func:`rk4_step` steps it on
-    arrays; any other callable is stepped on arrays.
+    :class:`IntegrationBlowupError`, carrying a copy of the path up to the
+    last finite state, at the first non-finite state; the overflow that
+    produced it is not warned.  A :class:`VectorField` runs the whole loop in
+    Python floats through its program's compiled ``rk4`` binding, which
+    writes each state straight into the path, bit for bit as
+    :func:`rk4_step` steps it on arrays; any other callable is stepped on
+    arrays.
     """
     dt = float(dt)
     steps = _step_count(t_end, dt)
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"start state {x.tolist()} is not finite")
     states = np.empty((steps + 1, x.size))
     states[0] = x
-    point = None
+    loop = None
     if isinstance(f, VectorField) and x.shape == (f.n,):
-        f.program._check(f.n)
-        point, x = f.program._bound("point"), x.tolist()
+        loop, flat = f.program._bound("rk4"), memoryview(states.reshape(-1))
     # A non-finite state raises IntegrationBlowupError, so the overflow that
-    # leads to it is not warned as well.  The float binding computes exp and
-    # powers in NumPy, so the float steps need this too.
+    # leads to it is not warned as well.  The float loop computes exp and
+    # powers in NumPy, so it needs this too.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            if point is None:
-                x = rk4_step(f, x, dt)
-                finite = np.isfinite(x).all()
-            else:
-                try:
-                    x = _float_step(point, x, dt)
-                except EvaluationDomainError:
-                    raise
-                except ValueError:
-                    # math.sin of an infinity: the array step maps it to nan.
-                    x = rk4_step(f, np.array(x), dt).tolist()
-                finite = all(map(math.isfinite, x))
-            if not finite:
+        k = 0
+        while k < steps:
+            if loop is not None:
+                k = loop(flat, k, steps, dt)
+                if k == steps:
+                    break
+            # The float loop stops before a step that ends non-finite or takes
+            # math.sin of an infinity; the array step gives the same bits, and
+            # maps the sin to nan.
+            x = rk4_step(f, states[k], dt)
+            if not np.isfinite(x).all():
                 raise IntegrationBlowupError(
-                    k + 1, Trajectory(np.arange(k + 1) * dt, states[:k + 1]))
-            states[k + 1] = x
+                    k + 1, Trajectory(np.arange(k + 1) * dt, states[:k + 1].copy()))
+            k += 1
+            states[k] = x
     return Trajectory(np.arange(steps + 1) * dt, states)
 
 

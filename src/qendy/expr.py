@@ -6,10 +6,11 @@ integer powers, sin/cos/exp, and reciprocals.  Evaluation goes through a
 topologically ordered instruction list in which structurally equal subtrees
 share one slot.  Each pass over the list is emitted as straight-line Python
 and compiled: the values over Python floats for one point (bit-equal to a
-batch), the values over NumPy columns for a batch, and the forward-mode
-tangent pass.  That pass carries one directional derivative per slot, so the
-time derivative of a lift along sampled motion costs one pass and never forms
-a Jacobian; gradients seed one tangent set per coordinate in the same call.
+batch) and, pasted into its four stages, a whole RK4 loop over floats; the
+values over NumPy columns for a batch; and the forward-mode tangent pass.
+That pass carries one directional derivative per slot, so the time
+derivative of a lift along sampled motion costs one pass and never forms a
+Jacobian; gradients seed one tangent set per coordinate in the same call.
 Derivatives are exact to rounding.
 
 Surface syntax, used by :func:`parse` and :func:`render`::
@@ -203,13 +204,57 @@ _ARRAY_OPS = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_any": np.any}
 # whether operands are arrays).  The tangent bindings give every slot value a
 # local, since the tangent statements read them, and copy each variable column
 # out of the (m, n) batch because every product rule reads it again; the
-# values binding reads the strided column in place.
+# values binding reads the strided column in place.  The rk4 binding reads no
+# argument: its stage inputs are locals of the loop (see _rk4_source).
 _BINDINGS = {
     "point": (_FLOAT_OPS, "x[{}]", False),
     "values": (_ARRAY_OPS, "x[:, {}]", True),
     "tangents": (_ARRAY_OPS, "x[:, {}].copy()", True),
     "gradients": (_ARRAY_OPS, "x[:, {}].copy()", True),
+    "rk4": (_FLOAT_OPS, None, False),
 }
+
+
+def _rk4_source(n: int, variables, body: list, outputs: list) -> str:
+    """The ``rk4`` binding of an n-component field: ``program(out, k, steps,
+    dt)`` runs RK4 steps k+1..steps of size dt in Python floats.
+
+    ``out`` is the flat memoryview of the (steps+1, n) path whose row k holds
+    the start state; each finite state is written straight into its row, so
+    no path is held as floats.  The value statements ``body``, which read
+    stage input j as ``x{j}``, and the ``outputs`` refs are pasted into each
+    of the four stages.  The state is ``s{j}``, and the stage arithmetic is
+    that of :func:`qendy.dynamics.rk4_step` in its order, so the steps are
+    bit-equal to it.  Returns ``steps`` when done, else the row k from which
+    step k+1 could not be finished in floats: it ends in a non-finite state,
+    or it raised a ValueError other than :class:`EvaluationDomainError`
+    (``math.sin`` of an infinity).
+    """
+    def inputs(j):
+        return f"x{j} = " if j in variables else ""
+
+    def row(j):
+        return f"out[i + {j}]" if j else "out[i]"
+
+    lines = ["def program(out, k, steps, dt):", "    half = 0.5 * dt",
+             "    sixth = dt / 6.0", f"    i = k * {n}"]
+    lines += [f"    s{j} = {inputs(j)}{row(j)}" for j in range(n)]
+    lines += ["    try:", "        for k in range(k, steps):"]
+    for stage, scale in enumerate(("half", "half", "dt", None), 1):
+        lines += ["        " + line for line in body]
+        lines += [f"            k{stage}_{j} = {ref}" for j, ref in enumerate(outputs)]
+        if scale is not None:
+            lines += [f"            x{j} = s{j} + {scale} * k{stage}_{j}"
+                      for j in sorted(variables)]
+    lines += [f"            {inputs(j)}s{j} = s{j} + sixth * "
+              f"(((k1_{j} + 2.0 * k2_{j}) + 2.0 * k3_{j}) + k4_{j})" for j in range(n)]
+    finite = " and ".join(f"_isfinite(s{j})" for j in range(n))
+    lines += [f"            if not ({finite}):", "                return k",
+              f"            i += {n}"]
+    lines += [f"            {row(j)} = s{j}" for j in range(n)]
+    lines += ["    except _DomainError:", "        raise",
+              "    except ValueError:", "        return k", "    return steps", ""]
+    return "\n".join(lines)
 
 
 def _tangent_lines(instrs, refs, seeds: dict, suffix: str, lines: list) -> list:
@@ -253,11 +298,13 @@ def _tangent_lines(instrs, refs, seeds: dict, suffix: str, lines: list) -> list:
 class Program:
     """A tuple of trees compiled into one shared-subterm instruction list.
 
-    :meth:`source` emits the list as straight-line Python in four bindings,
-    each compiled on first use: ``point`` (Python floats, for :meth:`point`
-    and the float RK4 steps of :func:`qendy.dynamics.rk4_integrate`; NumPy
-    runs only ``exp`` and integer powers), ``values`` (one (m,) column
-    per slot), ``tangents`` (the values, then one directional derivative per
+    :meth:`source` emits the list as straight-line Python in five bindings,
+    each compiled on first use: ``point`` (Python floats, for :meth:`point`;
+    NumPy runs only ``exp`` and integer powers), ``rk4`` (the value
+    statements of ``point`` pasted into the four stages of one fixed-step
+    RK4 loop over the trees as the components of a field, for
+    :func:`qendy.dynamics.rk4_integrate`), ``values`` (one (m,) column per
+    slot), ``tangents`` (the values, then one directional derivative per
     slot along a direction: a Jacobian-vector product without a Jacobian)
     and ``gradients`` (the values, then one tangent set per coordinate).
     Every binding tests the operand of a reciprocal and the base of a
@@ -322,7 +369,8 @@ class Program:
 
     def source(self, binding: str) -> str:
         """The Python source of one binding: ``program(x)``, or
-        ``program(x, v)`` for ``"tangents"`` along ``v``.  All value statements
+        ``program(x, v)`` for ``"tangents"`` along ``v``, or for ``"rk4"``
+        the loop described at :func:`_rk4_source`.  All value statements
         come first, in slot order, since a sin/cos partner slot can follow the
         slot whose tangent reads it; a tangent binding returns (values,
         tangents), with one tangent list per coordinate for ``"gradients"``."""
@@ -336,8 +384,7 @@ class Program:
         for slot in self.outputs:
             reads[slot] += 1
         tested = {args[0] for op, args, payload, _, _ in instrs if _divides(op, payload)}
-        lines = [f"    x{j} = {read.format(j)}" for j in sorted(self.variables)]
-        refs, depths, varying = [], [], []
+        lines, refs, depths, varying = [], [], [], []
         for slot, (op, args, payload, node, _) in enumerate(instrs):
             a = [refs[i] for i in args]
             if op == _OP_VAR:
@@ -373,9 +420,15 @@ class Program:
             refs.append(text)
             depths.append(depth)
 
+        if binding == "rk4":
+            self._check(len(self.outputs))
+            return _rk4_source(len(self.outputs), self.variables, lines,
+                               [refs[s] for s in self.outputs])
+
         def listed(slot_refs):
             return f"[{', '.join(str(slot_refs[s]) for s in self.outputs)}]"
 
+        lines[:0] = [f"    x{j} = {read.format(j)}" for j in sorted(self.variables)]
         head, result = "def program(x):", listed(refs)
         if binding == "tangents":
             head = "def program(x, v):"
@@ -410,7 +463,8 @@ class Program:
                                         else "zero raised to a negative power")
 
         namespace = {**_BINDINGS[binding][0], "_power": _power, "_fail": fail,
-                     "_ones": np.ones}
+                     "_ones": np.ones, "_isfinite": math.isfinite,
+                     "_DomainError": EvaluationDomainError}
         namespace.update((f"_c{slot}", node.value) for slot, (op, _, _, node, _)
                          in enumerate(instrs)
                          if op == _OP_CONST and not math.isfinite(node.value))

@@ -8,14 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from qendy import dynamics
+from qendy import dynamics, reduction
 from qendy.dynamics import (
     IntegrationBlowupError, Trajectory, TrainingSet, VectorField,
     exact_derivatives, finite_diff_derivatives, load_training, load_trajectory,
     rk4_integrate, sample_trajectory, sample_uniform, save_training,
     save_trajectory,
 )
-from qendy.expr import EvaluationDomainError, Program, parse
+from qendy.expr import Add, Const, EvaluationDomainError, Inv, Mul, Program, Var, parse
 from qendy.systems import (
     make_system, mean_field, pendulum, quartic_coupled, quartic_decoupled,
     rational_decay, thomas,
@@ -482,3 +482,106 @@ def test_float_steps_allocate_only_the_path():
         tracemalloc.stop()
     assert traj.states.shape == (20_001, 3)
     assert peak < traj.states.nbytes + 4 * traj.times.nbytes + 64 * 1024
+
+
+# The compiled loop against the loops it replaced: the array step of a batch
+# of one, and the float step that called the point binding once per stage.
+
+
+def _float_step(point, x: list, dt: float) -> list:
+    """One RK4 step over Python floats through the float binding ``point``,
+    with the operations of :func:`qendy.dynamics.rk4_step` in its order."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    k1 = point(x)
+    k2 = point([a + half * k for a, k in zip(x, k1)])
+    k3 = point([a + half * k for a, k in zip(x, k2)])
+    k4 = point([a + dt * k for a, k in zip(x, k3)])
+    return [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+
+
+def _float_step_path(field, x0, t_end, dt):
+    """(blowup step or None, states) of a :func:`_float_step` loop."""
+    point = field.program._bound("point")
+    x, rows = [float(a) for a in x0], [[float(a) for a in x0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(int(round(t_end / dt))):
+            x = _float_step(point, x, dt)
+            if not all(map(math.isfinite, x)):
+                return k + 1, np.array(rows)
+            rows.append(x)
+    return None, np.array(rows)
+
+
+def _path(f, x0, t_end, dt):
+    """(blowup step or None, states, times) of :func:`rk4_integrate`."""
+    try:
+        traj, step = rk4_integrate(f, x0, t_end, dt), None
+    except IntegrationBlowupError as err:
+        traj, step = err.partial, err.step
+    return step, traj.states, traj.times
+
+
+LOOP_FIELDS = {
+    **{name: (make_system(name), x0) for name, x0 in [
+        ("pendulum", [1.0, 0.3]), ("rational", [0.7]), ("thomas", [1.0, -1.0, 0.0]),
+        ("quartic", [0.3, 0.2]), ("quartic-coupled", [0.3, -0.2]),
+        ("mean-field", [0.1, 0.0, 0.05])]},
+    "thomas-coupled": (thomas(0.25, 0.15), [1.0, -1.0, 0.0]),
+    # A non-finite constant has no literal and is bound as _c<slot>; x2 + 2
+    # is tested for zero before the division.
+    "non-finite-constant": (VectorField(2, Program((
+        Add(Mul(Const(-1.0), Var(0)), Inv(Const(math.inf))),
+        parse("x1/(x2 + 2)")))), [1.0, 0.5]),
+    "nan-constant": (VectorField(1, Program((Mul(Const(math.nan), Var(0)),))), [1.0]),
+}
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.01, 0.1])
+@pytest.mark.parametrize("name", LOOP_FIELDS)
+def test_compiled_loop_is_bit_equal_to_the_loops_it_replaced(name, dt):
+    field, x0 = LOOP_FIELDS[name]
+    batch_of_one = lambda x: field.many(x[None, :])[0]  # stepped on arrays
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step, states, times = _path(field, x0, 5.0, dt)
+        arrays = _path(batch_of_one, x0, 5.0, dt)
+        floats = _float_step_path(field, x0, 5.0, dt)
+    assert step == arrays[0] == floats[0]
+    assert states.tobytes() == arrays[1].tobytes() == floats[1].tobytes()
+    assert times.tobytes() == arrays[2].tobytes()
+    if name == "quartic-coupled":
+        assert step == {1e-3: 2698, 0.01: 272, 0.1: 29}[dt]
+    if name == "nan-constant":
+        assert step == 1
+
+
+def test_compiled_loop_binds_constants_and_tests_divisors():
+    source = LOOP_FIELDS["non-finite-constant"][0].program.source("rk4")
+    # Both divisors, 1/inf and x1/(x2 + 2), are tested in each of four stages.
+    assert source.count("_fail(") == 8
+    assert "1.0 / _c" in source
+    # Each component is the derivative of one state variable.
+    with pytest.raises(ValueError, match="references x2 but points have dimension 1"):
+        Program((parse("x2"),)).source("rk4")
+
+
+def test_synthetic_lift_data_is_bit_equal_to_the_array_loop(monkeypatch):
+    expected = reduction.synthetic_lift_data()
+    field = reduction.mean_field()
+    monkeypatch.setattr(reduction, "mean_field",
+                        lambda: lambda x: field.many(x[None, :])[0])
+    for got, want in zip(reduction.synthetic_lift_data(), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_blowup_partial_owns_only_its_rows():
+    # dx = x^2 from 2 blows up at step 53 of a 100 000-step path; the partial
+    # must not keep the preallocated path alive.
+    field = VectorField.from_exprs(1, ["x1^2"])
+    for f in (field, lambda x: x * x):
+        with pytest.raises(IntegrationBlowupError) as info:
+            rk4_integrate(f, [2.0], 1000.0, 0.01)
+        states = info.value.partial.states
+        assert info.value.step == 53
+        assert states.base is None and states.nbytes == 53 * 8
