@@ -9,27 +9,31 @@ vectors yields eigenfunctions.  Both sum their normal equations over chunks
 of samples (:func:`qendy.linalg.summed_normal_equations`), lifting one chunk
 at a time through the checked passes of :mod:`qendy.fitting`, so memory does
 not grow with the sample count, and solve them through the shared regression
-core in :mod:`qendy.linalg`.
+core in :mod:`qendy.linalg`.  Either model forecasts in state space through
+its :func:`state_field`, ``x -> W phi(x)``, a vector field of expressions
+that :func:`qendy.dynamics.rk4_integrate` steps like any other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .dictionary import (
     Dictionary, dictionary_from_json, dictionary_to_json, feature_map,
-    feature_matrix,
+    feature_matrix, full_state_matrix,
 )
-from .dynamics import TrainingSet
+from .dynamics import TrainingSet, VectorField
+from .expr import Add, Const, Mul, Program
 from .fitting import lifted_chunks, value_chunks
 from .linalg import min_norm_solve, summed_normal_equations
 
 __all__ = [
     "SindyModel", "GedmdModel", "GeneratorEigenfunction",
     "sindy_fit", "sindy_rhs_many",
-    "gedmd_fit", "koopman_eigenfunctions",
+    "gedmd_fit", "koopman_eigenfunctions", "state_field",
     "sindy_to_json", "sindy_from_json", "gedmd_to_json", "gedmd_from_json",
 ]
 
@@ -128,6 +132,22 @@ def koopman_eigenfunctions(model: GedmdModel):
         v = v * (np.conj(pivot) / np.abs(pivot))
         out.append(GeneratorEigenfunction(complex(values[idx]), v, model.dictionary))
     return out
+
+
+def state_field(model) -> VectorField:
+    """The identified field ``x -> W phi(x)`` of a SINDy or gEDMD model as
+    expressions, with ``W = Xi`` for SINDy and ``W = G Theta`` for gEDMD.
+
+    Component i is ``sum_j W_ij * phi_j``, folded left to right in entry
+    order over the dictionary's own trees.  Terms whose coefficient is zero
+    are kept, so an entry that overflows makes the sum nan, as a BLAS dot
+    does with ``0 * inf``.
+    """
+    d = model.dictionary
+    w = model.xi if isinstance(model, SindyModel) else full_state_matrix(d) @ model.theta
+    components = [reduce(Add, (Mul(Const(c), phi) for c, phi in zip(row, d.basis)))
+                  for row in w.tolist()]
+    return VectorField(d.state_dim, Program(components))
 
 
 # ---------------------------------------------------------------------------

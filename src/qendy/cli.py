@@ -23,10 +23,7 @@ import numpy as np
 
 from . import baselines, reduction
 from .approx import convergence_study
-from .dictionary import (
-    ConfigurationError, feature_map, full_state_matrix, load_dictionary,
-    save_dictionary, write_json,
-)
+from .dictionary import ConfigurationError, load_dictionary, save_dictionary, write_json
 from .dynamics import (
     IntegrationBlowupError, _load_rows, exact_derivatives, finite_diff_derivatives,
     load_training, rk4_integrate, sample_trajectory, sample_uniform,
@@ -45,6 +42,14 @@ class _CliError(RuntimeError):
     pass
 
 
+def _load_json_object(path):
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise _CliError(f"{path} does not hold a JSON object")
+    return obj
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -55,8 +60,7 @@ def _load_config(path):
             raise _CliError(f"TOML config needs Python >= 3.11: {err}")
         with open(path, "rb") as fh:
             return tomllib.load(fh)
-    with open(path) as fh:
-        return json.load(fh)
+    return _load_json_object(path)
 
 
 def _merge_config(command, config, overrides):
@@ -83,7 +87,10 @@ def _vector(value):
 
 
 def _system(cfg):
-    return make_system(cfg["system"], **cfg.get("params", {}))
+    params = cfg.get("params", {})
+    if not isinstance(params, dict):
+        raise _CliError(f"params must map parameter names to values, got {params!r}")
+    return make_system(cfg["system"], **params)
 
 
 def _resolve_dictionary(ref, state_dim=None):
@@ -113,8 +120,7 @@ _KINDS = {
 
 def _load_model_file(path):
     """(kind, model) of a model JSON file."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _load_json_object(path)
     for key, (kind, from_json) in _KINDS.items():
         if key in obj:
             return kind, from_json(obj)
@@ -213,10 +219,7 @@ def _simulate_model(kind, model, x0, t_end, dt, reembed):
         if kind == "qendy":
             path = simulate(model, x0, t_end, dt, reembed=reembed)
         else:
-            # The state-space field is w phi(x), with w = Xi or w = G Theta.
-            d = model.dictionary
-            w = model.xi if kind == "sindy" else full_state_matrix(d) @ model.theta
-            path = rk4_integrate(lambda x: w @ feature_map(d, x), x0, t_end, dt)
+            path = rk4_integrate(baselines.state_field(model), x0, t_end, dt)
         blowup = None
     except IntegrationBlowupError as err:
         path, blowup = err.partial, err.step

@@ -197,6 +197,8 @@ def dictionary_to_json(d: Dictionary, g=None) -> dict:
 
 def dictionary_from_json(obj: dict):
     """Returns (Dictionary, G-or-None)."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError("dictionary JSON is not an object")
     try:
         state_dim = int(obj["state_dim"])
         basis = list(obj["basis"])

@@ -2,13 +2,14 @@
 
 All trajectory data in the package lives on uniform time grids produced by
 classical fourth-order Runge-Kutta; there is deliberately no adaptive
-stepping, so reruns are bit-reproducible.  An expression field runs the
-whole loop as one compiled function of its program, in Python floats, with
-the operations of the array step in the same order, so both give the same
-bits; NumPy dispatch on (n,) arrays would cost more than the field itself.
-Derivative data for training comes either from evaluating the governing
-vector field at the samples or from second-order finite differences along a
-trajectory.
+stepping, so reruns are bit-reproducible.  Every field the package
+integrates in state space, a benchmark system or an identified SINDy or gEDMD
+model, is a :class:`VectorField` of expressions, and runs the whole loop as
+one compiled function of its program, in Python floats, with the operations
+of the array step in the same order, so both give the same bits; NumPy
+dispatch on (n,) arrays would cost more than the field itself.  Derivative
+data for training comes either from evaluating the governing vector field at
+the samples or from second-order finite differences along a trajectory.
 """
 
 from __future__ import annotations
@@ -193,38 +194,34 @@ def _step_count(t_end: float, dt: float) -> int:
     return steps
 
 
-def rk4_integrate(f, x0, t_end: float, dt: float) -> Trajectory:
-    """Integrate from x0 over [0, t_end] with fixed step dt.
+def rk4_integrate(f: VectorField, x0, t_end: float, dt: float) -> Trajectory:
+    """Integrate the field ``f`` from x0 over [0, t_end] with fixed step dt.
 
     The number of steps is round(t_end / dt); t = 0 is included.  Raises
     :class:`IntegrationBlowupError`, carrying a copy of the path up to the
     last finite state, at the first non-finite state; the overflow that
-    produced it is not warned.  A :class:`VectorField` runs the whole loop in
-    Python floats through its program's compiled ``rk4`` binding, which
-    writes each state straight into the path, bit for bit as
-    :func:`rk4_step` steps it on arrays; any other callable is stepped on
-    arrays.
+    produced it is not warned.  The whole loop runs in Python floats through
+    the program's compiled ``rk4`` binding, which writes each state straight
+    into the path, bit for bit as :func:`rk4_step` steps it on arrays.
     """
+    if not isinstance(f, VectorField):
+        raise TypeError(f"rk4_integrate needs a VectorField, got {type(f).__name__}")
     dt = float(dt)
     steps = _step_count(t_end, dt)
     x = np.asarray(x0, dtype=float)
+    if x.shape != (f.n,):
+        raise ValueError(f"expected shape ({f.n},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"start state {x.tolist()} is not finite")
-    states = np.empty((steps + 1, x.size))
+    states = np.empty((steps + 1, f.n))
     states[0] = x
-    loop = None
-    if isinstance(f, VectorField) and x.shape == (f.n,):
-        loop, flat = f.program._bound("rk4"), memoryview(states.reshape(-1))
+    loop, flat = f.program._bound("rk4"), memoryview(states.reshape(-1))
     # A non-finite state raises IntegrationBlowupError, so the overflow that
     # leads to it is not warned as well.  The float loop computes exp and
     # powers in NumPy, so it needs this too.
     with np.errstate(over="ignore", invalid="ignore"):
-        k = 0
+        k = loop(flat, 0, steps, dt)
         while k < steps:
-            if loop is not None:
-                k = loop(flat, k, steps, dt)
-                if k == steps:
-                    break
             # The float loop stops before a step that ends non-finite or takes
             # math.sin of an infinity; the array step gives the same bits, and
             # maps the sin to nan.
@@ -234,6 +231,7 @@ def rk4_integrate(f, x0, t_end: float, dt: float) -> Trajectory:
                     k + 1, Trajectory(np.arange(k + 1) * dt, states[:k + 1].copy()))
             k += 1
             states[k] = x
+            k = loop(flat, k, steps, dt)
     return Trajectory(np.arange(steps + 1) * dt, states)
 
 
@@ -277,8 +275,9 @@ def exact_derivatives(f: VectorField, points) -> TrainingSet:
 def finite_diff_derivatives(traj: Trajectory) -> TrainingSet:
     """Finite differences along a trajectory.
 
-    Central differences in the interior, forward at the first sample and
-    backward at the last; needs at least three samples.
+    Second order throughout: central differences in the interior, and the
+    one-sided three-point stencils (-3x_0 + 4x_1 - x_2) / (2 dt) at the first
+    sample and its mirror image at the last; needs at least three samples.
     """
     states = traj.states
     m = states.shape[0]
@@ -287,8 +286,8 @@ def finite_diff_derivatives(traj: Trajectory) -> TrainingSet:
     dt = traj.dt
     derivs = np.empty_like(states)
     derivs[1:-1] = (states[2:] - states[:-2]) / (2.0 * dt)
-    derivs[0] = (states[1] - states[0]) / dt
-    derivs[-1] = (states[-1] - states[-2]) / dt
+    derivs[0] = (-3.0 * states[0] + 4.0 * states[1] - states[2]) / (2.0 * dt)
+    derivs[-1] = (3.0 * states[-1] - 4.0 * states[-2] + states[-3]) / (2.0 * dt)
     return TrainingSet(states, derivs, "finite-difference")
 
 

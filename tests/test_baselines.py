@@ -6,22 +6,22 @@ import pytest
 from qendy.baselines import (
     GedmdModel, SindyModel, gedmd_fit, gedmd_from_json,
     gedmd_to_json, koopman_eigenfunctions, sindy_fit, sindy_from_json,
-    sindy_rhs_many, sindy_to_json,
+    sindy_rhs_many, sindy_to_json, state_field,
 )
 from qendy.dictionary import (
     Dictionary, feature_map, feature_matrix, feature_matrix_and_derivatives,
-    feature_time_derivatives,
+    feature_time_derivatives, full_state_matrix,
 )
 from qendy.dynamics import (
     IntegrationBlowupError, TrainingSet, VectorField, exact_derivatives, rk4_integrate,
-    sample_uniform,
+    sample_trajectory, sample_uniform,
 )
 from qendy.fitting import _CHUNK, fit
 from qendy.linalg import min_norm_solve, normal_equations
 from qendy.model import extract_rhs_many
 from qendy.systems import (
     pendulum, pendulum_dictionary, quartic_decoupled, quartic_dictionary,
-    rational_decay, rational_dictionary,
+    rational_decay, rational_dictionary, thomas, thomas_dictionary,
 )
 
 # minimum-norm regression target of -x/(1+x) on [x, 1/(1+x), x/(1+x)^2] over
@@ -68,18 +68,21 @@ def test_sindy_rhs_many_matches_scalar():
         assert np.abs(batch[k] - one).max() < 1e-12
 
 
-def test_sindy_path_blows_up_like_a_batch_of_one():
-    # dx1 = exp(x1) + ...: the path overflows through exp and the power, and
-    # its last stages take sin of an infinity.
-    d = Dictionary.from_strings(2, ["x1", "x2", "exp(x1)", "sin(x1)", "x1^3", "x2^-2"])
-    model = SindyModel(np.array([[0.0, 0.1, 1.0, 0.5, 0.2, 0.0],
-                                 [0.3, 0.0, 0.0, -1.0, 0.0, 0.01]]), d)
+# dx1 = exp(x1) + ...: the path overflows through exp and the power, and its
+# last stages take sin of an infinity.
+EXPLODING = Dictionary.from_strings(2, ["x1", "x2", "exp(x1)", "sin(x1)", "x1^3", "x2^-2"])
+EXPLODING_XI = np.array([[0.0, 0.1, 1.0, 0.5, 0.2, 0.0], [0.3, 0.0, 0.0, -1.0, 0.0, 0.01]])
+
+
+def test_sindy_path_blows_up_like_a_batch_of_one(array_rk4_integrate):
+    model = SindyModel(EXPLODING_XI, EXPLODING)
     errors = []
     # The first is the field simulate integrates for a SINDy model file.
-    for rhs in (lambda x: model.xi @ feature_map(d, x),
-                lambda x: sindy_rhs_many(model, x[None, :])[0]):
+    for integrate, rhs in ((rk4_integrate, state_field(model)),
+                           (array_rk4_integrate,
+                            lambda x: sindy_rhs_many(model, x[None, :])[0])):
         with pytest.raises(IntegrationBlowupError) as info:
-            rk4_integrate(rhs, [1.0, 2.0], 5.0, 0.01)
+            integrate(rhs, [1.0, 2.0], 5.0, 0.01)
         errors.append(info.value)
     assert errors[0].step == errors[1].step > 1
     assert errors[0].partial.states.tobytes() == errors[1].partial.states.tobytes()
@@ -185,6 +188,93 @@ def test_gedmd_agrees_with_quadratic_fit():
     linear = _gedmd_rhs(gedmd_fit(d, ts), g, ts.states)
     quadratic = extract_rhs_many(fit(d, ts, g=g), ts.states)
     assert np.abs(linear - quadratic).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# state-space fields of the identified models
+
+
+@pytest.fixture(scope="module")
+def thomas9_baselines():
+    """SINDy (threshold 0.01) and gEDMD on thomas9, fitted on criterion 5's
+    trajectory, with the array right-hand side each field replaces."""
+    field = thomas(alpha=0.2, beta=0.0)
+    traj = sample_trajectory(field, [1.0, -1.0, 0.0], 100.0, 2000, substeps=5)
+    ts = exact_derivatives(field, traj.states)
+    d = thomas_dictionary()
+    sindy, gedmd = sindy_fit(d, ts, threshold=0.01), gedmd_fit(d, ts)
+    g = full_state_matrix(d)
+    return {"sindy": (sindy, lambda x: sindy_rhs_many(sindy, x[None, :])[0]),
+            "gedmd": (gedmd, lambda x: _gedmd_rhs(gedmd, g, x[None, :])[0])}
+
+
+@pytest.mark.parametrize("kind", ["sindy", "gedmd"])
+def test_state_field_matches_the_array_loop(thomas9_baselines, array_rk4_integrate, kind):
+    model, rhs = thomas9_baselines[kind]
+    field = state_field(model)
+    assert field.n == 3 and len(field.program.outputs) == 3
+    for x0 in np.random.default_rng(0).uniform(-1.0, 1.0, (4, 3)):
+        got = rk4_integrate(field, x0, 10.0, 0.01)
+        assert got.states.tobytes() == rk4_integrate(field, x0, 10.0, 0.01).states.tobytes()
+        # Bit for bit the array loop on the field's own batch of one ...
+        same = array_rk4_integrate(lambda x: field.many(x[None, :])[0], x0, 10.0, 0.01)
+        assert got.states.tobytes() == same.states.tobytes()
+        # ... and at rounding the BLAS right-hand side, whose kernel may fuse
+        # a multiply and an add into one rounding.
+        want = array_rk4_integrate(rhs, x0, 10.0, 0.01).states
+        assert got.states.shape == want.shape == (1001, 3)
+        assert np.abs(got.states - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _blowup(integrate, f, x0, t_end, dt):
+    with pytest.raises(IntegrationBlowupError) as info:
+        integrate(f, x0, t_end, dt)
+    return info.value
+
+
+def test_state_fields_blow_up_like_the_array_loop(array_rk4_integrate):
+    # dx = x^2 from 2 blows up at step 53, as SINDy and as gEDMD on [x1, x1^2].
+    square = Dictionary.from_strings(1, ["x1", "x1^2"])
+    sindy = SindyModel(np.array([[0.0, 1.0]]), square)
+    gedmd = GedmdModel(np.array([[0.0, 1.0], [0.0, 0.0]]), square)
+    for model, rhs in ((sindy, lambda x: sindy_rhs_many(sindy, x[None, :])[0]),
+                       (gedmd, lambda x: _gedmd_rhs(gedmd, np.eye(1, 2), x[None, :])[0])):
+        got = _blowup(rk4_integrate, state_field(model), [2.0], 1000.0, 0.01)
+        want = _blowup(array_rk4_integrate, rhs, [2.0], 1000.0, 0.01)
+        assert got.step == want.step == 53
+        assert got.partial.states.tobytes() == want.partial.states.tobytes()
+    # The exploding SINDy rows as the x rows of a gEDMD generator.
+    theta = np.random.default_rng(1).standard_normal((6, 6))
+    theta[:2] = EXPLODING_XI
+    gedmd = GedmdModel(theta, EXPLODING)
+    g = full_state_matrix(EXPLODING)
+    got = _blowup(rk4_integrate, state_field(gedmd), [1.0, 2.0], 5.0, 0.01)
+    want = _blowup(array_rk4_integrate, lambda x: _gedmd_rhs(gedmd, g, x[None, :])[0],
+                   [1.0, 2.0], 5.0, 0.01)
+    assert got.step == want.step > 1
+    rows = np.abs(got.partial.states - want.partial.states).max(axis=1)
+    assert np.all(rows <= 1e-10 * np.abs(want.partial.states).max(axis=1))
+
+
+def test_state_field_sums_every_term_in_entry_order():
+    # Left to right, (1 + 1e-16) - 1 is 0; 1 + (1e-16 - 1) would leave an ulp.
+    d = Dictionary.from_strings(3, ["x1", "x2", "x3"])
+    field = state_field(SindyModel(np.ones((3, 3)), d))
+    assert field(np.array([1.0, 1e-16, -1.0])).tolist() == [0.0, 0.0, 0.0]
+    # 0 * exp(x1) at x1 = 800 is 0 * inf: nan, as a BLAS dot gives it.
+    d = Dictionary.from_strings(1, ["x1", "exp(x1)"])
+    field = state_field(SindyModel(np.array([[1.0, 0.0]]), d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(field(np.array([800.0]))).all()
+        assert np.isnan(np.array([[1.0, 0.0]]) @ feature_map(d, np.array([800.0]))).all()
+
+
+def test_rk4_integrate_rejects_what_it_cannot_step():
+    with pytest.raises(TypeError, match="^rk4_integrate needs a VectorField, got function$"):
+        rk4_integrate(lambda x: -x, [1.0], 1.0, 0.1)
+    model = SindyModel(np.eye(2, 4), pendulum_dictionary())
+    with pytest.raises(ValueError, match=r"^expected shape \(2,\), got \(3,\)$"):
+        rk4_integrate(state_field(model), [1.0, 0.0, 0.0], 1.0, 0.1)
 
 
 def test_gedmd_dimension_mismatch():

@@ -368,6 +368,57 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("text", ["5", "[1, 2]"], ids=["number", "array"])
+def test_a_config_that_is_not_an_object_fails_cleanly(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    rc = main(["generate", "--system", "pendulum", "--config", str(config),
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"qendy: error in config: {config} does not hold a JSON object\n")
+
+
+def test_a_model_file_that_is_not_an_object_fails_cleanly(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text("5")
+    rc = main(["simulate", "--model", str(model), "--x0", "1,0", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"qendy: error in simulate: {model} does not hold a JSON object\n")
+
+
+def test_a_model_dictionary_that_is_not_an_object_fails_cleanly(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"Xi": [[1.0]], "dictionary": ["x1"]}))
+    rc = main(["report", "--model", str(model), "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "qendy: error in report: dictionary JSON is not an object\n")
+
+
+def test_a_dictionary_file_that_is_not_an_object_fails_cleanly(tmp_path, capsys):
+    _generate(tmp_path)
+    dictionary = tmp_path / "dictionary.json"
+    dictionary.write_text("[1]")
+    capsys.readouterr()
+    rc = main(["fit", "--training", str(tmp_path / "training.csv"),
+               "--dictionary", str(dictionary), "--out", str(tmp_path / "fit")])
+    assert rc == 1
+    assert capsys.readouterr().err == "qendy: error in fit: dictionary JSON is not an object\n"
+
+
+def test_system_params_that_are_not_an_object_fail_cleanly(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": [1]}))
+    rc = main(["generate", "--system", "pendulum", "--config", str(config),
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "qendy: error in generate: params must map parameter names to values, got [1]\n")
+    assert not (tmp_path / "training.csv").exists()
+
+
 def test_missing_required_argument_fails(tmp_path, capsys):
     rc = main(["fit", "--out", str(tmp_path)])
     assert rc == 1
@@ -437,11 +488,22 @@ def test_simulate_gedmd_model(tmp_path):
     assert summary["sup_error"] < 1e-4
 
 
+@pytest.mark.parametrize("method", ["qendy", "sindy", "gedmd"])
+def test_simulate_rejects_a_start_state_of_the_wrong_length(tmp_path, capsys, method):
+    model = _fit_method(tmp_path, method)
+    capsys.readouterr()
+    rc = main(["simulate", "--model", str(model), "--x0", "1,0,0", "--system", "pendulum",
+               "--out", str(tmp_path / "sim")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "qendy: error in simulate: expected shape (2,), got (3,)\n")
+    assert not (tmp_path / "sim" / "simulation.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
-def test_simulate_sindy_blowup_is_flagged_and_truncated(tmp_path):
+def test_simulate_sindy_blowup_is_flagged_and_truncated(tmp_path, array_rk4_integrate):
     from qendy.baselines import SindyModel, sindy_to_json
-    from qendy.dynamics import rk4_integrate
     d = Dictionary.from_strings(1, ["x1", "x1^2"])
     path = tmp_path / "sindy.json"
     path.write_text(json.dumps(sindy_to_json(SindyModel(np.array([[0.0, 1.0]]), d))))
@@ -454,7 +516,7 @@ def test_simulate_sindy_blowup_is_flagged_and_truncated(tmp_path):
     rows = np.loadtxt(tmp_path / "simulation.csv", delimiter=",", skiprows=1, ndmin=2)
     assert rows.shape == (step, 3)
     assert np.array_equal(rows[:, 2], np.eye(1, step, step - 1)[0])
-    rerun = rk4_integrate(lambda x: x * x, [2.0], (step - 1) * 0.01, 0.01)
+    rerun = array_rk4_integrate(lambda x: x * x, [2.0], (step - 1) * 0.01, 0.01)
     assert np.array_equal(rows[:, 1], rerun.states[:, 0])
 
 

@@ -16,9 +16,11 @@ from qendy.dynamics import (
     save_trajectory,
 )
 from qendy.expr import Add, Const, EvaluationDomainError, Inv, Mul, Program, Var, parse
+from qendy.fitting import fit
+from qendy.model import extract_rhs_many
 from qendy.systems import (
     make_system, mean_field, pendulum, quartic_coupled, quartic_decoupled,
-    rational_decay, thomas,
+    rational_decay, thomas, thomas_dictionary,
 )
 
 DECAY = VectorField.from_exprs(1, ["-x1"], name="decay")
@@ -149,10 +151,10 @@ def test_finite_diff_quadratic_interior_and_ends():
     ts = finite_diff_derivatives(traj)
     k = 5  # t = 0.5, central difference exact for quadratics
     assert abs(ts.derivatives[k, 0] - 1.0) < 1e-12
-    # forward difference at t=0: (0.01 - 0) / 0.1, an O(dt) error
-    assert abs(ts.derivatives[0, 0] - 0.1) < 1e-12
-    # backward difference at t=1: (1 - 0.81) / 0.1
-    assert abs(ts.derivatives[-1, 0] - 1.9) < 1e-12
+    # The three-point one-sided stencils are exact for quadratics too:
+    # (-3*0 + 4*0.01 - 0.04) / 0.2 at t=0, and (3*1 - 4*0.81 + 0.64) / 0.2 at t=1.
+    assert abs(ts.derivatives[0, 0] - 0.0) < 1e-12
+    assert abs(ts.derivatives[-1, 0] - 2.0) < 1e-12
 
 
 def test_finite_diff_needs_three_samples():
@@ -170,6 +172,26 @@ def test_central_difference_second_order():
         ts = finite_diff_derivatives(traj)
         errors.append(abs(ts.derivatives[mid, 0] - math.cos(times[mid])))
     assert 3.5 < errors[0] / errors[1] < 4.5
+
+
+def test_one_sided_ends_are_second_order():
+    """The end errors on sin(t) over [0, 1] decay like dt^2 too."""
+    errors = []
+    for dt in (0.1, 0.05):
+        times = np.arange(int(round(1.0 / dt)) + 1) * dt
+        ts = finite_diff_derivatives(Trajectory(times, np.sin(times)[:, None]))
+        errors.append(np.abs(ts.derivatives[[0, -1], 0] - np.cos(times[[0, -1]])))
+    for ratio in errors[0] / errors[1]:
+        assert 3.5 < ratio < 4.5, f"ratio {ratio:.2f}"
+
+
+def test_finite_difference_fit_of_criterion_5_is_close_to_the_field():
+    # First-order ends left the fitted field 1.6e-2 off on this trajectory.
+    field = thomas(alpha=0.2, beta=0.0)
+    traj = sample_trajectory(field, [1.0, -1.0, 0.0], 100.0, 1000, substeps=10)
+    model = fit(thomas_dictionary(), finite_diff_derivatives(traj))
+    sup = np.abs(extract_rhs_many(model, traj.states) - field.many(traj.states)).max()
+    assert sup < 5e-3, f"sup={sup:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +307,15 @@ BLOWUPS = [
 
 
 @pytest.mark.parametrize("texts, x0", BLOWUPS)
-def test_expression_field_blows_up_like_a_batch_of_one(texts, x0):
+def test_expression_field_blows_up_like_a_batch_of_one(texts, x0, array_rk4_integrate):
     field = VectorField.from_exprs(len(texts), texts)
     batch_of_one = lambda x: field.many(x[None, :])[0]  # stepped on arrays
     errors = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the integrator does not warn either
-        for f in (field, batch_of_one):
+        for integrate, f in ((rk4_integrate, field), (array_rk4_integrate, batch_of_one)):
             with pytest.raises(IntegrationBlowupError) as info:
-                rk4_integrate(f, x0, 5.0, 0.01)
+                integrate(f, x0, 5.0, 0.01)
             errors.append(info.value)
     assert errors[0].step == errors[1].step > 1
     assert errors[0].partial.states.tobytes() == errors[1].partial.states.tobytes()
@@ -384,9 +406,9 @@ def test_load_training_header_only_has_no_data_rows(tmp_path):
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_rk4_blowup_carries_the_finite_path():
-    square = lambda x: x * x
     # From x0 = 2, dx = x^2 blows up near t = 0.5; from 1e200 at step 1.
     for x0, dt in (([2.0], 0.01), ([1e200], 0.01), ([3.0, 2.0], 0.02)):
+        square = VectorField.from_exprs(len(x0), ["x1^2", "x2^2"][:len(x0)])
         with pytest.raises(IntegrationBlowupError) as info:
             rk4_integrate(square, x0, 1.0, dt)
         step, partial = info.value.step, info.value.partial
@@ -415,17 +437,18 @@ def test_rk4_rejects_non_finite_start():
     ("quartic", [0.3, 0.2]), ("quartic-coupled", [0.3, -0.2]),
     ("mean-field", [0.1, 0.0, 0.05]),
 ])
-def test_float_steps_are_bit_equal_to_array_steps(name, x0):
+def test_float_steps_are_bit_equal_to_array_steps(name, x0, array_rk4_integrate):
     field = make_system(name)
     batch_of_one = lambda x: field.many(x[None, :])[0]  # stepped on arrays
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        floats, arrays = (rk4_integrate(f, x0, 2.0, 0.01) for f in (field, batch_of_one))
+        floats = rk4_integrate(field, x0, 2.0, 0.01)
+        arrays = array_rk4_integrate(batch_of_one, x0, 2.0, 0.01)
     assert floats.states.tobytes() == arrays.states.tobytes()
     assert floats.times.tobytes() == arrays.times.tobytes()
 
 
-def test_float_step_redoes_a_sin_of_infinity_on_arrays(monkeypatch):
+def test_float_step_redoes_a_sin_of_infinity_on_arrays(monkeypatch, array_rk4_integrate):
     # exp(x1) overflows to inf in a stage; the next stage then takes sin(inf),
     # which math.sin rejects and the array step maps to nan.
     field = VectorField.from_exprs(2, ["exp(x1)", "sin(x1)"])
@@ -436,9 +459,10 @@ def test_float_step_redoes_a_sin_of_infinity_on_arrays(monkeypatch):
     errors = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f in (field, lambda x: field.many(x[None, :])[0]):
+        for integrate, f in ((rk4_integrate, field),
+                             (array_rk4_integrate, lambda x: field.many(x[None, :])[0])):
             with pytest.raises(IntegrationBlowupError) as info:
-                rk4_integrate(f, [1.0, 0.0], 5.0, 0.1)
+                integrate(f, [1.0, 0.0], 5.0, 0.1)
             errors.append(info.value)
     floats, arrays = errors
     # The float path redid only its last step on arrays; the batch of one
@@ -449,12 +473,13 @@ def test_float_step_redoes_a_sin_of_infinity_on_arrays(monkeypatch):
     assert floats.partial.states.tobytes() == arrays.partial.states.tobytes()
 
 
-def test_float_step_keeps_the_domain_error():
+def test_float_step_keeps_the_domain_error(array_rk4_integrate):
     # x1 steps 0.5 -> 0.25 -> 0; the last stage of step 2 divides by zero.
     field = VectorField.from_exprs(2, ["-1", "x1^-1"])
-    for f in (field, lambda x: field.many(x[None, :])[0]):
+    for integrate, f in ((rk4_integrate, field),
+                         (array_rk4_integrate, lambda x: field.many(x[None, :])[0])):
         with pytest.raises(EvaluationDomainError, match="negative power"):
-            rk4_integrate(f, [0.5, 0.0], 1.0, 0.25)
+            integrate(f, [0.5, 0.0], 1.0, 0.25)
 
 
 def test_float_step_blowup_at_step_one_keeps_the_start_state():
@@ -513,10 +538,11 @@ def _float_step_path(field, x0, t_end, dt):
     return None, np.array(rows)
 
 
-def _path(f, x0, t_end, dt):
-    """(blowup step or None, states, times) of :func:`rk4_integrate`."""
+def _path(integrate, f, x0, t_end, dt):
+    """(blowup step or None, states, times) of ``integrate``, which is
+    :func:`rk4_integrate` or the array loop."""
     try:
-        traj, step = rk4_integrate(f, x0, t_end, dt), None
+        traj, step = integrate(f, x0, t_end, dt), None
     except IntegrationBlowupError as err:
         traj, step = err.partial, err.step
     return step, traj.states, traj.times
@@ -539,13 +565,13 @@ LOOP_FIELDS = {
 
 @pytest.mark.parametrize("dt", [1e-3, 0.01, 0.1])
 @pytest.mark.parametrize("name", LOOP_FIELDS)
-def test_compiled_loop_is_bit_equal_to_the_loops_it_replaced(name, dt):
+def test_compiled_loop_is_bit_equal_to_the_loops_it_replaced(name, dt, array_rk4_integrate):
     field, x0 = LOOP_FIELDS[name]
     batch_of_one = lambda x: field.many(x[None, :])[0]  # stepped on arrays
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        step, states, times = _path(field, x0, 5.0, dt)
-        arrays = _path(batch_of_one, x0, 5.0, dt)
+        step, states, times = _path(rk4_integrate, field, x0, 5.0, dt)
+        arrays = _path(array_rk4_integrate, batch_of_one, x0, 5.0, dt)
         floats = _float_step_path(field, x0, 5.0, dt)
     assert step == arrays[0] == floats[0]
     assert states.tobytes() == arrays[1].tobytes() == floats[1].tobytes()
@@ -566,11 +592,11 @@ def test_compiled_loop_binds_constants_and_tests_divisors():
         Program((parse("x2"),)).source("rk4")
 
 
-def test_synthetic_lift_data_is_bit_equal_to_the_array_loop(monkeypatch):
+def test_synthetic_lift_data_is_bit_equal_to_the_array_loop(monkeypatch,
+                                                            array_rk4_integrate):
     expected = reduction.synthetic_lift_data()
-    field = reduction.mean_field()
-    monkeypatch.setattr(reduction, "mean_field",
-                        lambda: lambda x: field.many(x[None, :])[0])
+    monkeypatch.setattr(reduction, "rk4_integrate", lambda field, *args: array_rk4_integrate(
+        lambda x: field.many(x[None, :])[0], *args))
     for got, want in zip(reduction.synthetic_lift_data(), expected):
         assert got.tobytes() == want.tobytes()
 
@@ -579,9 +605,8 @@ def test_blowup_partial_owns_only_its_rows():
     # dx = x^2 from 2 blows up at step 53 of a 100 000-step path; the partial
     # must not keep the preallocated path alive.
     field = VectorField.from_exprs(1, ["x1^2"])
-    for f in (field, lambda x: x * x):
-        with pytest.raises(IntegrationBlowupError) as info:
-            rk4_integrate(f, [2.0], 1000.0, 0.01)
-        states = info.value.partial.states
-        assert info.value.step == 53
-        assert states.base is None and states.nbytes == 53 * 8
+    with pytest.raises(IntegrationBlowupError) as info:
+        rk4_integrate(field, [2.0], 1000.0, 0.01)
+    states = info.value.partial.states
+    assert info.value.step == 53
+    assert states.base is None and states.nbytes == 53 * 8
