@@ -147,7 +147,7 @@ def state_field(model) -> VectorField:
     w = model.xi if isinstance(model, SindyModel) else full_state_matrix(d) @ model.theta
     components = [reduce(Add, (Mul(Const(c), phi) for c, phi in zip(row, d.basis)))
                   for row in w.tolist()]
-    return VectorField(d.state_dim, Program(components))
+    return VectorField(d.state_dim, Program(components, d.state_dim))
 
 
 # ---------------------------------------------------------------------------

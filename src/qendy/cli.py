@@ -4,10 +4,11 @@ Every subcommand reads an optional JSON or TOML config file plus flag
 overrides (flags win), writes its outputs as CSV/JSON files into --out, and
 is deterministic: rerunning the same configuration reproduces the files byte
 for byte.  ``_SETTINGS`` declares each command's settings once, for the
-parser, the defaults and the required keys.  Each ``cmd_*`` returns the paths
-it wrote for :func:`main` to print.  The ``workers`` key of ``convergence``
-(default 1) sets the worker threads of its Monte Carlo runs; everything else
-is single-threaded.
+parser, the defaults and the required keys, and ``_CHECKS`` what each config
+value must be, so that a value of the wrong JSON type ends in one line, not a
+traceback.  Each ``cmd_*`` returns the paths it wrote for :func:`main` to
+print.  The ``workers`` key of ``convergence`` (default 1) sets the worker
+threads of its Monte Carlo runs; everything else is single-threaded.
 """
 
 from __future__ import annotations
@@ -74,8 +75,17 @@ def _merge_config(command, config, overrides):
     merged.update(config)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     for key, s in table.items():
-        if isinstance(s, _Flag) and s.required and merged[key] is None:
+        s = s if isinstance(s, _Flag) else _Flag(s, False, {})
+        value = merged[key]
+        if value is None and s.required:
             raise _CliError(f"'{command}' needs {key!r} (flag or config)")
+        if value is None and s.default is None:
+            continue  # unset
+        choices = s.kwargs.get("choices")
+        test, what = ((lambda v: v in choices, f"one of {', '.join(choices)}") if choices
+                      else _CHECKS.get(key, (None, None)))
+        if test is not None and not test(value):
+            raise _CliError(f"{key!r} must be {what}, got {json.dumps(value, default=str)}")
     return merged
 
 
@@ -166,6 +176,8 @@ def cmd_generate(cfg):
         traj_path = os.path.join(out, "trajectory.csv")
         save_trajectory(traj, traj_path)
         wrote.append(traj_path)
+    elif cfg["derivatives"] == "finite-difference":
+        raise _CliError("finite-difference derivatives need a trajectory: give x0")
     else:
         box = cfg.get("box") or [(-1.0, 1.0)] * system.n
         points = sample_uniform(box, int(cfg["m"]), int(cfg["seed"]))
@@ -188,8 +200,6 @@ def cmd_fit(cfg):
     out = _outdir(cfg)
     model_path = os.path.join(out, "model.json")
     method = cfg["method"]
-    if method not in ("qendy", "sindy", "gedmd"):
-        raise _CliError(f"unknown fit method {method!r}")
     if method == "qendy":
         model = fit(d, ts, lam=float(cfg["lambda"]),
                     force_c_zero=bool(cfg["force_c_zero"]),
@@ -434,6 +444,49 @@ _SETTINGS = {
         "model": _flag(required=True),
         "training": _flag(help="training CSV for loss reporting"), "out": _OUT,
     },
+}
+
+
+def _reads(convert):
+    """A test that a config value is not JSON true or false and that
+    ``convert``, the function its command reads it with, takes it."""
+    def test(value):
+        if isinstance(value, bool):
+            return False
+        try:
+            convert(value)
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return True
+    return test
+
+
+_FLOAT, _INT = _reads(float), _reads(int)
+
+
+def _all(test, length=None):
+    """A test that a config value is a list, of ``length`` items if given,
+    each of which passes ``test``."""
+    return lambda v: (isinstance(v, list) and length in (None, len(v))
+                      and all(map(test, v)))
+
+
+# What each config value must be, as (test, description), by key; ``params``
+# is checked where it is read, and a setting with choices must be one of them.
+# A null is only accepted for a setting whose default is null, and means unset.
+_CHECKS = {
+    **dict.fromkeys(("t_end", "lambda", "threshold", "rcond", "dt", "noise",
+                     "train_fraction"), (_FLOAT, "a number")),
+    **dict.fromkeys(("m", "substeps", "seed", "runs", "order", "workers", "samples",
+                     "lift_dim", "k"), (_INT, "an integer")),
+    **dict.fromkeys(("force_c_zero", "reembed", "relative"),
+                    (lambda v: isinstance(v, bool), "true or false")),
+    **dict.fromkeys(("system", "dictionary", "training", "model", "data", "out"),
+                    (lambda v: isinstance(v, str), "a string")),
+    "x0": (lambda v: isinstance(v, str) or _all(_FLOAT)(v),
+           "a list of numbers or comma-separated text"),
+    "m_list": (_all(_INT), "a list of integers"),
+    "box": (_all(_all(_FLOAT, 2)), "a list of [lo, hi] pairs"),
 }
 
 _COMMANDS = {

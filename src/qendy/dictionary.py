@@ -6,7 +6,8 @@ dictionary: products ``phi_i * phi_j`` first (row-major in the index pair, so
 pair (i, j) sits at flat position ``N*i + j``), then the N dictionary entries,
 then the constant function.  That ordering matches the columnwise Kronecker
 square used by the fitting code, which is checked by tests rather than
-assumed.
+assumed.  The lifts hand their arguments straight to the dictionary's
+compiled :class:`~qendy.expr.Program`, which checks their shapes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import sample_uniform
-from .expr import Const, Mul, Program, Var, parse, render
+from .expr import Const, Mul, Program, StateDimensionError, Var, parse, render
 
 __all__ = [
     "ConfigurationError", "Dictionary", "AugmentedBasis",
@@ -58,14 +59,12 @@ class Dictionary:
             raise ConfigurationError(
                 f"{len(names)} names for {len(basis)} basis functions")
         object.__setattr__(self, "names", names)
-        program = Program(basis)
-        beyond = program.first_beyond(self.state_dim)
-        if beyond is not None:
-            i, v = beyond
+        try:
+            object.__setattr__(self, "program", Program(basis, self.state_dim))
+        except StateDimensionError as err:
             raise ConfigurationError(
-                f"basis entry {i} ({names[i]}) references x{v + 1} "
-                f"but state dimension is {self.state_dim}")
-        object.__setattr__(self, "program", program)
+                f"basis entry {err.tree} ({names[err.tree]}) references "
+                f"x{err.variable + 1} but state dimension is {self.state_dim}") from None
 
     @property
     def size(self) -> int:
@@ -78,22 +77,12 @@ class Dictionary:
 
 def feature_map(d: Dictionary, x) -> np.ndarray:
     """Lift one point: returns z = phi(x) of shape (N,)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d.state_dim,):
-        raise ValueError(f"expected shape ({d.state_dim},), got {x.shape}")
     return d.program.point(x)
-
-
-def _batch(d: Dictionary, points) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != d.state_dim:
-        raise ValueError(f"expected shape (m, {d.state_dim}), got {points.shape}")
-    return points
 
 
 def feature_matrix(d: Dictionary, points) -> np.ndarray:
     """Lift a batch: column k of the (N, m) result is phi(points[k])."""
-    return d.program.values(_batch(d, points))
+    return d.program.values(points)
 
 
 def jacobian(d: Dictionary, x) -> np.ndarray:
@@ -104,15 +93,6 @@ def jacobian(d: Dictionary, x) -> np.ndarray:
     return d.program.gradients(x[None, :])[1][:, 0, :]
 
 
-def _motion(d: Dictionary, points, derivatives):
-    points = _batch(d, points)
-    derivatives = np.asarray(derivatives, dtype=float)
-    if points.shape != derivatives.shape:
-        raise ValueError(
-            f"points {points.shape} and derivatives {derivatives.shape} disagree")
-    return points, derivatives
-
-
 def feature_time_derivatives(d: Dictionary, points, derivatives) -> np.ndarray:
     """Chain rule along samples: column k is J(points[k]) @ derivatives[k].
 
@@ -120,13 +100,13 @@ def feature_time_derivatives(d: Dictionary, points, derivatives) -> np.ndarray:
     derivative of each lifted coordinate along the sampled motion.  It is one
     forward-mode tangent pass with the derivatives as the direction.
     """
-    return d.program.tangents(*_motion(d, points, derivatives))
+    return d.program.tangents(points, derivatives)
 
 
 def feature_matrix_and_derivatives(d: Dictionary, points, derivatives):
     """(:func:`feature_matrix`, :func:`feature_time_derivatives`) of the same
     samples from one evaluation of the dictionary's program."""
-    return d.program.values_and_tangents(*_motion(d, points, derivatives))
+    return d.program.values_and_tangents(points, derivatives)
 
 
 @dataclass(frozen=True)
@@ -188,11 +168,8 @@ def full_state_matrix(d: Dictionary, override=None) -> np.ndarray:
 # serialization
 
 
-def dictionary_to_json(d: Dictionary, g=None) -> dict:
-    obj = {"state_dim": int(d.state_dim), "basis": [render(e) for e in d.basis]}
-    if g is not None:
-        obj["G"] = np.asarray(g, dtype=float).tolist()
-    return obj
+def dictionary_to_json(d: Dictionary) -> dict:
+    return {"state_dim": int(d.state_dim), "basis": [render(e) for e in d.basis]}
 
 
 def dictionary_from_json(obj: dict):
@@ -222,8 +199,8 @@ def write_json(path, obj):
         fh.write(text + "\n")
 
 
-def save_dictionary(d: Dictionary, path, g=None):
-    write_json(path, dictionary_to_json(d, g))
+def save_dictionary(d: Dictionary, path):
+    write_json(path, dictionary_to_json(d))
 
 
 def load_dictionary(path):

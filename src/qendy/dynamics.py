@@ -7,9 +7,12 @@ integrates in state space, a benchmark system or an identified SINDy or gEDMD
 model, is a :class:`VectorField` of expressions, and runs the whole loop as
 one compiled function of its program, in Python floats, with the operations
 of the array step in the same order, so both give the same bits; NumPy
-dispatch on (n,) arrays would cost more than the field itself.  Derivative
-data for training comes either from evaluating the governing vector field at
-the samples or from second-order finite differences along a trajectory.
+dispatch on (n,) arrays would cost more than the field itself.  A field
+hands its arguments straight to its program, which checks their shapes;
+:func:`rk4_integrate` checks only the start state it writes into the path.
+Derivative data for training comes either from evaluating the governing
+vector field at the samples or from second-order finite differences along a
+trajectory.
 """
 
 from __future__ import annotations
@@ -47,40 +50,30 @@ class IntegrationBlowupError(RuntimeError):
 class VectorField:
     """A vector field on R^n whose components are compiled expressions.
 
-    ``program`` holds the n component trees.  A call at one state runs the
-    program's float binding; :meth:`many` runs its array binding on a batch.
+    ``program`` holds the n component trees over R^n and checks every
+    argument.  A call at one state runs the program's float binding;
+    :meth:`many` runs its array binding on a batch.
     """
 
     n: int
     program: Program
-    name: str = ""
 
     def __post_init__(self):
         if len(self.program.outputs) != self.n:
             raise ValueError(
                 f"{len(self.program.outputs)} component expressions for dimension {self.n}")
-        beyond = self.program.first_beyond(self.n)
-        if beyond is not None:
-            i, v = beyond
-            raise ValueError(f"component {i} references x{v + 1} "
-                             f"but the state dimension is {self.n}")
+        if self.program.n != self.n:
+            raise ValueError(f"a program over R^{self.program.n} for dimension {self.n}")
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected state of shape ({self.n},), got {x.shape}")
         return self.program.point(x)
 
     def many(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.n:
-            raise ValueError(f"expected shape (m, {self.n}), got {points.shape}")
         return self.program.values(points, per_point=True)
 
     @classmethod
-    def from_exprs(cls, n: int, exprs, name: str = "") -> "VectorField":
-        exprs = tuple(parse(e) if isinstance(e, str) else e for e in exprs)
-        return cls(n, Program(exprs), name)
+    def from_exprs(cls, n: int, exprs) -> "VectorField":
+        return cls(n, Program((parse(e) if isinstance(e, str) else e for e in exprs), n))
 
 
 # Time steps compared per block of the grid check, so that its temporaries

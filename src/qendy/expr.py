@@ -11,7 +11,9 @@ values over NumPy columns for a batch; and the forward-mode tangent pass.
 That pass carries one directional derivative per slot, so the time
 derivative of a lift along sampled motion costs one pass and never forms a
 Jacobian; gradients seed one tangent set per coordinate in the same call.
-Derivatives are exact to rounding.
+Derivatives are exact to rounding.  A program is built for a state dimension
+n and is the one place that checks inputs: its trees at construction, then
+each point, batch or direction once at the entry it is passed to.
 
 Surface syntax, used by :func:`parse` and :func:`render`::
 
@@ -38,7 +40,7 @@ import numpy as np
 
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Pow", "Sin", "Cos", "Exp", "Inv",
-    "EvaluationDomainError", "ExpressionSyntaxError", "Program",
+    "EvaluationDomainError", "ExpressionSyntaxError", "StateDimensionError", "Program",
     "evaluate", "gradient", "variables",
     "parse", "render",
 ]
@@ -59,6 +61,17 @@ class EvaluationDomainError(ValueError):
     def __init__(self, node: "Expr", message: str):
         self.node = node
         super().__init__(f"{message} in '{render(node)}'")
+
+
+class StateDimensionError(ValueError):
+    """A tree reads a variable beyond the state dimension of its
+    :class:`Program`: ``tree`` is the index of the first such tree and
+    ``variable`` the smallest such variable index in it."""
+
+    def __init__(self, tree: int, variable: int, n: int):
+        self.tree, self.variable = tree, variable
+        super().__init__(f"component {tree} references x{variable + 1} "
+                         f"but the state dimension is {n}")
 
 
 class Expr:
@@ -129,13 +142,6 @@ class Inv(Expr):
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def _as_batch(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected a (m, n) sample batch, got shape {x.shape}")
-    return x
 
 
 # A Program flattens trees into a topologically ordered instruction list.
@@ -296,7 +302,13 @@ def _tangent_lines(instrs, refs, seeds: dict, suffix: str, lines: list) -> list:
 
 
 class Program:
-    """A tuple of trees compiled into one shared-subterm instruction list.
+    """A tuple of trees over R^n compiled into one shared-subterm
+    instruction list.
+
+    The one place that checks inputs: construction raises
+    :class:`StateDimensionError` for a tree that reads beyond x_n, and each
+    entry checks a point against (n,), a batch against (m, n) and a
+    direction against its points, once, raising ValueError.
 
     :meth:`source` emits the list as straight-line Python in five bindings,
     each compiled on first use: ``point`` (Python floats, for :meth:`point`;
@@ -313,7 +325,7 @@ class Program:
     compilation is locked, so one may be run from several threads at once.
     """
 
-    def __init__(self, exprs):
+    def __init__(self, exprs, n: int):
         exprs = tuple(exprs)  # keeps every node alive while ids key ``memo``
         instrs, slots, memo = [], {}, {}
         for root in exprs:
@@ -343,29 +355,18 @@ class Program:
              slots.get((partner[op], args, None)) if op in partner else None)
             for op, args, payload, node in instrs)
         self.variables = frozenset(p for op, _, p, _ in instrs if op == _OP_VAR)
-        self._width = max(self.variables, default=-1) + 1
+        self.n = n
+        if max(self.variables, default=-1) >= n:
+            for i, root in enumerate(exprs):
+                beyond = [v for v in variables(root) if v >= n]
+                if beyond:
+                    raise StateDimensionError(i, min(beyond), n)
         self._compiled = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         """Number of slots: distinct subexpressions over all compiled trees."""
         return len(self._instrs)
-
-    def _check(self, n: int):
-        if self._width > n:
-            raise ValueError(
-                f"expression references x{self._width} but points have dimension {n}")
-
-    def first_beyond(self, n: int):
-        """(i, v) for the first output tree i that references a variable
-        index v >= n (the smallest such v), or None if every tree stays
-        within x1..xn."""
-        if self._width <= n:
-            return None
-        for i, slot in enumerate(self.outputs):
-            out = [v for v in variables(self._instrs[slot][3]) if v >= n]
-            if out:
-                return i, min(out)
 
     def source(self, binding: str) -> str:
         """The Python source of one binding: ``program(x)``, or
@@ -421,7 +422,6 @@ class Program:
             depths.append(depth)
 
         if binding == "rk4":
-            self._check(len(self.outputs))
             return _rk4_source(len(self.outputs), self.variables, lines,
                                [refs[s] for s in self.outputs])
 
@@ -481,15 +481,20 @@ class Program:
         the point is evaluated by :meth:`values` instead.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"expected a point of shape (n,), got {x.shape}")
-        self._check(x.shape[0])
+        if x.shape != (self.n,):
+            raise ValueError(f"expected shape ({self.n},), got {x.shape}")
         try:
             return np.array(self._bound("point")(x.tolist()), dtype=float)
         except EvaluationDomainError:
             raise
         except ValueError:
             return self.values(x[None, :])[:, 0]
+
+    def _batch(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.n:
+            raise ValueError(f"expected shape (m, {self.n}), got {x.shape}")
+        return x
 
     @staticmethod
     def _stack(rows, out: np.ndarray) -> np.ndarray:
@@ -500,8 +505,7 @@ class Program:
     def values(self, x, *, per_point: bool = False) -> np.ndarray:
         """Every tree at each row of ``x`` (m, n); returns (K, m), or with
         ``per_point`` the same values as (m, K), one row per point."""
-        x = _as_batch(x)
-        self._check(x.shape[1])
+        x = self._batch(x)
         rows = self._bound("values")(x)
         # Allocated after the evaluation: allocating first makes NumPy's
         # temporaries fresh mappings at every call, page-faulted again at
@@ -515,10 +519,9 @@ class Program:
     def _along(self, x, v):
         """The ``tangents`` binding at ``x`` along ``v``: (output values,
         output tangents)."""
-        x, v = _as_batch(x), _as_batch(v)
+        x, v = self._batch(x), np.asarray(v, dtype=float)
         if v.shape != x.shape:
             raise ValueError(f"direction {v.shape} does not match points {x.shape}")
-        self._check(x.shape[1])
         return self._bound("tangents")(x, v)
 
     def tangents(self, x, v) -> np.ndarray:
@@ -538,8 +541,7 @@ class Program:
     def gradients(self, x):
         """Values (K, m) and row-wise gradients (K, m, n) from one call, with
         one unit-direction tangent set per coordinate."""
-        x = _as_batch(x)
-        self._check(x.shape[1])
+        x = self._batch(x)
         m, n = x.shape
         vals, sets = self._bound("gradients")(x)
         grads = np.zeros((len(vals), m, n))
@@ -550,15 +552,12 @@ class Program:
 
 def evaluate(e: Expr, x) -> float:
     """Evaluate ``e`` at a single point ``x`` of shape (n,)."""
-    return float(Program((e,)).point(x)[0])
+    return float(Program((e,), np.size(x)).point(x)[0])
 
 
 def gradient(e: Expr, x) -> np.ndarray:
     """Gradient of ``e`` at a single point ``x`` of shape (n,)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a point of shape (n,), got {x.shape}")
-    return Program((e,)).gradients(x[None, :])[1][0, 0]
+    return Program((e,), np.size(x)).gradients(np.asarray(x, dtype=float)[None])[1][0, 0]
 
 
 def variables(e: Expr) -> frozenset:

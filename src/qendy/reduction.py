@@ -85,7 +85,6 @@ class PipelineResult:
     predicted: np.ndarray
     singular_spectrum: np.ndarray
     n_train: int
-    dt: float
     train_rel_rms: float
     forecast_rel_rms: float
 
@@ -133,7 +132,7 @@ def reduced_identification_pipeline(data, k: int, train_fraction: float,
     else:
         forecast_rel = train_rel
     return PipelineResult(basis, model, reduced, predicted, sigma, n_train,
-                          float(dt), train_rel, forecast_rel)
+                          train_rel, forecast_rel)
 
 
 def synthetic_lift_data(num_samples: int = 500, lift_dim: int = 100,

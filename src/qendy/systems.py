@@ -32,8 +32,7 @@ def _num(value) -> str:
 
 def pendulum(c: float = 0.1) -> VectorField:
     """Damped pendulum: dx1 = x2, dx2 = -sin(x1) - c*x2."""
-    return VectorField.from_exprs(2, ["x2", f"-sin(x1) - {_num(c)}*x2"],
-                                  f"pendulum(c={c})")
+    return VectorField.from_exprs(2, ["x2", f"-sin(x1) - {_num(c)}*x2"])
 
 
 def pendulum_dictionary() -> Dictionary:
@@ -42,7 +41,7 @@ def pendulum_dictionary() -> Dictionary:
 
 def rational_decay() -> VectorField:
     """Scalar saturating decay: dx = -x / (1 + x), computed as (-x)*(1/(1+x))."""
-    return VectorField.from_exprs(1, ["-x1/(1+x1)"], "rational_decay")
+    return VectorField.from_exprs(1, ["-x1/(1+x1)"])
 
 
 def rational_dictionary() -> Dictionary:
@@ -60,7 +59,7 @@ def thomas(alpha: float = 0.2, beta: float = 0.0) -> VectorField:
         f"sin(x2) - {a}*x1 - {b}*x2*cos(x1)",
         f"sin(x3) - {a}*x2 - {b}*x3*cos(x2)",
         f"sin(x1) - {a}*x3 - {b}*x1*cos(x3)",
-    ], f"thomas(alpha={alpha}, beta={beta})")
+    ])
 
 
 def thomas_dictionary() -> Dictionary:
@@ -86,12 +85,12 @@ def thomas_extended_dictionary() -> Dictionary:
 
 def quartic_decoupled() -> VectorField:
     """dx1 = x1 - x2^4, dx2 = 2*x2; linear in the lift (x1, x2, x2^4)."""
-    return VectorField.from_exprs(2, ["x1 - x2^4", "2*x2"], "quartic_decoupled")
+    return VectorField.from_exprs(2, ["x1 - x2^4", "2*x2"])
 
 
 def quartic_coupled() -> VectorField:
     """dx1 = x1 - x2^4, dx2 = x1 + 2*x2; not closed by (x1, x2, x2^4)."""
-    return VectorField.from_exprs(2, ["x1 - x2^4", "x1 + 2*x2"], "quartic_coupled")
+    return VectorField.from_exprs(2, ["x1 - x2^4", "x1 + 2*x2"])
 
 
 def quartic_dictionary() -> Dictionary:
@@ -112,7 +111,7 @@ def mean_field(mu: float = 0.1, omega: float = 1.0, coupling: float = -0.1,
         f"{mu}*x1 - {omega}*x2 + {coupling}*x1*x3",
         f"{omega}*x1 + {mu}*x2 + {coupling}*x2*x3",
         f"-{relax}*(x3 - x1^2 - x2^2)",
-    ], "mean_field")
+    ])
 
 
 def identity_dictionary(n: int) -> Dictionary:

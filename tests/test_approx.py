@@ -37,7 +37,7 @@ def _values(f, points):
     """Values on ``points`` of an expression tree, a callable on point batches,
     or an array of samples, one per point."""
     if isinstance(f, Expr):
-        return Program((f,)).values(points)[0]
+        return Program((f,), points.shape[1]).values(points)[0]
     return f(points) if callable(f) else np.asarray(f, dtype=float)
 
 

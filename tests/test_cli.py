@@ -64,6 +64,16 @@ def test_generate_finite_difference_derivatives(tmp_path):
     assert np.abs(ts.derivatives[1:-1] - exact[1:-1]).max() < 1e-3
 
 
+def test_generate_rejects_finite_differences_without_a_trajectory(tmp_path, capsys):
+    # Uniform samples have no trajectory to difference; this wrote exact
+    # derivatives.
+    rc = _generate(tmp_path, "--derivatives", "finite-difference")
+    assert rc == 1
+    assert capsys.readouterr().err == ("qendy: error in generate: finite-difference "
+                                       "derivatives need a trajectory: give x0\n")
+    assert not list(tmp_path.glob("*"))
+
+
 def test_generate_box_from_config(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"box": [[0.0, 1.0], [2.0, 3.0]]}))
@@ -417,6 +427,64 @@ def test_system_params_that_are_not_an_object_fail_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "qendy: error in generate: params must map parameter names to values, got [1]\n")
     assert not (tmp_path / "training.csv").exists()
+
+
+_GENERATE = ["--system", "pendulum"]
+_FIT_FILES = ["--training", "training.csv", "--dictionary", "pendulum"]
+_SIMULATE_FILES = ["--model", "model.json", "--x0", "1,0"]
+
+
+@pytest.mark.parametrize("command, config, argv, shown", [
+    ("generate", {"box": [[0]]}, _GENERATE,
+     "'box' must be a list of [lo, hi] pairs, got [[0]]"),
+    ("generate", {"box": 5}, _GENERATE, "'box' must be a list of [lo, hi] pairs, got 5"),
+    ("generate", {"m": None}, _GENERATE, "'m' must be an integer, got null"),
+    ("generate", {"substeps": None}, [*_GENERATE, "--x0", "1,0"],
+     "'substeps' must be an integer, got null"),
+    ("generate", {"m": 1e400}, _GENERATE, "'m' must be an integer, got Infinity"),
+    ("generate", {"x0": {"a": 1}}, _GENERATE,
+     """'x0' must be a list of numbers or comma-separated text, got {"a": 1}"""),
+    ("generate", {"out": 5}, _GENERATE, "'out' must be a string, got 5"),
+    ("generate", {"derivatives": "fd"}, _GENERATE,
+     "'derivatives' must be one of exact, finite-difference, got \"fd\""),
+    ("convergence", {"m_list": 5}, [], "'m_list' must be a list of integers, got 5"),
+    ("convergence", {"runs": None}, [], "'runs' must be an integer, got null"),
+    ("convergence", {"relative": "yes"}, [],
+     "'relative' must be true or false, got \"yes\""),
+    ("fit", {"lambda": None}, _FIT_FILES, "'lambda' must be a number, got null"),
+    ("fit", {"rcond": [1]}, _FIT_FILES, "'rcond' must be a number, got [1]"),
+    ("fit", {"force_c_zero": "false"}, _FIT_FILES,
+     "'force_c_zero' must be true or false, got \"false\""),
+    ("fit", {"method": "lstsq"}, _FIT_FILES,
+     "'method' must be one of qendy, sindy, gedmd, got \"lstsq\""),
+    ("simulate", {"dt": None}, _SIMULATE_FILES, "'dt' must be a number, got null"),
+    ("simulate", {"reembed": "no"}, _SIMULATE_FILES,
+     "'reembed' must be true or false, got \"no\""),
+    ("reduce", {"samples": None}, [], "'samples' must be an integer, got null"),
+], ids=["box-pair", "box-number", "m-null", "substeps-null", "m-infinite", "x0-object",
+        "out-number", "derivatives-choice", "m_list-number", "runs-null",
+        "relative-text", "lambda-null", "rcond-list", "force_c_zero-text",
+        "method-choice", "dt-null", "reembed-text", "samples-null"])
+def test_a_config_value_of_the_wrong_type_fails_cleanly(tmp_path, capsys, command,
+                                                        config, argv, shown):
+    # These raised IndexError or TypeError, or ran as if a text were true.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    if "out" not in config:
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    rc = main([command, "--config", str(path), *argv])
+    assert rc == 1
+    assert capsys.readouterr().err == f"qendy: error in config: {shown}\n"
+    assert list(tmp_path.glob("*")) == [path]
+
+
+def test_a_null_config_value_leaves_a_null_default_unset(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"box": None, "x0": None}))
+    assert _generate(tmp_path / "a", "--config", str(config)) == 0
+    assert _generate(tmp_path / "b") == 0
+    assert ((tmp_path / "a" / "training.csv").read_bytes()
+            == (tmp_path / "b" / "training.csv").read_bytes())
 
 
 def test_missing_required_argument_fails(tmp_path, capsys):
@@ -1000,6 +1068,15 @@ def test_each_command_keeps_its_settings(command):
     for key in required:
         with pytest.raises(cli._CliError, match=f"'{command}' needs '{key}'"):
             cli._merge_config(command, {}, {k: v for k, v in given.items() if k != key})
+
+
+@pytest.mark.parametrize("command", sorted(_SETTINGS))
+def test_each_setting_checks_its_config_value(command):
+    # params is checked where it is read; a setting with choices checks them.
+    from qendy import cli
+    for key, s in cli._SETTINGS[command].items():
+        chosen = isinstance(s, cli._Flag) and "choices" in s.kwargs
+        assert (key in cli._CHECKS) != (chosen or key == "params"), key
 
 
 @pytest.mark.parametrize("via", ["flag", "config", "both"])

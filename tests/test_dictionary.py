@@ -162,7 +162,7 @@ def test_dictionary_validates_variable_range():
 def test_json_round_trip(tmp_path):
     d = rational_dictionary()
     path = tmp_path / "dict.json"
-    save_dictionary(d, path, g=np.array([[1.0, 0.0, 0.0]]))
+    write_json(path, {**dictionary_to_json(d), "G": [[1.0, 0.0, 0.0]]})
     loaded, g = load_dictionary(path)
     assert loaded.state_dim == 1
     assert [str(n) for n in loaded.names] == [str(n) for n in d.names]

@@ -23,7 +23,7 @@ from qendy.systems import (
     rational_decay, thomas, thomas_dictionary,
 )
 
-DECAY = VectorField.from_exprs(1, ["-x1"], name="decay")
+DECAY = VectorField.from_exprs(1, ["-x1"])
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ def test_rk4_exponential_decay():
 
 
 def test_rk4_zero_field_constant():
-    zero = VectorField.from_exprs(2, ["0", "0"], "zero")
+    zero = VectorField.from_exprs(2, ["0", "0"])
     traj = rk4_integrate(zero, [2.0, 3.0], 1.0, 0.1)
     assert np.abs(traj.states - np.array([2.0, 3.0])).max() == 0.0
 
@@ -60,7 +60,7 @@ def test_rk4_fourth_order_convergence():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_rk4_blowup_reports_step():
-    unstable = VectorField.from_exprs(1, ["x1^3"], "cubic")
+    unstable = VectorField.from_exprs(1, ["x1^3"])
     with pytest.raises(IntegrationBlowupError) as info:
         rk4_integrate(unstable, [5.0], 10.0, 0.5)
     assert info.value.step >= 1
@@ -127,7 +127,7 @@ def test_exact_derivatives_rational():
 
 
 def test_exact_derivatives_zero_field():
-    zero = VectorField.from_exprs(2, ["0", "0"], "zero")
+    zero = VectorField.from_exprs(2, ["0", "0"])
     ts = exact_derivatives(zero, np.zeros((5, 2)))
     assert np.abs(ts.derivatives).max() == 0.0
 
@@ -287,14 +287,16 @@ def test_field_rejects_a_variable_beyond_its_dimension(n, texts, shown):
     with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
         VectorField.from_exprs(n, texts)
     with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
-        VectorField(n, Program(tuple(map(parse, texts))))
+        Program(tuple(map(parse, texts)), n)
 
 
 def test_field_needs_one_component_per_dimension():
     with pytest.raises(ValueError, match="^1 component expressions for dimension 2$"):
         VectorField.from_exprs(2, ["x1"])
     with pytest.raises(ValueError, match="^2 component expressions for dimension 1$"):
-        VectorField(1, Program((parse("x1"), parse("x1"))))
+        VectorField(1, Program((parse("x1"), parse("x1")), 1))
+    with pytest.raises(ValueError, match=r"^a program over R\^3 for dimension 2$"):
+        VectorField(2, Program((parse("x1"), parse("x2")), 3))
 
 
 # Expression fields whose paths overflow: through exp, through a power, and
@@ -558,8 +560,8 @@ LOOP_FIELDS = {
     # is tested for zero before the division.
     "non-finite-constant": (VectorField(2, Program((
         Add(Mul(Const(-1.0), Var(0)), Inv(Const(math.inf))),
-        parse("x1/(x2 + 2)")))), [1.0, 0.5]),
-    "nan-constant": (VectorField(1, Program((Mul(Const(math.nan), Var(0)),))), [1.0]),
+        parse("x1/(x2 + 2)")), 2)), [1.0, 0.5]),
+    "nan-constant": (VectorField(1, Program((Mul(Const(math.nan), Var(0)),), 1)), [1.0]),
 }
 
 
@@ -587,9 +589,31 @@ def test_compiled_loop_binds_constants_and_tests_divisors():
     # Both divisors, 1/inf and x1/(x2 + 2), are tested in each of four stages.
     assert source.count("_fail(") == 8
     assert "1.0 / _c" in source
-    # Each component is the derivative of one state variable.
-    with pytest.raises(ValueError, match="references x2 but points have dimension 1"):
-        Program((parse("x2"),)).source("rk4")
+    # A tree beyond the state dimension is refused before any binding exists.
+    with pytest.raises(ValueError,
+                       match="^component 0 references x2 but the state dimension is 1$"):
+        Program((parse("x2"),), 1)
+
+
+def test_compiled_loop_resumes_after_a_redone_step_that_ends_finite(monkeypatch,
+                                                                   array_rk4_integrate):
+    # exp(710) overflows, and math.sin of it stops the float loop before step
+    # 1.  The array step maps sin(inf) to nan and nan^0 to 1, so the state
+    # stays finite and the float loop resumes from step 1.
+    field = VectorField.from_exprs(2, ["-x1", "sin(exp(x1))^0"])
+    redone = []
+    array_step = dynamics.rk4_step
+    monkeypatch.setattr(dynamics, "rk4_step",
+                        lambda *args: redone.append(args[1].tolist()) or array_step(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = rk4_integrate(field, [710.0, 0.0], 1.0, 0.01)
+        assert redone == [[710.0, 0.0]]
+        expected = array_rk4_integrate(lambda x: field.many(x[None, :])[0],
+                                       [710.0, 0.0], 1.0, 0.01)
+    assert traj.states.shape == (101, 2)
+    assert traj.states.tobytes() == expected.states.tobytes()
+    assert traj.times.tobytes() == expected.times.tobytes()
 
 
 def test_synthetic_lift_data_is_bit_equal_to_the_array_loop(monkeypatch,

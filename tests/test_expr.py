@@ -2,6 +2,7 @@
 renderer."""
 
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from qendy.dictionary import (
-    Dictionary, feature_matrix, feature_matrix_and_derivatives, feature_time_derivatives,
-    jacobian,
+    Dictionary, feature_map, feature_matrix, feature_matrix_and_derivatives,
+    feature_time_derivatives, jacobian,
 )
 from qendy.expr import (
     Add, Const, Cos, EvaluationDomainError, Exp, ExpressionSyntaxError, Inv,
@@ -55,7 +56,7 @@ def test_eval_pow_negative_exponent():
 def test_evaluate_many_matches_scalar_loop():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.5, 2.0, size=(40, 1))
-    batch = Program((RATIONAL,)).values(pts)[0]
+    batch = Program((RATIONAL,), 1).values(pts)[0]
     for k in range(pts.shape[0]):
         assert abs(batch[k] - evaluate(RATIONAL, pts[k])) < 1e-15
 
@@ -146,7 +147,7 @@ def test_grad_product_rule():
 def test_program_gradients_match_per_point():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(25, 2))
-    batch = Program((Sin(Mul(Var(0), Var(1))),)).gradients(pts)[1][0]
+    batch = Program((Sin(Mul(Var(0), Var(1))),), 2).gradients(pts)[1][0]
     assert batch.shape == (25, 2)
     for k in range(25):
         single = gradient(Sin(Mul(Var(0), Var(1))), pts[k])
@@ -314,7 +315,7 @@ def test_lift_is_bit_equal_to_oracle(name):
     expected = np.stack([_oracle_values(e, points) for e in d.basis])
     assert feature_matrix(d, points).tobytes() == expected.tobytes()
     for e, row in zip(d.basis, expected):
-        assert Program((e,)).values(points)[0].tobytes() == row.tobytes()
+        assert Program((e,), d.state_dim).values(points)[0].tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("name", BUILTIN_DICTIONARIES)
@@ -345,7 +346,7 @@ def test_gradients_match_oracle(name):
     d, points, _ = _dictionary_and_points(name, m=50)
     for e in d.basis:
         expected = _oracle_duals(e, points)[1]
-        got = Program((e,)).gradients(points)[1][0]
+        got = Program((e,), d.state_dim).gradients(points)[1][0]
         assert _row_relative(got.T, expected.T) <= 1e-14
     for x in points[:5]:
         expected = np.stack([_oracle_duals(e, x[None, :])[1][0] for e in d.basis])
@@ -358,11 +359,11 @@ def test_program_merges_structurally_equal_subtrees():
     d = make_dictionary("thomas15")
     assert len(d.program) == 15
     # Separately parsed, structurally equal trees share slots too.
-    program = Program((parse("sin(x1)*x2"), parse("sin(x1)*x2"), parse("sin(x1)")))
+    program = Program((parse("sin(x1)*x2"), parse("sin(x1)*x2"), parse("sin(x1)")), 2)
     assert len(program) == 4
     assert program.outputs[0] == program.outputs[1]
     # Equal floats of opposite sign are different constants.
-    assert len(Program((Const(0.0), Const(-0.0)))) == 2
+    assert len(Program((Const(0.0), Const(-0.0)), 1)) == 2
 
 
 def test_domain_error_names_offending_subtree():
@@ -373,17 +374,64 @@ def test_domain_error_names_offending_subtree():
     assert info.value.node == pole
     assert "1/(x1-1)" in str(info.value)
     with pytest.raises(EvaluationDomainError) as info:
-        Program((Pow(Sin(Var(1)), -2),)).gradients(np.zeros((3, 2)))
+        Program((Pow(Sin(Var(1)), -2),), 2).gradients(np.zeros((3, 2)))
     assert info.value.node == Pow(Sin(Var(1)), -2)
     assert "sin(x2)^-2" in str(info.value)
 
 
 def test_evaluate_many_of_variable_is_a_copy():
     points = np.arange(6.0).reshape(3, 2)
-    out = Program((Var(1),)).values(points)[0]
+    out = Program((Var(1),), 2).values(points)[0]
     assert not np.shares_memory(out, points)
     out[0] = -1.0
     assert points[0, 1] == 1.0
+
+
+# A point and a batch of a 3-D state, passed to 2-D programs whose trees read
+# only x1 and x2.
+PENDULUM, PENDULUM_FIELD = make_dictionary("pendulum"), make_system("pendulum")
+POINT, BATCH = np.ones(3), np.ones((4, 3))
+POINT_TEXT = r"^expected shape \(2,\), got \(3,\)$"
+BATCH_TEXT = r"^expected shape \(m, 2\), got \(4, 3\)$"
+WRONG_SHAPES = {
+    "feature_map": (lambda: feature_map(PENDULUM, POINT), POINT_TEXT),
+    "feature_matrix": (lambda: feature_matrix(PENDULUM, BATCH), BATCH_TEXT),
+    "feature_time_derivatives": (
+        lambda: feature_time_derivatives(PENDULUM, BATCH, BATCH), BATCH_TEXT),
+    "feature_matrix_and_derivatives": (
+        lambda: feature_matrix_and_derivatives(PENDULUM, BATCH, BATCH), BATCH_TEXT),
+    "jacobian": (lambda: jacobian(PENDULUM, POINT), POINT_TEXT),
+    "VectorField.__call__": (lambda: PENDULUM_FIELD(POINT), POINT_TEXT),
+    "VectorField.many": (lambda: PENDULUM_FIELD.many(BATCH), BATCH_TEXT),
+    "Program.point": (lambda: PENDULUM.program.point(POINT), POINT_TEXT),
+    "Program.values": (lambda: PENDULUM.program.values(BATCH), BATCH_TEXT),
+    "Program.tangents": (lambda: PENDULUM.program.tangents(BATCH, BATCH), BATCH_TEXT),
+    "Program.values_and_tangents": (
+        lambda: PENDULUM.program.values_and_tangents(BATCH, BATCH), BATCH_TEXT),
+    "Program.gradients": (lambda: PENDULUM.program.gradients(BATCH), BATCH_TEXT),
+    # The state dimension of one point is its size; gradient passes it on
+    # as a batch of one.
+    "evaluate": (lambda: evaluate(Var(0), np.ones((1, 2))),
+                 r"^expected shape \(2,\), got \(1, 2\)$"),
+    "gradient": (lambda: gradient(Var(0), np.ones((1, 2))),
+                 r"^expected shape \(m, 2\), got \(1, 1, 2\)$"),
+}
+
+
+@pytest.mark.parametrize("entry", WRONG_SHAPES)
+def test_every_entry_rejects_a_wrong_shape(entry):
+    call, shown = WRONG_SHAPES[entry]
+    with pytest.raises(ValueError, match=shown):
+        call()
+
+
+@pytest.mark.parametrize("lift", [feature_time_derivatives, feature_matrix_and_derivatives])
+def test_a_direction_must_match_its_points(lift):
+    points = np.ones((4, 2))
+    for direction in (np.ones((4, 3)), np.ones((3, 2)), np.ones(2)):
+        shown = f"direction {direction.shape} does not match points (4, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)}$"):
+            lift(PENDULUM, points, direction)
 
 
 def test_long_entry_lifts_without_recursion_error():
@@ -554,7 +602,7 @@ def _programs_and_points(m=10_000):
     for name in SYSTEMS:
         field = make_system(name)
         cases.append((f"system {name}", field.program, field.n))
-    cases.append(("corpus", Program(parse(t) for t in POINT_CORPUS), 2))
+    cases.append(("corpus", Program((parse(t) for t in POINT_CORPUS), 2), 2))
     return [(label, program,
              rng.uniform(0.0, 3.0, (m, n)) if "rational" in label
              else rng.uniform(-3.0, 3.0, (m, n)))
@@ -642,7 +690,7 @@ def test_lifted_derivatives_peak_memory():
 def test_float_binding_matches_the_array_binding_off_the_finite_range():
     # math.sin(inf) raises where NumPy returns nan, and exp or a power may
     # overflow: one point still gives what a one-row batch gives.
-    program = Program(parse(t) for t in POINT_CORPUS + ["sin(x1) + cos(x2)"])
+    program = Program((parse(t) for t in POINT_CORPUS + ["sin(x1) + cos(x2)"]), 2)
     for x in ([np.inf, 1.0], [1.0, -np.inf], [np.nan, 2.0], [800.0, 1e200],
               [-1e300, 1e-300]):
         x = np.array(x)
@@ -655,7 +703,7 @@ def test_float_binding_matches_the_array_binding_off_the_finite_range():
     ("x2*(x1 - 1)^-2", "zero raised to a negative power"),
 ])
 def test_domain_errors_name_the_node_in_every_binding(text, message):
-    program = Program((Var(0), parse(text)))
+    program = Program((Var(0), parse(text)), 2)
     pole = parse(text).right
     points = np.array([[0.5, 2.0], [1.0, 2.0]])
     for call in (lambda: program.point(points[1]), lambda: program.values(points),
@@ -668,7 +716,7 @@ def test_domain_errors_name_the_node_in_every_binding(text, message):
 
 
 def test_source_inlines_single_use_slots_and_names_shared_ones():
-    program = Program((parse("(x1*x2 + 1)*x3"), parse("sin(x1)*sin(x1) + 1/x2")))
+    program = Program((parse("(x1*x2 + 1)*x3"), parse("sin(x1)*sin(x1) + 1/x2")), 3)
     lines = program.source("values").splitlines()
     # Every intermediate of the first tree is read once: one nested expression.
     assert "(((x0 * x1) + 1.0) * x2)" in lines[-1]
@@ -689,7 +737,7 @@ def test_source_inlines_single_use_slots_and_names_shared_ones():
 
 def test_bindings_compile_once_under_concurrent_first_use():
     workers = 8
-    program = Program(parse(t) for t in POINT_CORPUS)
+    program = Program((parse(t) for t in POINT_CORPUS), 2)
     points = np.random.default_rng(5).uniform(-2.0, 2.0, (50, 2))
     expected = _interpreted_values(program, points)
     barrier = threading.Barrier(workers)

@@ -216,7 +216,7 @@ def test_fit_small_box():
 
 
 def test_fit_zero_field_gives_zero_model():
-    zero = VectorField.from_exprs(2, ["0", "0"], "zero")
+    zero = VectorField.from_exprs(2, ["0", "0"])
     ts = exact_derivatives(zero, sample_uniform([(-1, 1)] * 2, 30, seed=3))
     model = fit(pendulum_dictionary(), ts)
     assert np.abs(model.a).max() < 1e-10
