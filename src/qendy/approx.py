@@ -147,7 +147,7 @@ def convergence_study(d: Dictionary, field: VectorField, box, sample_sizes,
     ``relative=True`` scaled by the mean magnitude of the limit object)
     against the quadrature limit.  Run seeds are spawned per (size, run)
     index, so results do not depend on execution order and ``max_workers``
-    only affects speed.
+    (at least 1) only affects speed.
     """
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     sample_sizes = tuple(int(m) for m in sample_sizes)
@@ -159,6 +159,8 @@ def convergence_study(d: Dictionary, field: VectorField, box, sample_sizes,
             f"got {list(sample_sizes)}")
     if runs < 1:
         raise ValueError("need at least one run")
+    if max_workers < 1:
+        raise ValueError(f"need at least one worker, got {max_workers}")
     rstar, sstar = limit_gram_system(d, field, BoxQuadrature(box, order))
     e_r = np.empty((len(sample_sizes), runs))
     e_s = np.empty((len(sample_sizes), runs, d.size))

@@ -22,13 +22,13 @@ from functools import reduce
 import numpy as np
 
 from .dictionary import (
-    Dictionary, dictionary_from_json, dictionary_to_json, feature_map,
-    feature_matrix, full_state_matrix,
+    Dictionary, dictionary_from_json, feature_map, feature_matrix, full_state_matrix,
 )
 from .dynamics import TrainingSet, VectorField
 from .expr import Add, Const, Mul, Program
 from .fitting import lifted_chunks, value_chunks
 from .linalg import min_norm_solve, summed_normal_equations
+from .model import _coefficients, _model_json
 
 __all__ = [
     "SindyModel", "GedmdModel", "GeneratorEigenfunction",
@@ -46,11 +46,8 @@ class SindyModel:
     dictionary: Dictionary
 
     def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        want = (self.dictionary.state_dim, self.dictionary.size)
-        if xi.shape != want:
-            raise ValueError(f"xi must have shape {want}, got {xi.shape}")
-        object.__setattr__(self, "xi", xi)
+        d = self.dictionary
+        object.__setattr__(self, "xi", _coefficients("xi", self.xi, (d.state_dim, d.size)))
 
 
 def sindy_fit(d: Dictionary, ts: TrainingSet, threshold: float = 0.0,
@@ -88,11 +85,8 @@ class GedmdModel:
     dictionary: Dictionary
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
         size = self.dictionary.size
-        if theta.shape != (size, size):
-            raise ValueError(f"theta must have shape ({size}, {size}), got {theta.shape}")
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", _coefficients("theta", self.theta, (size, size)))
 
 
 def gedmd_fit(d: Dictionary, ts: TrainingSet, rcond=None) -> GedmdModel:
@@ -155,26 +149,16 @@ def state_field(model) -> VectorField:
 
 
 def sindy_to_json(model: SindyModel) -> dict:
-    return {
-        "state_dim": int(model.dictionary.state_dim),
-        "dictionary": dictionary_to_json(model.dictionary),
-        "Xi": model.xi.tolist(),
-    }
+    return _model_json(model.dictionary, Xi=model.xi)
 
 
 def sindy_from_json(obj: dict) -> SindyModel:
-    d, _ = dictionary_from_json(obj["dictionary"])
-    return SindyModel(np.asarray(obj["Xi"], dtype=float), d)
+    return SindyModel(obj["Xi"], dictionary_from_json(obj["dictionary"])[0])
 
 
 def gedmd_to_json(model: GedmdModel) -> dict:
-    return {
-        "state_dim": int(model.dictionary.state_dim),
-        "dictionary": dictionary_to_json(model.dictionary),
-        "Theta": model.theta.tolist(),
-    }
+    return _model_json(model.dictionary, Theta=model.theta)
 
 
 def gedmd_from_json(obj: dict) -> GedmdModel:
-    d, _ = dictionary_from_json(obj["dictionary"])
-    return GedmdModel(np.asarray(obj["Theta"], dtype=float), d)
+    return GedmdModel(obj["Theta"], dictionary_from_json(obj["dictionary"])[0])

@@ -24,7 +24,9 @@ import numpy as np
 
 from . import baselines, reduction
 from .approx import convergence_study
-from .dictionary import ConfigurationError, load_dictionary, save_dictionary, write_json
+from .dictionary import (
+    ConfigurationError, _whole, load_dictionary, save_dictionary, write_json,
+)
 from .dynamics import (
     IntegrationBlowupError, _load_rows, exact_derivatives, finite_diff_derivatives,
     load_training, rk4_integrate, sample_trajectory, sample_uniform,
@@ -92,8 +94,8 @@ def _merge_config(command, config, overrides):
 def _vector(value):
     """A state given as comma-separated text (flag) or a list (config)."""
     if isinstance(value, str):
-        value = [float(v) for v in value.split(",") if v != ""]
-    return np.asarray(value, dtype=float)
+        value = value.split(",")
+    return np.asarray([float(v) for v in value])
 
 
 def _system(cfg):
@@ -103,15 +105,26 @@ def _system(cfg):
     return make_system(cfg["system"], **params)
 
 
-def _resolve_dictionary(ref, state_dim=None):
-    """A dictionary argument is either a JSON file path or a builtin name."""
+def _resolve_dictionary(ref, state_dim):
+    """A dictionary argument is either a JSON file path or a builtin name;
+    the builtin ``identity`` takes the state dimension ``state_dim``."""
     if os.path.exists(ref):
         return load_dictionary(ref)
     if ref == "identity":
-        if state_dim is None:
-            raise _CliError("identity dictionary needs training data to size itself")
         return make_dictionary("identity", n=state_dim), None
     return make_dictionary(ref), None
+
+
+def _box(cfg, system):
+    """The config's box, one [lo, hi] pair per coordinate of ``system``, or
+    [-1, 1] in each coordinate if the config sets none."""
+    box = cfg.get("box")
+    if box is None:
+        return [(-1.0, 1.0)] * system.n
+    if len(box) != system.n:
+        raise _CliError(f"'box' must hold one [lo, hi] pair per coordinate of system "
+                        f"{cfg['system']!r}, which has dimension {system.n}, got {len(box)}")
+    return box
 
 
 def _outdir(cfg):
@@ -120,21 +133,26 @@ def _outdir(cfg):
     return out
 
 
-# The coefficient key that marks each kind of model file, and its reader.
+# Each kind of model, which is also a fit method: the coefficient key that
+# marks its model file, the file's reader and its writer.
 _KINDS = {
-    "A": ("qendy", model_from_json),
-    "Xi": ("sindy", baselines.sindy_from_json),
-    "Theta": ("gedmd", baselines.gedmd_from_json),
+    "qendy": ("A", model_from_json, model_to_json),
+    "sindy": ("Xi", baselines.sindy_from_json, baselines.sindy_to_json),
+    "gedmd": ("Theta", baselines.gedmd_from_json, baselines.gedmd_to_json),
 }
 
 
 def _load_model_file(path):
     """(kind, model) of a model JSON file."""
     obj = _load_json_object(path)
-    for key, (kind, from_json) in _KINDS.items():
+    for kind, (key, from_json, _) in _KINDS.items():
         if key in obj:
-            return kind, from_json(obj)
-    raise _CliError(f"model file has none of the keys {', '.join(_KINDS)}")
+            try:
+                return kind, from_json(obj)
+            except KeyError as missing:
+                raise _CliError(f"model file {path} lacks key {missing}") from None
+    raise _CliError("model file has none of the keys "
+                    + ", ".join(key for key, _, _ in _KINDS.values()))
 
 
 def _loss_fields(kind, model, ts, path):
@@ -179,8 +197,7 @@ def cmd_generate(cfg):
     elif cfg["derivatives"] == "finite-difference":
         raise _CliError("finite-difference derivatives need a trajectory: give x0")
     else:
-        box = cfg.get("box") or [(-1.0, 1.0)] * system.n
-        points = sample_uniform(box, int(cfg["m"]), int(cfg["seed"]))
+        points = sample_uniform(_box(cfg, system), int(cfg["m"]), int(cfg["seed"]))
         ts = exact_derivatives(system, points)
     training_path = os.path.join(out, "training.csv")
     save_training(ts, training_path)
@@ -196,7 +213,7 @@ def cmd_generate(cfg):
 
 def cmd_fit(cfg):
     ts = load_training(cfg["training"])
-    d, g_override = _resolve_dictionary(cfg["dictionary"], state_dim=ts.n)
+    d, g_override = _resolve_dictionary(cfg["dictionary"], ts.n)
     out = _outdir(cfg)
     model_path = os.path.join(out, "model.json")
     method = cfg["method"]
@@ -204,17 +221,14 @@ def cmd_fit(cfg):
         model = fit(d, ts, lam=float(cfg["lambda"]),
                     force_c_zero=bool(cfg["force_c_zero"]),
                     rcond=cfg.get("rcond"), g=g_override)
-        obj = model_to_json(model)
     elif method == "sindy":
         model = baselines.sindy_fit(d, ts, threshold=float(cfg["threshold"]),
                                     rcond=cfg.get("rcond"))
-        obj = baselines.sindy_to_json(model)
     else:
         model = baselines.gedmd_fit(d, ts, rcond=cfg.get("rcond"))
-        obj = baselines.gedmd_to_json(model)
     summary = {"method": method, "m": int(ts.m),
                **_loss_fields(method, model, ts, cfg["training"])}
-    write_json(model_path, obj)
+    write_json(model_path, _KINDS[method][2](model))
     summary_path = os.path.join(out, "fit_summary.json")
     write_json(summary_path, summary)
     return [model_path, summary_path]
@@ -279,12 +293,11 @@ def cmd_simulate(cfg):
 def cmd_convergence(cfg):
     system = _system(cfg)
     if cfg.get("dictionary") is not None:
-        d, _ = _resolve_dictionary(cfg["dictionary"], state_dim=system.n)
+        d, _ = _resolve_dictionary(cfg["dictionary"], system.n)
     else:
         d = companion_dictionary(cfg["system"])
-    box = cfg.get("box") or [(-1.0, 1.0)] * system.n
     study = convergence_study(
-        d, system, box, cfg["m_list"], int(cfg["runs"]), seed=int(cfg["seed"]),
+        d, system, _box(cfg, system), cfg["m_list"], int(cfg["runs"]), seed=int(cfg["seed"]),
         order=int(cfg["order"]), relative=bool(cfg["relative"]),
         max_workers=int(cfg["workers"]))
     out = _outdir(cfg)
@@ -415,7 +428,7 @@ _SETTINGS = {
         "seed": _SEED, "out": _OUT,
     },
     "fit": {
-        "method": _flag("qendy", choices=["qendy", "sindy", "gedmd"]),
+        "method": _flag("qendy", choices=list(_KINDS)),
         "training": _flag(required=True),
         "dictionary": _flag(required=True, help="dictionary JSON path or builtin name"),
         "lambda": _flag(0.0, type=float), "force_c_zero": _flag(False, action="store_true"),
@@ -461,7 +474,7 @@ def _reads(convert):
     return test
 
 
-_FLOAT, _INT = _reads(float), _reads(int)
+_FLOAT, _INT = _reads(float), _reads(_whole)
 
 
 def _all(test, length=None):
@@ -483,7 +496,8 @@ _CHECKS = {
                     (lambda v: isinstance(v, bool), "true or false")),
     **dict.fromkeys(("system", "dictionary", "training", "model", "data", "out"),
                     (lambda v: isinstance(v, str), "a string")),
-    "x0": (lambda v: isinstance(v, str) or _all(_FLOAT)(v),
+    "x0": (lambda v: (all(f.strip() for f in v.split(",")) if isinstance(v, str)
+                      else _all(_FLOAT)(v)),
            "a list of numbers or comma-separated text"),
     "m_list": (_all(_INT), "a list of integers"),
     "box": (_all(_all(_FLOAT, 2)), "a list of [lo, hi] pairs"),

@@ -172,15 +172,34 @@ def dictionary_to_json(d: Dictionary) -> dict:
     return {"state_dim": int(d.state_dim), "basis": [render(e) for e in d.basis]}
 
 
+def _whole(value) -> int:
+    """``int(value)`` for a number that int() does not truncate; JSON true and
+    false, and a number with a fractional part, raise ValueError."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def dictionary_from_json(obj: dict):
     """Returns (Dictionary, G-or-None)."""
     if not isinstance(obj, dict):
         raise ConfigurationError("dictionary JSON is not an object")
     try:
-        state_dim = int(obj["state_dim"])
-        basis = list(obj["basis"])
+        state_dim, basis = obj["state_dim"], obj["basis"]
     except KeyError as missing:
         raise ConfigurationError(f"dictionary JSON lacks key {missing}") from None
+    try:
+        state_dim = _whole(state_dim)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError("dictionary state_dim must be an integer, got "
+                                 f"{json.dumps(state_dim, default=str)}") from None
+    if not isinstance(basis, list):
+        raise ConfigurationError("dictionary basis must be a list of expression "
+                                 f"strings, got {json.dumps(basis, default=str)}")
+    for i, text in enumerate(basis):
+        if not isinstance(text, str):
+            raise ConfigurationError(f"dictionary basis entry {i} must be a string, "
+                                     f"got {json.dumps(text, default=str)}")
     d = Dictionary.from_strings(state_dim, basis)
     g = obj.get("G")
     if g is not None:

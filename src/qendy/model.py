@@ -27,6 +27,20 @@ __all__ = [
 ]
 
 
+def _coefficients(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with only finite entries; any
+    other value raises a ValueError that names the field ``name``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of numbers") from None
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
 def kron_squared(z) -> np.ndarray:
     """Self-Kronecker product of a vector: entry N*i + j is z[i] * z[j]."""
     z = np.asarray(z, dtype=float)
@@ -61,19 +75,10 @@ class QuadraticModel:
 
     def __post_init__(self):
         size = self.dictionary.size
-        n = self.dictionary.state_dim
-        arrays = {
-            "a": (np.asarray(self.a, dtype=float), (size, size * size)),
-            "b": (np.asarray(self.b, dtype=float), (size, size)),
-            "c": (np.asarray(self.c, dtype=float), (size,)),
-            "g": (np.asarray(self.g, dtype=float), (n, size)),
-        }
-        for key, (arr, want) in arrays.items():
-            if arr.shape != want:
-                raise ValueError(f"{key} must have shape {want}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{key} contains non-finite entries")
-            object.__setattr__(self, key, arr)
+        shapes = {"a": (size, size * size), "b": (size, size), "c": (size,),
+                  "g": (self.dictionary.state_dim, size)}
+        for key, shape in shapes.items():
+            object.__setattr__(self, key, _coefficients(key, getattr(self, key), shape))
 
     @property
     def basis_size(self) -> int:
@@ -243,15 +248,19 @@ def sparsity_report(model: QuadraticModel) -> SparsityReport:
 # serialization
 
 
+def _model_json(d: Dictionary, **coefficients) -> dict:
+    """The layout every kind of model file shares: ``state_dim``, the
+    dictionary and each coefficient array as nested lists under its file key.
+    The readers take the dictionary and the arrays back; ``state_dim`` is for
+    a reader of the file, and is not read."""
+    return {"state_dim": int(d.state_dim), "dictionary": dictionary_to_json(d),
+            **{key: value.tolist() for key, value in coefficients.items()}}
+
+
 def model_to_json(model: QuadraticModel) -> dict:
     meta = model.metadata
     return {
-        "state_dim": int(model.state_dim),
-        "dictionary": dictionary_to_json(model.dictionary),
-        "A": model.a.tolist(),
-        "B": model.b.tolist(),
-        "C": model.c.tolist(),
-        "G": model.g.tolist(),
+        **_model_json(model.dictionary, A=model.a, B=model.b, C=model.c, G=model.g),
         "lambda": float(meta.get("lambda", 0.0)),
         "m": int(meta["m"]) if "m" in meta else None,
         "provenance": str(meta.get("provenance", "external")),
@@ -268,11 +277,7 @@ def model_from_json(obj: dict) -> QuadraticModel:
     }
     if obj.get("m") is not None:
         metadata["m"] = int(obj["m"])
-    return QuadraticModel(np.asarray(obj["A"], dtype=float),
-                          np.asarray(obj["B"], dtype=float),
-                          np.asarray(obj["C"], dtype=float),
-                          np.asarray(obj["G"], dtype=float),
-                          d, metadata)
+    return QuadraticModel(obj["A"], obj["B"], obj["C"], obj["G"], d, metadata)
 
 
 def save_model(model: QuadraticModel, path):

@@ -141,9 +141,12 @@ def synthetic_lift_data(num_samples: int = 500, lift_dim: int = 100,
 
     Integrates the mean-field oscillator from a small off-attractor start (so
     the third coordinate carries real variance), embeds the path with a
-    random orthonormal map, and adds Gaussian noise.  Returns
+    random orthonormal map, and adds Gaussian noise of standard deviation
+    ``noise``, which must be finite and >= 0.  Returns
     (snapshots (m, lift_dim), embedding (3, lift_dim)).
     """
+    if not (np.isfinite(noise) and noise >= 0.0):
+        raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
     if lift_dim < 3:
         raise ValueError("lift dimension must be at least 3")
     field = mean_field()

@@ -252,6 +252,13 @@ def test_convergence_study_rejects_bad_args():
         convergence_study(d, field, box, [100], runs=0)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_convergence_study_needs_at_least_one_worker(workers):
+    with pytest.raises(ValueError, match=f"^need at least one worker, got {workers}$"):
+        convergence_study(pendulum_dictionary(), pendulum(c=0.1), ((-1.0, 1.0),) * 2,
+                          [10, 20], runs=1, max_workers=workers)
+
+
 def test_runs_csv_layout(tmp_path):
     st = _small_study()
     path = tmp_path / "runs.csv"

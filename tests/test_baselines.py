@@ -1,5 +1,7 @@
 """SINDy and gEDMD baselines: displays, consistency, eigenfunctions."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from qendy.dynamics import (
 )
 from qendy.fitting import _CHUNK, fit
 from qendy.linalg import min_norm_solve, normal_equations
-from qendy.model import extract_rhs_many
+from qendy.model import QuadraticModel, extract_rhs_many, model_from_json, model_to_json
 from qendy.systems import (
     pendulum, pendulum_dictionary, quartic_decoupled, quartic_dictionary,
     rational_decay, rational_dictionary, thomas, thomas_dictionary,
@@ -350,6 +352,58 @@ def test_model_shape_validation():
         SindyModel(np.zeros((3, 4)), pendulum_dictionary())
     with pytest.raises(ValueError):
         GedmdModel(np.zeros((2, 2)), pendulum_dictionary())
+
+
+def _model_kinds():
+    """One model of each kind on the pendulum dictionary, with its writer,
+    its reader, and the file key and attribute of each coefficient."""
+    d = pendulum_dictionary()
+    qendy = QuadraticModel(np.zeros((4, 16)), np.eye(4), np.zeros(4),
+                           full_state_matrix(d), d)
+    return {
+        "qendy": (qendy, model_to_json, model_from_json,
+                  {"A": "a", "B": "b", "C": "c", "G": "g"}),
+        "sindy": (SindyModel(np.ones((2, 4)), d), sindy_to_json, sindy_from_json,
+                  {"Xi": "xi"}),
+        "gedmd": (GedmdModel(np.eye(4), d), gedmd_to_json, gedmd_from_json,
+                  {"Theta": "theta"}),
+    }
+
+
+def test_every_model_kind_writes_one_layout():
+    kinds = _model_kinds()
+    for model, to_json, from_json, fields in kinds.values():
+        payload = to_json(model)
+        assert payload["state_dim"] == 2
+        assert payload["dictionary"] == {"state_dim": 2,
+                                         "basis": ["x1", "x2", "sin(x1)", "cos(x1)"]}
+        for key, attr in fields.items():
+            assert payload[key] == getattr(model, attr).tolist()
+        back = from_json(json.loads(json.dumps(payload)))
+        assert all(np.array_equal(getattr(back, attr), getattr(model, attr))
+                   for attr in fields.values())
+    assert set(model_to_json(kinds["qendy"][0])) - {"A", "B", "C", "G"} == {
+        "state_dim", "dictionary", "lambda", "m", "provenance", "force_c_zero"}
+
+
+@pytest.mark.parametrize("kind", ["qendy", "sindy", "gedmd"])
+def test_every_model_kind_checks_each_coefficient_by_name(kind):
+    model, to_json, from_json, fields = _model_kinds()[kind]
+    for key, attr in fields.items():
+        payload = json.loads(json.dumps(to_json(model)))
+        value = payload[key]
+        if isinstance(value[0], list):
+            value[0][0] = None
+        else:
+            value[0] = None
+        with pytest.raises(ValueError, match=f"^{attr} contains non-finite entries$"):
+            from_json(payload)
+        payload[key] = [[1.0]]
+        with pytest.raises(ValueError, match=rf"^{attr} must have shape .*, got \(1, 1\)$"):
+            from_json(payload)
+        payload[key] = {"a": 1}
+        with pytest.raises(ValueError, match=f"^{attr} must be an array of numbers$"):
+            from_json(payload)
 
 
 def test_gedmd_rejects_non_finite_lift_by_name():

@@ -93,6 +93,43 @@ def test_generate_deterministic(tmp_path):
     assert (a / "dictionary.json").read_bytes() == (b / "dictionary.json").read_bytes()
 
 
+def test_generate_for_a_system_without_a_companion_dictionary(tmp_path, capsys):
+    rc = main(["generate", "--system", "mean-field", "--m", "20", "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"{tmp_path / 'training.csv'}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["training.csv"]
+    assert load_training(tmp_path / "training.csv").n == 3
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("generate", ["--system", "pendulum"]),
+    ("convergence", ["--system", "pendulum", "--runs", "1"]),
+])
+def test_a_box_that_does_not_fit_the_system_is_named(tmp_path, capsys, command, argv):
+    # This ended in "expected shape (m, 2), got (20, 1)".
+    settings = {"box": [[0, 1]]}
+    if command == "convergence":
+        settings["m_list"] = [10, 20]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    out = tmp_path / "out"
+    assert main([command, *argv, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"qendy: error in {command}: 'box' must hold one [lo, hi] pair per coordinate "
+        "of system 'pendulum', which has dimension 2, got 1\n")
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("x0", ["1,,0", "1,0,", ",1,0", "1, ,0"])
+def test_a_start_state_with_an_empty_field_is_refused(tmp_path, capsys, x0):
+    # An empty field was dropped, so "1,,0" ran as the start state (1, 0).
+    assert _generate(tmp_path, "--x0", x0) == 1
+    assert capsys.readouterr().err == (
+        "qendy: error in config: 'x0' must be a list of numbers or comma-separated "
+        f"text, got \"{x0}\"\n")
+    assert list(tmp_path.glob("*")) == []
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -149,6 +186,17 @@ def test_fit_builtin_dictionary_name(tmp_path):
     rc = main(["fit", "--training", str(tmp_path / "training.csv"),
                "--dictionary", "pendulum", "--out", str(tmp_path)])
     assert rc == 0
+
+
+def test_fit_identity_dictionary_takes_the_training_state_dimension(tmp_path):
+    assert main(["generate", "--system", "thomas", "--m", "30",
+                 "--out", str(tmp_path)]) == 0
+    rc = main(["fit", "--method", "sindy", "--training", str(tmp_path / "training.csv"),
+               "--dictionary", "identity", "--out", str(tmp_path / "fit")])
+    assert rc == 0
+    model = _read_json(tmp_path / "fit" / "model.json")
+    assert model["dictionary"] == {"state_dim": 3, "basis": ["x1", "x2", "x3"]}
+    assert np.asarray(model["Xi"]).shape == (3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +300,37 @@ def test_convergence_thread_count_does_not_change_results(tmp_path):
     assert outputs[1] == outputs[3]
 
 
+def test_convergence_with_an_explicit_dictionary(tmp_path):
+    # A dictionary file equal to the system's companion gives the default
+    # study; the builtin identity takes the system's state dimension.
+    _generate(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m_list": [20, 40]}))
+    runs = {}
+    for name, extra in [("default", []),
+                        ("file", ["--dictionary", str(tmp_path / "dictionary.json")]),
+                        ("identity", ["--dictionary", "identity"])]:
+        out = tmp_path / name
+        assert main(["convergence", "--system", "pendulum", "--runs", "2",
+                     "--config", str(config), *extra, "--out", str(out)]) == 0
+        runs[name] = (out / "convergence_runs.csv").read_text()
+    assert runs["file"] == runs["default"]
+    assert runs["identity"].splitlines()[0] == "m,run,e_R,e_s1,e_s2"
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_convergence_needs_at_least_one_worker(tmp_path, capsys, workers):
+    # A worker count below 1 ran serially.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m_list": [10, 20], "workers": workers}))
+    out = tmp_path / "out"
+    assert main(["convergence", "--runs", "1", "--config", str(config),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"qendy: error in convergence: need at least one worker, got {workers}\n")
+    assert list(out.glob("*")) == []
+
+
 # ---------------------------------------------------------------------------
 # reduce
 
@@ -314,6 +393,21 @@ def test_reduce_writes_a_null_gap_when_k_covers_the_spectrum(tmp_path):
     text = (tmp_path / "reduction_report.json").read_text()
     assert json.loads(text)["spectral_gap"] is None
     assert "Infinity" not in text
+
+
+@pytest.mark.parametrize("noise, shown", [(-1, "-1.0"), ("nan", "nan"), ("inf", "inf")])
+def test_reduce_rejects_a_noise_that_is_not_finite_and_non_negative(tmp_path, capsys,
+                                                                      noise, shown):
+    # -1 and nan added no noise and exited 0; inf ended in "SVD did not converge".
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"noise": noise, "samples": 50, "lift_dim": 5}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["reduce", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"qendy: error in reduce: noise must be a finite number >= 0, got {shown}\n")
+    assert list(out.glob("*")) == []
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +483,40 @@ def test_a_config_that_is_not_an_object_fails_cleanly(tmp_path, capsys, text):
         f"qendy: error in config: {config} does not hold a JSON object\n")
 
 
+def test_a_toml_config_is_read_where_python_has_tomllib(tmp_path, capsys):
+    config = tmp_path / "config.toml"
+    config.write_text("m = 30\nseed = 4\nbox = [[0.0, 1.0], [-2.0, 2.0]]\n")
+    rc = main(["generate", "--system", "pendulum", "--config", str(config),
+               "--out", str(tmp_path / "toml")])
+    if sys.version_info < (3, 11):
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "qendy: error in config: TOML config needs Python >= 3.11: "
+            "No module named 'tomllib'\n")
+        return
+    assert rc == 0
+    (tmp_path / "config.json").write_text(json.dumps(
+        {"m": 30, "seed": 4, "box": [[0.0, 1.0], [-2.0, 2.0]]}))
+    assert main(["generate", "--system", "pendulum", "--config",
+                 str(tmp_path / "config.json"), "--out", str(tmp_path / "json")]) == 0
+    assert ((tmp_path / "toml" / "training.csv").read_bytes()
+            == (tmp_path / "json" / "training.csv").read_bytes())
+
+
+def test_a_toml_config_without_tomllib_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # A None entry in sys.modules makes the import fail as on Python 3.10.
+    monkeypatch.setitem(sys.modules, "tomllib", None)
+    config = tmp_path / "config.toml"
+    config.write_text("m = 30\n")
+    rc = main(["generate", "--system", "pendulum", "--config", str(config),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "qendy: error in config: TOML config needs Python >= 3.11: "
+        "import of tomllib halted; None in sys.modules\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_model_file_that_is_not_an_object_fails_cleanly(tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text("5")
@@ -442,6 +570,7 @@ _SIMULATE_FILES = ["--model", "model.json", "--x0", "1,0"]
     ("generate", {"substeps": None}, [*_GENERATE, "--x0", "1,0"],
      "'substeps' must be an integer, got null"),
     ("generate", {"m": 1e400}, _GENERATE, "'m' must be an integer, got Infinity"),
+    ("generate", {"m": 50.7}, _GENERATE, "'m' must be an integer, got 50.7"),
     ("generate", {"x0": {"a": 1}}, _GENERATE,
      """'x0' must be a list of numbers or comma-separated text, got {"a": 1}"""),
     ("generate", {"out": 5}, _GENERATE, "'out' must be a string, got 5"),
@@ -461,7 +590,8 @@ _SIMULATE_FILES = ["--model", "model.json", "--x0", "1,0"]
     ("simulate", {"reembed": "no"}, _SIMULATE_FILES,
      "'reembed' must be true or false, got \"no\""),
     ("reduce", {"samples": None}, [], "'samples' must be an integer, got null"),
-], ids=["box-pair", "box-number", "m-null", "substeps-null", "m-infinite", "x0-object",
+], ids=["box-pair", "box-number", "m-null", "substeps-null", "m-infinite",
+        "m-fraction", "x0-object",
         "out-number", "derivatives-choice", "m_list-number", "runs-null",
         "relative-text", "lambda-null", "rcond-list", "force_c_zero-text",
         "method-choice", "dt-null", "reembed-text", "samples-null"])
@@ -616,6 +746,75 @@ def test_model_file_without_coefficients_fails(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"qendy: error in {command}:")
     assert "none of the keys A, Xi, Theta" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "report"])
+@pytest.mark.parametrize("method, key, field", [("sindy", "Xi", "xi"),
+                                                ("gedmd", "Theta", "theta")])
+def test_a_model_file_with_a_null_coefficient_fails_and_writes_nothing(
+        tmp_path, capsys, command, method, key, field):
+    # SINDy and gEDMD files were read without a finite check: report wrote nan
+    # and simulate flagged a blowup at step 1, or LAPACK failed, all exit 0.
+    path = _fit_method(tmp_path, method)
+    obj = _read_json(path)
+    obj[key][0][1] = None
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [command, "--model", str(path), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--x0", "1,0", "--system", "pendulum"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"qendy: error in {command}: {field} contains non-finite entries\n")
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("method, drop", [("qendy", "B"), ("sindy", "dictionary")])
+def test_a_model_file_that_lacks_a_key_names_the_file_and_the_key(
+        tmp_path, capsys, method, drop):
+    # This printed only the key: "qendy: error in report: 'B'".
+    path = _fit_method(tmp_path, method)
+    obj = _read_json(path)
+    del obj[drop]
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["report", "--model", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"qendy: error in report: model file {path} lacks key '{drop}'\n")
+
+
+def test_a_model_file_with_a_basis_entry_that_is_not_text_fails_cleanly(tmp_path, capsys):
+    path = _fit_method(tmp_path, "sindy")
+    obj = _read_json(path)
+    obj["dictionary"]["basis"][1] = 5
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert main(["report", "--model", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "qendy: error in report: dictionary basis entry 1 must be a string, got 5\n")
+
+
+@pytest.mark.parametrize("dictionary, shown", [
+    ({"state_dim": 2, "basis": ["x1", 5]}, "dictionary basis entry 1 must be a string, got 5"),
+    ({"state_dim": 2, "basis": "x1"},
+     'dictionary basis must be a list of expression strings, got "x1"'),
+    ({"state_dim": 2.7, "basis": ["x1", "x2"]},
+     "dictionary state_dim must be an integer, got 2.7"),
+    ({"state_dim": None, "basis": ["x1", "x2"]},
+     "dictionary state_dim must be an integer, got null"),
+], ids=["entry-number", "basis-text", "state_dim-fraction", "state_dim-null"])
+def test_a_malformed_dictionary_file_fails_cleanly(tmp_path, capsys, dictionary, shown):
+    # A non-text entry raised TypeError, and state_dim 2.7 was read as 2.
+    _generate(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dictionary))
+    capsys.readouterr()
+    rc = main(["fit", "--training", str(tmp_path / "training.csv"),
+               "--dictionary", str(path), "--out", str(tmp_path / "fit")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"qendy: error in fit: {shown}\n"
+    assert not (tmp_path / "fit").exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "simulate", "report"])

@@ -131,6 +131,12 @@ def test_pca_recovers_exact_lift_subspace():
     assert gap < 1e-8, f"gap={gap:.2e}"
 
 
+@pytest.mark.parametrize("noise", [-1e-3, np.nan, np.inf])
+def test_synthetic_lift_rejects_a_noise_that_is_not_finite_and_non_negative(noise):
+    with pytest.raises(ValueError, match=r"^noise must be a finite number >= 0, got "):
+        synthetic_lift_data(num_samples=20, lift_dim=5, noise=noise)
+
+
 def test_pca_subspace_robust_to_small_noise():
     snapshots, embedding = synthetic_lift_data(num_samples=500, lift_dim=100,
                                                noise=1e-3)
