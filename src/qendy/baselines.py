@@ -9,9 +9,9 @@ vectors yields eigenfunctions.  Both sum their normal equations over chunks
 of samples (:func:`qendy.linalg.summed_normal_equations`), lifting one chunk
 at a time through the checked passes of :mod:`qendy.fitting`, so memory does
 not grow with the sample count, and solve them through the shared regression
-core in :mod:`qendy.linalg`.  Either model forecasts in state space through
-its :func:`state_field`, ``x -> W phi(x)``, a vector field of expressions
-that :func:`qendy.dynamics.rk4_integrate` steps like any other.
+core in :mod:`qendy.linalg`.  Either model, like a qendy model, forecasts
+in state space through its :func:`state_field`, a vector field of
+expressions that :func:`qendy.dynamics.rk4_integrate` steps like any other.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from functools import reduce
 import numpy as np
 
 from .dictionary import (
-    Dictionary, dictionary_from_json, feature_map, feature_matrix, full_state_matrix,
+    Dictionary, _coefficients, dictionary_from_json, feature_map, feature_matrix,
+    full_state_matrix,
 )
 from .dynamics import TrainingSet, VectorField
 from .expr import Add, Const, Mul, Program
 from .fitting import lifted_chunks, value_chunks
 from .linalg import min_norm_solve, summed_normal_equations
-from .model import _coefficients, _model_json
+from .model import QuadraticModel, _model_json
 
 __all__ = [
     "SindyModel", "GedmdModel", "GeneratorEigenfunction",
@@ -129,17 +130,26 @@ def koopman_eigenfunctions(model: GedmdModel):
 
 
 def state_field(model) -> VectorField:
-    """The identified field ``x -> W phi(x)`` of a SINDy or gEDMD model as
-    expressions, with ``W = Xi`` for SINDy and ``W = G Theta`` for gEDMD.
+    """The identified field of a qendy, SINDy or gEDMD model in state space,
+    as expressions: ``x -> W phi(x)``, with ``W = Xi`` for SINDy and
+    ``W = G Theta`` for gEDMD, and ``x -> G dz(phi(x))`` for qendy.
 
-    Component i is ``sum_j W_ij * phi_j``, folded left to right in entry
-    order over the dictionary's own trees.  Terms whose coefficient is zero
-    are kept, so an entry that overflows makes the sum nan, as a BLAS dot
+    Component i is ``sum_j W_ij * phi_j``, and for qendy ``sum_{j<=k} S_ijk *
+    phi_j * phi_k + sum_j (GB)_ij * phi_j + (GC)_i * 1``, with ``S`` the forms
+    of ``GA`` with each pair (j, k), (k, j) added.  It is folded left to right in
+    that order over the dictionary's own trees.  Terms whose coefficient is
+    zero are kept, so an entry that overflows makes the sum nan, as a BLAS dot
     does with ``0 * inf``.
     """
-    d = model.dictionary
-    w = model.xi if isinstance(model, SindyModel) else full_state_matrix(d) @ model.theta
-    components = [reduce(Add, (Mul(Const(c), phi) for c, phi in zip(row, d.basis)))
+    d, basis = model.dictionary, model.dictionary.basis
+    if isinstance(model, QuadraticModel):
+        ga = (model.g @ model.a).reshape(-1, d.size, d.size)
+        j, k = np.triu_indices(d.size)
+        w = np.c_[ga[:, j, k] + (j != k) * ga[:, k, j], model.g @ model.b, model.g @ model.c]
+        basis = [Mul(basis[p], basis[q]) for p, q in zip(j, k)] + [*basis, Const(1.0)]
+    else:
+        w = model.xi if isinstance(model, SindyModel) else full_state_matrix(d) @ model.theta
+    components = [reduce(Add, (Mul(Const(c), phi) for c, phi in zip(row, basis)))
                   for row in w.tolist()]
     return VectorField(d.state_dim, Program(components, d.state_dim))
 

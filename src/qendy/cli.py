@@ -235,20 +235,20 @@ def cmd_fit(cfg):
 
 
 def _simulate_model(kind, model, x0, t_end, dt, reembed):
-    """Returns (times, states (m, n), blowup step or None).
+    """Returns (times, states (m, n), blowup step or None): the lifted path
+    of a qendy model projected by G, or, with ``reembed`` and for SINDy and
+    gEDMD models, the path of the model's state-space field.
 
     After a blowup the path ends at the last finite state.
     """
+    lifted = kind == "qendy" and not reembed
     try:
-        if kind == "qendy":
-            path = simulate(model, x0, t_end, dt, reembed=reembed)
-        else:
-            path = rk4_integrate(baselines.state_field(model), x0, t_end, dt)
+        path = (simulate(model, x0, t_end, dt) if lifted
+                else rk4_integrate(baselines.state_field(model), x0, t_end, dt))
         blowup = None
     except IntegrationBlowupError as err:
         path, blowup = err.partial, err.step
-    states = path.x_states if kind == "qendy" else path.states
-    return path.times, states, blowup
+    return path.times, path.x_states if lifted else path.states, blowup
 
 
 def cmd_simulate(cfg):
@@ -438,7 +438,8 @@ _SETTINGS = {
         "model": _flag(required=True),
         "x0": _flag(required=True, help="comma-separated start state"),
         "t_end": _flag(10.0, type=float), "dt": _flag(1e-3, type=float),
-        "reembed": _flag(False, action="store_true"),
+        "reembed": _flag(False, action="store_true", help="step a qendy model's "
+                         "state-space field G dz(phi(x)), not its lifted state"),
         "system": _flag(help="reference system for error columns"), "params": {},
         "out": _OUT,
     },

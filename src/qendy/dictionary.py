@@ -180,6 +180,20 @@ def _whole(value) -> int:
     return int(value)
 
 
+def _coefficients(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with only finite entries; any
+    other value raises a ValueError that names the field ``name``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of numbers") from None
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
 def dictionary_from_json(obj: dict):
     """Returns (Dictionary, G-or-None)."""
     if not isinstance(obj, dict):
@@ -202,12 +216,7 @@ def dictionary_from_json(obj: dict):
                                      f"got {json.dumps(text, default=str)}")
     d = Dictionary.from_strings(state_dim, basis)
     g = obj.get("G")
-    if g is not None:
-        g = np.asarray(g, dtype=float)
-        if g.shape != (state_dim, d.size):
-            raise ConfigurationError(
-                f"G must have shape ({state_dim}, {d.size}), got {g.shape}")
-    return d, g
+    return d, None if g is None else _coefficients("G", g, (state_dim, d.size))
 
 
 def write_json(path, obj):

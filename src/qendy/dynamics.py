@@ -3,11 +3,11 @@
 All trajectory data in the package lives on uniform time grids produced by
 classical fourth-order Runge-Kutta; there is deliberately no adaptive
 stepping, so reruns are bit-reproducible.  Every field the package
-integrates in state space, a benchmark system or an identified SINDy or gEDMD
-model, is a :class:`VectorField` of expressions, and runs the whole loop as
-one compiled function of its program, in Python floats, with the operations
-of the array step in the same order, so both give the same bits; NumPy
-dispatch on (n,) arrays would cost more than the field itself.  A field
+integrates in state space, a benchmark system or an identified qendy, SINDy
+or gEDMD model, is a :class:`VectorField` of expressions, and runs the whole
+loop as one compiled function of its program, in Python floats, with the
+operations of the array step in the same order, so both give the same bits;
+NumPy dispatch on (n,) arrays would cost more than the field itself.  A field
 hands its arguments straight to its program, which checks their shapes;
 :func:`rk4_integrate` checks only the start state it writes into the path.
 Derivative data for training comes either from evaluating the governing

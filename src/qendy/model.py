@@ -8,13 +8,14 @@ The Kronecker square is row-major in the index pair: entry N*i + j of
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dictionary import (
-    Dictionary, dictionary_from_json, dictionary_to_json, feature_map,
-    feature_matrix, write_json,
+    Dictionary, _coefficients, _whole, dictionary_from_json, dictionary_to_json,
+    feature_map, feature_matrix, write_json,
 )
 from .dynamics import IntegrationBlowupError, _step_count
 
@@ -25,20 +26,6 @@ __all__ = [
     "symmetrize", "hurwitz_margin", "sparsity_report",
     "model_to_json", "model_from_json", "save_model", "load_model",
 ]
-
-
-def _coefficients(name: str, value, shape: tuple) -> np.ndarray:
-    """``value`` as a float array of ``shape`` with only finite entries; any
-    other value raises a ValueError that names the field ``name``."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an array of numbers") from None
-    if arr.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
 
 
 def kron_squared(z) -> np.ndarray:
@@ -112,17 +99,15 @@ class EmbeddedTrajectory:
     x_states: np.ndarray
 
 
-def simulate(model: QuadraticModel, x0, t_end: float, dt: float,
-             reembed: bool = False) -> EmbeddedTrajectory:
+def simulate(model: QuadraticModel, x0, t_end: float, dt: float) -> EmbeddedTrajectory:
     """Integrate the lifted dynamics with RK4 from z0 = phi(x0).
 
-    With ``reembed=True`` the lifted state is replaced by phi(G z) after every
-    step, which pins the path to the embedded manifold (a consistency
-    diagnostic; exact embeddings are unaffected).  A non-finite lifted state,
-    after the step or after its re-embedding, raises
-    :class:`IntegrationBlowupError` carrying the path up to the last finite
-    state; as in :func:`~qendy.dynamics.rk4_integrate`, the overflow that
-    produced it is not warned, nor is one in the lift of x0.
+    A non-finite lifted state raises :class:`IntegrationBlowupError` carrying
+    the path up to the last finite state; as in
+    :func:`~qendy.dynamics.rk4_integrate`, the overflow that produced it is
+    not warned, nor is one in the lift of x0.  The identified state-space
+    field ``G dz(phi(x))``, which stays on the embedded manifold, is
+    :func:`qendy.baselines.state_field` of the model.
 
     The loop evaluates one homogeneous quadratic form instead of
     :func:`evaluate`.  With zh = (z, 1), the form Q (N, N+1, N+1) holds A in
@@ -139,11 +124,10 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float,
     """
     steps = _step_count(t_end, dt)
     dt = float(dt)
-    d = model.dictionary
     size = model.basis_size
 
     with np.errstate(over="ignore", invalid="ignore"):
-        z = feature_map(d, np.asarray(x0, dtype=float))
+        z = feature_map(model.dictionary, np.asarray(x0, dtype=float))
     if not np.isfinite(z).all():
         raise ValueError("start state lifts to non-finite values")
     form = np.zeros((size, size + 1, size + 1))
@@ -172,8 +156,6 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float,
             z = z_states[k + 1]
             np.dot(weights, shifts, out=z)
             z += z_states[k]
-            if reembed and np.isfinite(z).all():
-                z[:] = feature_map(d, model.g @ z)
             if not np.isfinite(z).all():
                 # A copy, so that the error does not hold the whole path.
                 kept = z_states[:k + 1].copy()
@@ -268,16 +250,33 @@ def model_to_json(model: QuadraticModel) -> dict:
     }
 
 
+def _fit_context(obj: dict) -> dict:
+    """The fit metadata of a model file, each value checked to be of the kind
+    a fit writes; an absent key reads as for a model with no fit context."""
+    def wrong(key, what):
+        return ValueError(f"{key} must be {what}, got {json.dumps(obj[key], default=str)}")
+    lam = obj.get("lambda", 0.0)
+    # Bounds as Python floats: comparing a huge int with them cannot overflow.
+    if (isinstance(lam, bool) or not isinstance(lam, (int, float))
+            or not 0.0 <= lam <= sys.float_info.max):
+        raise wrong("lambda", "a finite number >= 0")
+    context = {"lambda": float(lam), "provenance": obj.get("provenance", "external"),
+               "force_c_zero": obj.get("force_c_zero", False)}
+    if not isinstance(context["provenance"], str):
+        raise wrong("provenance", "a string")
+    if not isinstance(context["force_c_zero"], bool):
+        raise wrong("force_c_zero", "true or false")
+    if obj.get("m") is not None:
+        try:
+            context["m"] = _whole(obj["m"])
+        except (TypeError, ValueError, OverflowError):
+            raise wrong("m", "an integer") from None
+    return context
+
+
 def model_from_json(obj: dict) -> QuadraticModel:
     d, _ = dictionary_from_json(obj["dictionary"])
-    metadata = {
-        "lambda": float(obj.get("lambda", 0.0)),
-        "provenance": str(obj.get("provenance", "external")),
-        "force_c_zero": bool(obj.get("force_c_zero", False)),
-    }
-    if obj.get("m") is not None:
-        metadata["m"] = int(obj["m"])
-    return QuadraticModel(obj["A"], obj["B"], obj["C"], obj["G"], d, metadata)
+    return QuadraticModel(obj["A"], obj["B"], obj["C"], obj["G"], d, _fit_context(obj))
 
 
 def save_model(model: QuadraticModel, path):

@@ -245,6 +245,17 @@ def test_state_fields_blow_up_like_the_array_loop(array_rk4_integrate):
         want = _blowup(array_rk4_integrate, rhs, [2.0], 1000.0, 0.01)
         assert got.step == want.step == 53
         assert got.partial.states.tobytes() == want.partial.states.tobytes()
+    # As qendy, dx = z2 and dz2 = 2 z1 z2: its field keeps 0 * x1^2 * x1^2,
+    # which goes nan where x1^4 overflows, as G dz(phi(x)) does.
+    a = np.zeros((2, 4))
+    a[1, 1] = 2.0
+    qendy = QuadraticModel(a, np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2),
+                           np.eye(1, 2), square)
+    got = _blowup(rk4_integrate, state_field(qendy), [2.0], 1000.0, 0.01)
+    want = _blowup(array_rk4_integrate, lambda x: extract_rhs_many(qendy, x[None, :])[0],
+                   [2.0], 1000.0, 0.01)
+    assert 1 < got.step == want.step < 53
+    assert got.partial.states.tobytes() == want.partial.states.tobytes()
     # The exploding SINDy rows as the x rows of a gEDMD generator.
     theta = np.random.default_rng(1).standard_normal((6, 6))
     theta[:2] = EXPLODING_XI
@@ -269,6 +280,20 @@ def test_state_field_sums_every_term_in_entry_order():
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(field(np.array([800.0]))).all()
         assert np.isnan(np.array([[1.0, 0.0]]) @ feature_map(d, np.array([800.0]))).all()
+    # As qendy: each pair (j, k), (k, j) is added into one coefficient before
+    # the fold, -1 + (1 + 1e-16) is 0 where -1 + 1 + 1e-16 is not; and the
+    # constant comes after the linear terms, (1 + 1e-16) - 1 is 0 at x = (1, 1).
+    d = Dictionary.from_strings(2, ["x1", "x2"])
+    a = np.array([[-1.0, 1.0, 1e-16, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    b = np.array([[0.0, 0.0], [1e-16, 0.0]])
+    field = state_field(QuadraticModel(a, b, np.array([0.0, -1.0]), np.eye(2), d))
+    assert field(np.array([1.0, 1.0])).tolist() == [0.0, 0.0]
+    # 0 * exp(x1)^2 at x1 = 800 is nan.
+    d = Dictionary.from_strings(1, ["x1", "exp(x1)"])
+    field = state_field(QuadraticModel(np.zeros((2, 4)), np.eye(2), np.zeros(2),
+                                       np.eye(1, 2), d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(field(np.array([800.0]))).all()
 
 
 def test_rk4_integrate_rejects_what_it_cannot_step():

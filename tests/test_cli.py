@@ -10,10 +10,14 @@ import warnings
 import numpy as np
 import pytest
 
+from qendy.baselines import state_field
 from qendy.cli import main
 from qendy.dictionary import Dictionary
-from qendy.dynamics import exact_derivatives, load_training, sample_uniform
-from qendy.model import QuadraticModel, save_model
+from qendy.dynamics import (
+    IntegrationBlowupError, exact_derivatives, load_training, rk4_integrate,
+    sample_uniform, write_rows,
+)
+from qendy.model import QuadraticModel, load_model, save_model
 from qendy.systems import thomas
 
 
@@ -251,6 +255,38 @@ def test_simulate_blowup_is_flagged(tmp_path):
     assert summary["blowup_step"] is not None
     last = (tmp_path / "simulation.csv").read_text().splitlines()[-1]
     assert last.endswith(",1.0")
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_simulate_reembed_integrates_the_state_field(tmp_path):
+    # --reembed steps a qendy model's state-space field with rk4_integrate;
+    # dz = z^2 from 2 blows up on it too, and the blowup is flagged.
+    d = Dictionary.from_strings(1, ["x1"])
+    unstable = QuadraticModel(np.array([[1.0]]), np.zeros((1, 1)), np.zeros(1),
+                              np.array([[1.0]]), d)
+    save_model(unstable, tmp_path / "unstable.json")
+    cases = ((_fit_pendulum(tmp_path), [1.0, 0.0]), (tmp_path / "unstable.json", [2.0]))
+    for path, x0 in cases:
+        model = load_model(path)
+        try:
+            want, blowup = rk4_integrate(state_field(model), x0, 1.0, 0.01), None
+        except IntegrationBlowupError as err:
+            want, blowup = err.partial, err.step
+        flags = np.zeros(want.times.size)
+        flags[-1] = blowup is not None
+        header = "t," + ",".join(f"x{j + 1}_model" for j in range(model.state_dim))
+        write_rows(tmp_path / "want.csv", header + ",blowup",
+                   np.column_stack([want.times, want.states, flags]))
+        for run in ("a", "b"):
+            assert main(["simulate", "--model", str(path), "--x0", ",".join(map(str, x0)),
+                         "--t-end", "1.0", "--dt", "0.01", "--reembed",
+                         "--out", str(tmp_path / run)]) == 0
+            assert ((tmp_path / run / "simulation.csv").read_bytes()
+                    == (tmp_path / "want.csv").read_bytes())
+            assert _read_json(tmp_path / run / "simulation_summary.json")[
+                "blowup_step"] == blowup
+    assert blowup is not None
 
 
 def test_simulate_sindy_model(tmp_path):
@@ -784,6 +820,29 @@ def test_a_model_file_that_lacks_a_key_names_the_file_and_the_key(
         f"qendy: error in report: model file {path} lacks key '{drop}'\n")
 
 
+@pytest.mark.parametrize("key, value, shown", [
+    ("lambda", None, "lambda must be a finite number >= 0, got null"),
+    ("lambda", -1, "lambda must be a finite number >= 0, got -1"),
+    ("m", 2.5, "m must be an integer, got 2.5"),
+    ("force_c_zero", "no", 'force_c_zero must be true or false, got "no"'),
+    ("provenance", 5, "provenance must be a string, got 5"),
+], ids=["lambda-null", "lambda-negative", "m-fraction", "force_c_zero-text",
+        "provenance-number"])
+def test_a_model_file_with_bad_fit_metadata_fails_cleanly(tmp_path, capsys, key, value,
+                                                          shown):
+    # null ended in a TypeError; -1, 2.5, "no" and 5 were read as -1.0, 2,
+    # true and "5".
+    path = _fit_method(tmp_path, "qendy")
+    obj = _read_json(path)
+    obj[key] = value
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["report", "--model", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"qendy: error in report: {shown}\n"
+    assert not out.exists()
+
+
 def test_a_model_file_with_a_basis_entry_that_is_not_text_fails_cleanly(tmp_path, capsys):
     path = _fit_method(tmp_path, "sindy")
     obj = _read_json(path)
@@ -811,6 +870,26 @@ def test_a_malformed_dictionary_file_fails_cleanly(tmp_path, capsys, dictionary,
     path.write_text(json.dumps(dictionary))
     capsys.readouterr()
     rc = main(["fit", "--training", str(tmp_path / "training.csv"),
+               "--dictionary", str(path), "--out", str(tmp_path / "fit")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"qendy: error in fit: {shown}\n"
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("method", ["qendy", "sindy", "gedmd"])
+@pytest.mark.parametrize("g, shown", [
+    ({"a": 1}, "G must be an array of numbers"),
+    ([[1.0, 0.0, 0.0, 0.0], [0.0, None, 0.0, 0.0]], "G contains non-finite entries"),
+    ([[1.0, 0.0, 0.0, 0.0]], "G must have shape (2, 4), got (1, 4)"),
+], ids=["object", "null-entry", "shape"])
+def test_a_dictionary_file_with_a_bad_g_fails_cleanly(tmp_path, capsys, method, g, shown):
+    # An object ended in a TypeError; a null entry made a qendy fit report a
+    # nan recovery error, and SINDy and gEDMD fits exit 0.
+    _generate(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_read_json(tmp_path / "dictionary.json"), "G": g}))
+    capsys.readouterr()
+    rc = main(["fit", "--method", method, "--training", str(tmp_path / "training.csv"),
                "--dictionary", str(path), "--out", str(tmp_path / "fit")])
     assert rc == 1
     assert capsys.readouterr().err == f"qendy: error in fit: {shown}\n"

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from qendy.dictionary import Dictionary, feature_map
+from qendy.baselines import state_field
+from qendy.dictionary import Dictionary, dictionary_from_json, feature_map
 from qendy.dynamics import (
-    IntegrationBlowupError, exact_derivatives, rk4_step, sample_trajectory,
-    sample_uniform,
+    IntegrationBlowupError, Trajectory, exact_derivatives, finite_diff_derivatives,
+    rk4_integrate, rk4_step, sample_trajectory, sample_uniform,
 )
 from qendy.fitting import build_data_matrices, fit, stationarity_gap
 from qendy.model import (
@@ -177,13 +178,6 @@ def test_simulate_keeps_lifted_state_consistent():
     assert np.abs(radius - 1.0).max() < 1e-8
 
 
-def test_simulate_reembed_matches_plain_for_exact_model():
-    model = hand_pendulum_model()
-    plain = simulate(model, [1.0, 0.0], t_end=2.0, dt=0.01)
-    pinned = simulate(model, [1.0, 0.0], t_end=2.0, dt=0.01, reembed=True)
-    assert np.abs(plain.x_states - pinned.x_states).max() < 1e-6
-
-
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_simulate_blowup_raises():
@@ -209,7 +203,7 @@ def test_simulate_rejects_bad_steps():
         simulate(model, [1.0], t_end=0.001, dt=1.0)
 
 
-def reference_path(model, x0, steps, dt, reembed=False):
+def reference_path(model, x0, steps, dt):
     """The lifted path of ``rk4_step`` on :func:`evaluate`, the stepper that
     ``simulate`` replaces, and the step of its first non-finite state, if any."""
     z = feature_map(model.dictionary, np.asarray(x0, dtype=float))
@@ -217,8 +211,6 @@ def reference_path(model, x0, steps, dt, reembed=False):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             z = rk4_step(lambda v: evaluate(model, v), z, dt)
-            if reembed and np.isfinite(z).all():
-                z = feature_map(model.dictionary, model.g @ z)
             if not np.isfinite(z).all():
                 return np.array(z_states), k + 1
             z_states.append(z)
@@ -235,17 +227,15 @@ def thomas9_model():
 
 def _equivalence_cases(thomas9):
     starts = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 3))
-    cases = [(hand_pendulum_model(), [1.0, 0.0], reembed) for reembed in (False, True)]
-    cases += [(thomas9, x0, reembed) for x0 in starts for reembed in (False, True)]
-    return cases
+    return [(hand_pendulum_model(), [1.0, 0.0])] + [(thomas9, x0) for x0 in starts]
 
 
 def test_simulate_matches_rk4_step_on_evaluate(thomas9_model):
     # The homogeneous form sums in BLAS order: equal to rounding, not in bits.
-    for model, x0, reembed in _equivalence_cases(thomas9_model):
-        want, blowup = reference_path(model, x0, 1000, 0.01, reembed)
+    for model, x0 in _equivalence_cases(thomas9_model):
+        want, blowup = reference_path(model, x0, 1000, 0.01)
         assert blowup is None
-        got = simulate(model, x0, t_end=10.0, dt=0.01, reembed=reembed)
+        got = simulate(model, x0, t_end=10.0, dt=0.01)
         assert got.z_states.shape == want.shape
         scale = np.abs(want).max()
         assert np.abs(got.z_states - want).max() <= 1e-12 * scale
@@ -253,15 +243,14 @@ def test_simulate_matches_rk4_step_on_evaluate(thomas9_model):
 
 
 def test_simulate_reruns_are_byte_identical(thomas9_model):
-    for model, x0, reembed in _equivalence_cases(thomas9_model):
-        first = simulate(model, x0, t_end=10.0, dt=0.01, reembed=reembed)
-        again = simulate(model, x0, t_end=10.0, dt=0.01, reembed=reembed)
+    for model, x0 in _equivalence_cases(thomas9_model):
+        first = simulate(model, x0, t_end=10.0, dt=0.01)
+        again = simulate(model, x0, t_end=10.0, dt=0.01)
         for name in ("times", "z_states", "x_states"):
             assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
 
 
-@pytest.mark.parametrize("reembed", [False, True])
-def test_simulate_blows_up_at_the_reference_step(reembed):
+def test_simulate_blows_up_at_the_reference_step():
     # The models of the blowup tests below, stepped by both steppers.
     d1 = Dictionary.from_strings(1, ["x1"])
     square = QuadraticModel(np.array([[1.0]]), np.zeros((1, 1)), np.zeros(1),
@@ -271,10 +260,10 @@ def test_simulate_blows_up_at_the_reference_step(reembed):
                             np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2),
                             np.array([[1.0, 0.0]]), d2)
     for model, x0 in ((square, 2.0), (lifted, 2.0), (lifted, 1e100)):
-        want, step = reference_path(model, [x0], 100, 0.01, reembed)
+        want, step = reference_path(model, [x0], 100, 0.01)
         assert step is not None
         with pytest.raises(IntegrationBlowupError) as exc:
-            simulate(model, [x0], t_end=1.0, dt=0.01, reembed=reembed)
+            simulate(model, [x0], t_end=1.0, dt=0.01)
         assert exc.value.step == step
         got = exc.value.partial.z_states
         assert got.shape == want.shape
@@ -283,6 +272,71 @@ def test_simulate_blows_up_at_the_reference_step(reembed):
         # with it: rowwise 1.2e-11 at the last finite state of dz = z^2.
         rowwise = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert rowwise.max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the identified state-space field
+
+
+def _pendulum_fit(d, g=None):
+    ts = exact_derivatives(pendulum(c=0.1), sample_uniform([(-1, 1)] * 2, 200, seed=0))
+    return fit(d, ts, g=g)
+
+
+@pytest.mark.parametrize("case", ["pendulum", "thomas9", "g-override"])
+def test_state_field_matches_extract_rhs_many(thomas9_model, case):
+    if case == "pendulum":
+        model = _pendulum_fit(pendulum_dictionary())
+    elif case == "thomas9":
+        model = thomas9_model
+    else:
+        # A basis without the coordinates, so that G is the dictionary file's.
+        d, g = dictionary_from_json({
+            "state_dim": 2, "basis": ["x1 + x2", "x1 - x2", "sin(x1)", "cos(x1)"],
+            "G": [[0.5, 0.5, 0.0, 0.0], [0.5, -0.5, 0.0, 0.0]]})
+        model = _pendulum_fit(d, g)
+        assert np.array_equal(model.g, g)
+    field = state_field(model)
+    points = sample_uniform([(-2.0, 2.0)] * model.state_dim, 500, seed=1)
+    want = extract_rhs_many(model, points)
+    assert np.abs(field.many(points) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _thomas9_forecast_errors(starts, integrate):
+    """Sup error of ``integrate(x0)`` against the true thomas9 path over t 10."""
+    truth = thomas(alpha=0.2, beta=0.0)
+    return [np.abs(integrate(x0) - rk4_integrate(truth, x0, 10.0, 0.01).states).max()
+            for x0 in starts]
+
+
+def test_state_field_stays_on_the_manifold_where_the_lifted_path_drifts():
+    # Uniform samples in [-1,1]^3 leave near-collinear x, sin x and cos x: the
+    # lifted path drifts off the embedded manifold, the state-space field
+    # cannot leave it.
+    points = sample_uniform([(-1.0, 1.0)] * 3, 20000, seed=0)
+    model = fit(thomas_dictionary(), exact_derivatives(thomas(alpha=0.2, beta=0.0), points))
+    starts = np.random.default_rng(0).uniform(-1.0, 1.0, (8, 3))
+    field = state_field(model)
+    on_field = _thomas9_forecast_errors(
+        starts, lambda x0: rk4_integrate(field, x0, 10.0, 0.01).states)
+    lifted = _thomas9_forecast_errors(
+        starts, lambda x0: simulate(model, x0, 10.0, 0.01).x_states)
+    assert max(on_field) < 1e-3 and max(lifted) > 5e-3
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_state_field_of_a_noisy_fit_does_not_blow_up(seed):
+    # Criterion 5's trajectory with sigma 1e-3 state noise and finite
+    # differences; the lifted path of these fits blows up from (0, 1, 1).
+    truth = thomas(alpha=0.2, beta=0.0)
+    traj = sample_trajectory(truth, [1.0, -1.0, 0.0], 100.0, 1000, substeps=10)
+    noise = np.random.default_rng(seed).normal(0.0, 1e-3, traj.states.shape)
+    model = fit(thomas_dictionary(),
+                finite_diff_derivatives(Trajectory(traj.times, traj.states + noise)))
+    [error] = _thomas9_forecast_errors(
+        [[0.0, 1.0, 1.0]],
+        lambda x0: rk4_integrate(state_field(model), x0, 10.0, 0.01).states)
+    assert error < 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +448,7 @@ def test_model_json_keeps_force_c_zero():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
-@pytest.mark.parametrize("reembed", [False, True])
-def test_simulate_blowup_carries_the_finite_path(reembed):
+def test_simulate_blowup_carries_the_finite_path():
     d = Dictionary.from_strings(1, ["x1", "x1^2"])
     model = QuadraticModel(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]]),
                            np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2),
@@ -404,7 +457,7 @@ def test_simulate_blowup_carries_the_finite_path(reembed):
     # and at step 1 from 1e100 (whose square is still finite).
     for x0 in (2.0, 1e100):
         with pytest.raises(IntegrationBlowupError) as exc:
-            simulate(model, [x0], t_end=1.0, dt=0.01, reembed=reembed)
+            simulate(model, [x0], t_end=1.0, dt=0.01)
         step, partial = exc.value.step, exc.value.partial
         assert partial.times.size == step
         assert np.array_equal(partial.x_states, partial.z_states @ model.g.T)
@@ -413,23 +466,6 @@ def test_simulate_blowup_carries_the_finite_path(reembed):
             assert np.array_equal(partial.z_states, [feature_map(d, [x0])])
             assert np.array_equal(partial.x_states, [[x0]])
             continue
-        rerun = simulate(model, [x0], t_end=(step - 1) * 0.01, dt=0.01,
-                         reembed=reembed)
+        rerun = simulate(model, [x0], t_end=(step - 1) * 0.01, dt=0.01)
         for name in ("times", "z_states", "x_states"):
             assert getattr(partial, name).tobytes() == getattr(rerun, name).tobytes()
-
-
-def test_simulate_checks_the_re_embedded_state():
-    # phi(x) = (x, exp(x) - exp(x)) is (x, 0) until exp overflows: dx = 1 from
-    # 708.5 takes a finite step 2 to 710.5, whose re-embedding is (710.5, nan).
-    d = Dictionary.from_strings(1, ["x1", "exp(x1) - exp(x1)"])
-    model = QuadraticModel(np.zeros((2, 4)), np.zeros((2, 2)), np.array([1.0, 0.0]),
-                           np.array([[1.0, 0.0]]), d)
-    with pytest.raises(IntegrationBlowupError) as exc:
-        simulate(model, [708.5], t_end=5.0, dt=1.0, reembed=True)
-    assert exc.value.step == 2
-    assert np.array_equal(exc.value.partial.z_states, [[708.5, 0.0], [709.5, 0.0]])
-    assert np.array_equal(exc.value.partial.x_states, [[708.5], [709.5]])
-    # Without re-embedding the lifted state never leaves (x, 0).
-    plain = simulate(model, [708.5], t_end=5.0, dt=1.0)
-    assert np.array_equal(plain.x_states[:, 0], 708.5 + np.arange(6.0))
