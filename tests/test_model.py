@@ -203,14 +203,22 @@ def test_simulate_rejects_bad_steps():
         simulate(model, [1.0], t_end=0.001, dt=1.0)
 
 
-def reference_path(model, x0, steps, dt):
+def reference_path(model, x0, steps, dt, reembed=False):
     """The lifted path of ``rk4_step`` on :func:`evaluate`, the stepper that
-    ``simulate`` replaces, and the step of its first non-finite state, if any."""
-    z = feature_map(model.dictionary, np.asarray(x0, dtype=float))
+    ``simulate`` replaces, and the step of its first non-finite state, if any.
+
+    With ``reembed``, the state path of ``rk4_step`` on :func:`extract_rhs`,
+    the field that ``forecast(..., reembed=True)`` integrates.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if reembed:
+        z, rhs = x0, lambda v: extract_rhs(model, v)
+    else:
+        z, rhs = feature_map(model.dictionary, x0), lambda v: evaluate(model, v)
     z_states = [z]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            z = rk4_step(lambda v: evaluate(model, v), z, dt)
+            z = rk4_step(rhs, z, dt)
             if not np.isfinite(z).all():
                 return np.array(z_states), k + 1
             z_states.append(z)
@@ -223,6 +231,14 @@ def thomas9_model():
     field = thomas(alpha=0.2, beta=0.0)
     traj = sample_trajectory(field, [1.0, -1.0, 0.0], 100.0, 1000, substeps=10)
     return fit(thomas_dictionary(), exact_derivatives(field, traj.states))
+
+
+def forecast(model, x0, t_end, dt, reembed):
+    """The path ``qendy simulate`` forecasts: the lifted path of ``simulate``,
+    or with ``reembed`` the path of the model's state-space field."""
+    if reembed:
+        return rk4_integrate(state_field(model), x0, t_end, dt)
+    return simulate(model, x0, t_end, dt)
 
 
 def _equivalence_cases(thomas9):
@@ -250,8 +266,10 @@ def test_simulate_reruns_are_byte_identical(thomas9_model):
             assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
 
 
-def test_simulate_blows_up_at_the_reference_step():
-    # The models of the blowup tests below, stepped by both steppers.
+@pytest.mark.parametrize("reembed", [False, True])
+def test_simulate_blows_up_at_the_reference_step(reembed):
+    # The models of the blowup tests below, stepped by both steppers, on the
+    # lifted path or on the state-space field.
     d1 = Dictionary.from_strings(1, ["x1"])
     square = QuadraticModel(np.array([[1.0]]), np.zeros((1, 1)), np.zeros(1),
                             np.array([[1.0]]), d1)
@@ -260,12 +278,13 @@ def test_simulate_blows_up_at_the_reference_step():
                             np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2),
                             np.array([[1.0, 0.0]]), d2)
     for model, x0 in ((square, 2.0), (lifted, 2.0), (lifted, 1e100)):
-        want, step = reference_path(model, [x0], 100, 0.01)
+        want, step = reference_path(model, [x0], 100, 0.01, reembed)
         assert step is not None
         with pytest.raises(IntegrationBlowupError) as exc:
-            simulate(model, [x0], t_end=1.0, dt=0.01)
+            forecast(model, [x0], 1.0, 0.01, reembed)
         assert exc.value.step == step
-        got = exc.value.partial.z_states
+        partial = exc.value.partial
+        got = partial.states if reembed else partial.z_states
         assert got.shape == want.shape
         assert got.flags.owndata  # not a view of the preallocated path
         # The last steps grow |z| up to 1e160-fold, and a rounding difference
@@ -448,24 +467,30 @@ def test_model_json_keeps_force_c_zero():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
-def test_simulate_blowup_carries_the_finite_path():
+@pytest.mark.parametrize("reembed", [False, True])
+def test_simulate_blowup_carries_the_finite_path(reembed):
     d = Dictionary.from_strings(1, ["x1", "x1^2"])
     model = QuadraticModel(np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 2.0]]),
                            np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2),
                            np.array([[1.0, 0.0]]), d)
     # dx = x^2 written through z = (x, x^2); blows up near t = 0.5 from 2,
     # and at step 1 from 1e100 (whose square is still finite).
+    names = ("times", "states") if reembed else ("times", "z_states", "x_states")
     for x0 in (2.0, 1e100):
         with pytest.raises(IntegrationBlowupError) as exc:
-            simulate(model, [x0], t_end=1.0, dt=0.01)
+            forecast(model, [x0], 1.0, 0.01, reembed)
         step, partial = exc.value.step, exc.value.partial
         assert partial.times.size == step
-        assert np.array_equal(partial.x_states, partial.z_states @ model.g.T)
+        if not reembed:
+            assert np.array_equal(partial.x_states, partial.z_states @ model.g.T)
         if step == 1:
             assert np.array_equal(partial.times, [0.0])
+            if reembed:
+                assert np.array_equal(partial.states, [[x0]])
+                continue
             assert np.array_equal(partial.z_states, [feature_map(d, [x0])])
             assert np.array_equal(partial.x_states, [[x0]])
             continue
-        rerun = simulate(model, [x0], t_end=(step - 1) * 0.01, dt=0.01)
-        for name in ("times", "z_states", "x_states"):
+        rerun = forecast(model, [x0], (step - 1) * 0.01, 0.01, reembed)
+        for name in names:
             assert getattr(partial, name).tobytes() == getattr(rerun, name).tobytes()
