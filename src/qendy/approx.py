@@ -8,6 +8,8 @@ Under a probability measure the empirical Gram matrix divided by the sample
 count converges to its limit at the Monte Carlo rate.  The limit and
 each Monte Carlo run sum the fitting code's Gram system as the fit does,
 lifting one chunk of nodes or samples at a time, so neither holds a whole lift.
+The limit weights each node's row by the square root of its quadrature
+weight, so its Gram matrix is a symmetric product like the fit's.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ class BoxQuadrature:
 
     def nodes_weights(self):
         axis_nodes, axis_weights = [], []
+        xi, wq = np.polynomial.legendre.leggauss(self.order)
         for lo, hi in self.box:
-            xi, wq = np.polynomial.legendre.leggauss(self.order)
             axis_nodes.append(0.5 * (hi - lo) * xi + 0.5 * (hi + lo))
             axis_weights.append(0.5 * (hi - lo) * wq)
         grids = np.meshgrid(*axis_nodes, indexing="ij")
@@ -67,9 +69,12 @@ def limit_gram_system(d: Dictionary, field: VectorField, space):
     Returns (rstar (D, D), sstar (D, N)) over the augmented basis of ``d``
     in its usual order (products, entries, constant); column l of sstar pairs
     every augmented entry with grad phi_l . F.  These are the fitting
-    code's normal equations on the quadrature nodes, weighted by the rule,
-    with the nodes lifted like training data, a chunk at a time
-    (:func:`qendy.fitting.lifted_chunks`, which names a non-finite lift).
+    code's normal equations on the quadrature nodes, weighted by the rule
+    (each node's row scaled by sqrt(w) in
+    :func:`qendy.fitting.quadratic_normal_equations`), with the nodes lifted
+    like training data, a chunk at a time (:func:`qendy.fitting.lifted_chunks`,
+    which names a non-finite lift).
+    The measure's weights must be finite and >= 0, or ValueError is raised.
     """
     points, weights = space.nodes_weights()
     return quadratic_normal_equations(

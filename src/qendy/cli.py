@@ -25,7 +25,7 @@ import numpy as np
 from . import baselines, reduction
 from .approx import convergence_study
 from .dictionary import (
-    ConfigurationError, _whole, load_dictionary, save_dictionary, write_json,
+    ConfigurationError, _whole, feature_map, load_dictionary, save_dictionary, write_json,
 )
 from .dynamics import (
     IntegrationBlowupError, _load_rows, exact_derivatives, finite_diff_derivatives,
@@ -239,8 +239,13 @@ def _simulate_model(kind, model, x0, t_end, dt, reembed):
     of a qendy model projected by G, or, with ``reembed`` and for SINDy and
     gEDMD models, the path of the model's state-space field.
 
-    After a blowup the path ends at the last finite state.
+    After a blowup the path ends at the last finite state.  A finite start
+    state whose lift is not finite is refused on every path.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = feature_map(model.dictionary, x0)
+    if np.isfinite(x0).all() and not np.isfinite(start).all():
+        raise ValueError("start state lifts to non-finite values")
     lifted = kind == "qendy" and not reembed
     try:
         path = (simulate(model, x0, t_end, dt) if lifted
@@ -463,15 +468,17 @@ _SETTINGS = {
 
 def _reads(convert):
     """A test that a config value is not JSON true or false and that
-    ``convert``, the function its command reads it with, takes it."""
+    ``convert``, the function its command reads it with, takes it.  Text is
+    taken only for the numbers JSON cannot write, such as ``"nan"`` and
+    ``"inf"``: ``"50"`` or ``"1e-3"`` is refused."""
     def test(value):
         if isinstance(value, bool):
             return False
         try:
-            convert(value)
+            number = convert(value)
         except (TypeError, ValueError, OverflowError):
             return False
-        return True
+        return not (isinstance(value, str) and np.isfinite(number))
     return test
 
 

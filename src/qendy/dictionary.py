@@ -174,8 +174,9 @@ def dictionary_to_json(d: Dictionary) -> dict:
 
 def _whole(value) -> int:
     """``int(value)`` for a number that int() does not truncate; JSON true and
-    false, and a number with a fractional part, raise ValueError."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    false, a string and a number with a fractional part raise ValueError."""
+    if (isinstance(value, (bool, str))
+            or isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 

@@ -255,8 +255,14 @@ def sample_uniform(box, num_samples: int, seed=0) -> np.ndarray:
     hi = np.array([b[1] for b in box], dtype=float)
     if np.any(hi <= lo):
         raise ValueError("box bounds must satisfy lo < hi on every axis")
-    rng = np.random.default_rng(seed)
-    return lo + (hi - lo) * rng.random((num_samples, lo.size))
+    points = np.random.default_rng(seed).random((num_samples, lo.size))
+    # lo + (hi - lo) * r, bit for bit, a column at a time and in place: the
+    # broadcast runs a length-n inner loop per sample.
+    for axis in range(lo.size):
+        column = points[:, axis]
+        column *= hi[axis] - lo[axis]
+        column += lo[axis]
+    return points
 
 
 def exact_derivatives(f: VectorField, points) -> TrainingSet:

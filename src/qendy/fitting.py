@@ -35,7 +35,7 @@ from .dictionary import (
     Dictionary, feature_matrix, feature_matrix_and_derivatives, full_state_matrix,
 )
 from .dynamics import TrainingSet
-from .linalg import min_norm_solve, summed_normal_equations
+from .linalg import _root_weights, min_norm_solve, summed_normal_equations
 from .model import QuadraticModel, evaluate_cols, kron_squared_cols
 
 __all__ = [
@@ -79,30 +79,46 @@ def quadratic_normal_equations(chunks, n: int, outputs: int, weights=None):
     :func:`lifted_chunks` does; ``weights`` has one entry per sample of the
     whole set, or is None.  Each chunk's table holds the unique products
     z_i z_j (i <= j), then z, then 1; the sums are expanded to the
-    (N^2 + N + 1) layout of [z kron z; z; 1] by one index gather.
+    (N^2 + N + 1) layout of [z kron z; z; 1] by one index gather.  Weighted,
+    the chunk's table is scaled in place by sqrt(w), as ``(z_i z_j) sqrt(w)``,
+    and its targets into a buffer reused across chunks, so the sums are the
+    symmetric products of :func:`qendy.linalg.normal_equations` and a chunk
+    makes no table-sized temporary.  Weights must be finite and >= 0;
+    anything else raises ValueError.
     """
     unique = n * (n + 1) // 2
     size = unique + n + 1
-    buffer = np.empty((size, 0))
+    root = None if weights is None else _root_weights(weights)
+    buffer, scaled = np.empty((size, 0)), np.empty((outputs, 0))
 
     def tables():
-        nonlocal buffer
+        nonlocal buffer, scaled
         for samples, z, targets in chunks:
-            if buffer.shape[1] < z.shape[1]:
-                buffer = np.empty((size, z.shape[1]))
-            table = buffer[:, :z.shape[1]]
+            width = z.shape[1]
+            if buffer.shape[1] < width:
+                buffer = np.empty((size, width))
+                if root is not None:
+                    scaled = np.empty((outputs, width))
+            table = buffer[:, :width]
+            w = None if root is None else root[samples]
             row = 0
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(n):
-                    np.multiply(z[i], z[i:], out=table[row:row + n - i])
+                    block = table[row:row + n - i]
+                    np.multiply(z[i], z[i:], out=block)
+                    if w is not None:  # while the block is still in cache
+                        block *= w
                     row += n - i
-            table[unique:-1] = z
-            table[-1] = 1.0
+                table[unique:-1] = z
+                table[-1] = 1.0
+                if w is not None:
+                    table[unique:] *= w
+                    targets = np.multiply(targets, w, out=scaled[:, :width])
             yield samples, table, targets
 
-    matrix, rhs = summed_normal_equations(tables(), size, outputs, weights)
+    matrix, rhs = summed_normal_equations(tables(), size, outputs)
     rows = _table_rows(n)
-    return matrix[np.ix_(rows, rows)], rhs[rows]
+    return matrix[rows][:, rows], rhs[rows]
 
 
 def _check_lifted(d: Dictionary, samples: slice, what: str, lifted: np.ndarray):

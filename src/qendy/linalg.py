@@ -4,7 +4,9 @@ Every regression in the package reduces to ``M v = s`` with M symmetric
 positive semidefinite and possibly rank-deficient.  One eigendecomposition is
 shared by every right-hand side; eigenvalues below ``rcond * max|eigenvalue|``
 are treated as exact zeros, which makes each solution the minimum-norm
-least-squares solution.
+least-squares solution.  Weighted sums scale each sample by the square root
+of its weight, so every Gram matrix is a symmetric product; weights must be
+finite and >= 0.
 """
 
 from __future__ import annotations
@@ -20,29 +22,44 @@ def default_rcond(dim: int) -> float:
     return dim * np.finfo(float).eps * 64.0
 
 
+def _root_weights(weights) -> np.ndarray:
+    """sqrt(weights), once the weights are checked to be finite and >= 0: a
+    negative weight has no square root and makes the Gram matrix indefinite."""
+    weights = np.asarray(weights, dtype=float)
+    bad = ~(np.isfinite(weights) & (weights >= 0.0))
+    if bad.any():
+        raise ValueError(
+            f"weights must be finite numbers >= 0, got {float(weights[bad][0])!r}")
+    return np.sqrt(weights)
+
+
 def normal_equations(table, targets, weights=None):
     """(table W table^T, table W targets^T), W = diag(weights), for a (K, m) table.
 
-    Unweighted, ``table @ table.T`` on one buffer is NumPy's symmetric product.
-    An overflow leaves non-finite entries, unwarned, for the solver to reject.
+    ``table @ table.T`` on one buffer is NumPy's symmetric product.  Weighted,
+    the rows are scaled by sqrt(w) first, so the sums are the products
+    ``(sqrt(w) table)(sqrt(w) table)^T`` and ``(sqrt(w) table)(sqrt(w) targets)^T``
+    and the Gram matrix is exactly symmetric too.  Weights must be finite and
+    >= 0; anything else raises ValueError.  An overflow leaves non-finite
+    entries, unwarned, for the solver to reject.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        weighted = table if weights is None else table * weights
-        return weighted @ table.T, weighted @ targets.T
+        if weights is not None:
+            root = _root_weights(weights)
+            table, targets = table * root, targets * root
+        return table @ table.T, table @ targets.T
 
 
-def summed_normal_equations(chunks, size: int, outputs: int, weights=None):
-    """:func:`normal_equations` summed over chunks of samples.
+def summed_normal_equations(chunks, size: int, outputs: int):
+    """Unweighted :func:`normal_equations` summed over chunks of samples.
 
-    ``chunks`` yields ``(samples, table (size, c), targets (outputs, c))``,
-    where ``samples`` indexes the chunk's samples in ``weights`` (one weight
-    per sample of the whole set, or None).  Only one chunk is held at a time,
-    so memory does not grow with the sample count.
+    ``chunks`` yields ``(samples, table (size, c), targets (outputs, c))``.
+    Only one chunk is held at a time, so memory does not grow with the sample
+    count.
     """
     matrix, rhs = np.zeros((size, size)), np.zeros((size, outputs))
-    for samples, table, targets in chunks:
-        gram, cross = normal_equations(
-            table, targets, None if weights is None else weights[samples])
+    for _, table, targets in chunks:
+        gram, cross = normal_equations(table, targets)
         with np.errstate(over="ignore", invalid="ignore"):
             matrix += gram
             rhs += cross

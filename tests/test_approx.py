@@ -9,14 +9,17 @@ import pytest
 from qendy.approx import (
     BoxQuadrature, ConvergenceStudy, convergence_study, limit_gram_system,
 )
-from qendy.dictionary import Dictionary, feature_matrix_and_derivatives
+from qendy.dictionary import (
+    Dictionary, feature_matrix, feature_matrix_and_derivatives, feature_time_derivatives,
+)
 from qendy.dynamics import VectorField, exact_derivatives, sample_uniform
 from qendy.expr import Expr, Program, parse
 from qendy.fitting import (
     DataMatrices, assemble_gram, build_data_matrices, quadratic_normal_equations,
 )
 from qendy.linalg import min_norm_solve, normal_equations
-from qendy.systems import pendulum, pendulum_dictionary
+from qendy.model import kron_squared_cols
+from qendy.systems import pendulum, pendulum_dictionary, thomas, thomas_extended_dictionary
 
 MONOMIALS = [parse("1"), parse("x1"), parse("x1*x1"), parse("x1*x1*x1")]
 
@@ -85,6 +88,29 @@ def test_box_quadrature_polynomial_exactness():
     """Order n integrates degree 2n-1 exactly: x^3 on [0, 1] with two nodes."""
     pts, w = BoxQuadrature(((0.0, 1.0),), order=2).nodes_weights()
     assert abs(np.sum(w * pts[:, 0] ** 3) - 0.25) < 1e-15
+
+
+def _per_axis_nodes_weights(box, order):
+    """The tensor rule with the Gauss-Legendre rule built afresh per axis."""
+    axis_nodes, axis_weights = [], []
+    for lo, hi in box:
+        xi, wq = np.polynomial.legendre.leggauss(order)
+        axis_nodes.append(0.5 * (hi - lo) * xi + 0.5 * (hi + lo))
+        axis_weights.append(0.5 * (hi - lo) * wq)
+    grids = np.meshgrid(*axis_nodes, indexing="ij")
+    points = np.column_stack([g.ravel() for g in grids])
+    weights = np.ones(1)
+    for wa in axis_weights:
+        weights = np.multiply.outer(weights, wa).ravel()
+    return points, weights / float(np.prod([hi - lo for lo, hi in box]))
+
+
+@pytest.mark.parametrize("order", [1, 2, 20])
+def test_box_quadrature_builds_one_rule_for_every_axis_bit_for_bit(order):
+    box = ((-1.0, 1.0), (0.5, 4.0), (-3.0, -2.75))
+    got = BoxQuadrature(box, order=order).nodes_weights()
+    for g, w in zip(got, _per_axis_nodes_weights(box, order)):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_box_quadrature_validation():
@@ -204,6 +230,33 @@ def test_limit_gram_rejects_a_non_finite_lift_by_name():
     with np.errstate(over="ignore"), pytest.raises(
             ValueError, match=r"basis entry 2 \(exp\(x1\)\) has a non-finite lifted value"):
         limit_gram_system(d, pendulum(c=0.1), space)
+
+
+@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+def test_limit_gram_refuses_a_measure_with_bad_weights(bad):
+    # A negative weight would make R* indefinite; sqrt(w) has no value there.
+    points = sample_uniform([(-1.0, 1.0)] * 2, 30, seed=6)
+    weights = np.full(30, 1.0 / 30.0)
+    weights[17] = bad
+    with pytest.raises(ValueError, match=r"^weights must be finite numbers >= 0, got "):
+        limit_gram_system(pendulum_dictionary(), pendulum(c=0.1), _points(points, weights))
+
+
+def test_limit_gram_of_thomas15_matches_the_whole_table_product():
+    # Oracle: the weighted Gram of the whole [z kron z; z; 1] table on the
+    # order-20 nodes as one GEMM, weights applied once, no chunks, no sqrt.
+    d, field = thomas_extended_dictionary(), thomas(0.25, 0.15)
+    space = BoxQuadrature(((-1.0, 1.0),) * 3, order=20)
+    nodes, weights = space.nodes_weights()
+    z = feature_matrix(d, nodes)
+    table = np.vstack([kron_squared_cols(z), z, np.ones((1, weights.size))])
+    weighted = table * weights
+    want_r = weighted @ table.T
+    want_s = weighted @ feature_time_derivatives(d, nodes, field.many(nodes)).T
+    rstar, sstar = limit_gram_system(d, field, space)
+    assert np.array_equal(rstar, rstar.T)
+    for got, want in ((rstar, want_r), (sstar, want_s)):
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

@@ -1385,3 +1385,74 @@ def test_a_flag_and_its_config_key_are_one_setting(tmp_path, via, command, flag,
     out = tmp_path / "out"
     assert main([*argv, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
     assert _read_json(out / artifact)[field] == want
+
+
+# ---------------------------------------------------------------------------
+# a number given as JSON text
+
+
+def _text_number_case(tmp_path, case):
+    """(argv, error line) of a run whose input holds a number as JSON text."""
+    config = tmp_path / "config.json"
+    if case == "generate-m":
+        config.write_text(json.dumps({"m": "50"}))
+        return (["generate", "--system", "pendulum", "--config", str(config)],
+                "qendy: error in config: 'm' must be an integer, got \"50\"")
+    _generate(tmp_path)
+    if case == "fit-lambda":
+        config.write_text(json.dumps({"lambda": "1e-3"}))
+        return (["fit", "--training", str(tmp_path / "training.csv"),
+                 "--dictionary", "pendulum", "--config", str(config)],
+                "qendy: error in config: 'lambda' must be a number, got \"1e-3\"")
+    if case == "dictionary-state_dim":
+        dictionary = tmp_path / "text.json"
+        dictionary.write_text(json.dumps({"state_dim": "2", "basis": ["x1", "x2"]}))
+        return (["fit", "--training", str(tmp_path / "training.csv"),
+                 "--dictionary", str(dictionary)],
+                "qendy: error in fit: dictionary state_dim must be an integer, got \"2\"")
+    path = _fit_method(tmp_path, "qendy")
+    obj = _read_json(path)
+    obj["m"] = "3"
+    path.write_text(json.dumps(obj))
+    return (["report", "--model", str(path)],
+            "qendy: error in report: m must be an integer, got \"3\"")
+
+
+@pytest.mark.parametrize("case", ["generate-m", "fit-lambda", "dictionary-state_dim",
+                                  "model-m"])
+def test_a_number_given_as_text_is_refused(tmp_path, capsys, case):
+    # Each was read with int() or float(), ran and exited 0.
+    argv, line = _text_number_case(tmp_path, case)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# a start state whose lift is not finite
+
+
+@pytest.mark.parametrize("reembed", [False, True], ids=["plain", "reembed"])
+@pytest.mark.parametrize("method", ["qendy", "sindy", "gedmd"])
+def test_a_start_state_whose_lift_overflows_is_refused_on_every_path(tmp_path, capsys,
+                                                                     method, reembed):
+    # exp(800) overflows.  The state-field path wrote the start row with
+    # blowup_step 1 and exited 0; now every kind and path refuses it.
+    dictionary = tmp_path / "dictionary.json"
+    dictionary.write_text(json.dumps({"state_dim": 1, "basis": ["x1", "exp(x1)"]}))
+    training = tmp_path / "training.csv"
+    training.write_text("x1,dx1\n0.1,-0.1\n0.2,-0.2\n0.3,-0.3\n0.4,-0.4\n")
+    model = tmp_path / "fit" / "model.json"
+    assert main(["fit", "--method", method, "--training", str(training),
+                 "--dictionary", str(dictionary), "--out", str(model.parent)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = ["simulate", "--model", str(model), "--x0", "800", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--reembed"] * reembed) == 1
+    assert capsys.readouterr().err == (
+        "qendy: error in simulate: start state lifts to non-finite values\n")
+    assert not out.exists()

@@ -16,7 +16,7 @@ from qendy.dynamics import (
     save_trajectory,
 )
 from qendy.expr import Add, Const, EvaluationDomainError, Inv, Mul, Program, Var, parse
-from qendy.fitting import fit
+from qendy.fitting import _CHUNK, fit
 from qendy.model import extract_rhs_many
 from qendy.systems import (
     make_system, mean_field, pendulum, quartic_coupled, quartic_decoupled,
@@ -114,6 +114,18 @@ def test_sample_uniform_mean_near_center():
     for axis, (lo, hi) in enumerate([(-1, 1), (2, 6)]):
         bound = 4 * (hi - lo) / math.sqrt(12 * m)
         assert abs(pts[:, axis].mean() - 0.5 * (lo + hi)) < bound
+
+
+@pytest.mark.parametrize("box", [
+    [(0.5, 2.0)], [(-1.0, 1.0), (2.0, 6.0)], [(-5.0, 5.0), (-0.1, 0.3), (1e-3, 7.0)],
+], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("m", [1, 2 * _CHUNK + 7])
+def test_sample_uniform_is_the_broadcast_formula_bit_for_bit(box, m):
+    # The columns are scaled in place; the bits are those of lo + (hi - lo) * r.
+    lo, hi = np.array(box).T
+    want = lo + (hi - lo) * np.random.default_rng(5).random((m, len(box)))
+    got = sample_uniform(box, m, seed=5)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,37 @@ def test_quadratic_normal_equations_match_the_table(m, weighted):
         assert np.array_equal(matrix, matrix.T)
 
 
+@pytest.mark.parametrize("m", [1, _CHUNK + 5, 2 * _CHUNK + 5])
+def test_weighted_quadratic_normal_equations_are_symmetric_and_match_lstsq(m):
+    # Every chunk's table and targets are scaled by sqrt(w) in place, so the
+    # Gram matrix is a sum of symmetric products and the solve is weighted
+    # least squares on the sqrt(w)-scaled rows of [z kron z; z; 1].
+    rng = np.random.default_rng(m + 1)
+    z = rng.normal(size=(3, m))
+    targets = rng.normal(size=(3, m))
+    weights = rng.uniform(0.0, 2.0, m)
+    matrix, rhs = quadratic_normal_equations(DataMatrices(z, targets).chunks(), 3, 3,
+                                             weights)
+    assert np.array_equal(matrix, matrix.T)
+    root = np.sqrt(weights)
+    table = np.vstack([kron_squared_cols(z), z, np.ones((1, m))]) * root
+    want, *_ = np.linalg.lstsq(table.T, (targets * root).T, rcond=None)
+    got = min_norm_solve(matrix, rhs)
+    assert np.abs(got - want).max() <= 1e-10 * max(np.abs(want).max(), 1.0)
+
+
+@pytest.mark.parametrize("bad, shown", [(-1.0, "-1.0"), (np.nan, "nan"), (-np.inf, "-inf")])
+def test_quadratic_normal_equations_refuse_bad_weights_by_name(bad, shown):
+    z = np.ones((2, _CHUNK + 3))
+    weights = np.ones(_CHUNK + 3)
+    weights[_CHUNK + 1] = bad  # in the second chunk
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            quadratic_normal_equations(DataMatrices(z, z).chunks(), 2, 2, weights)
+    assert str(err.value) == f"weights must be finite numbers >= 0, got {shown}"
+
+
 def test_quadratic_normal_equations_overflow_reaches_the_solver_unwarned():
     z = np.array([[0.5, 1e200]])
     with warnings.catch_warnings():

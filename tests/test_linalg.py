@@ -159,3 +159,33 @@ def test_overflowed_normal_equations_warn_nothing_and_the_solver_rejects_them():
     assert not np.isfinite(matrix).all()
     with pytest.raises(ValueError, match="non-finite"):
         min_norm_solve(matrix, rhs)
+
+
+def test_weighted_normal_equations_are_the_symmetric_product_of_root_scaled_rows():
+    # Rows scaled by sqrt(w): the Gram matrix is a symmetric product, exactly
+    # symmetric, and both sums are the plain products of the scaled rows.
+    rng = np.random.default_rng(13)
+    table = rng.standard_normal((9, 500))
+    targets = rng.standard_normal((4, 500))
+    weights = rng.uniform(0.0, 3.0, 500)
+    weights[::7] = 0.0  # a zero weight drops its sample
+    matrix, rhs = normal_equations(table, targets, weights)
+    assert np.array_equal(matrix, matrix.T)
+    root = np.sqrt(weights)
+    scaled = table * root
+    assert np.array_equal(matrix, scaled @ scaled.T)
+    assert np.array_equal(rhs, scaled @ (targets * root).T)
+    want, *_ = np.linalg.lstsq(scaled.T, (targets * root).T, rcond=None)
+    assert np.abs(min_norm_solve(matrix, rhs) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad, shown", [(-0.5, "-0.5"), (np.nan, "nan"), (np.inf, "inf")])
+def test_weights_that_are_negative_or_not_finite_are_refused_by_name(bad, shown):
+    # A negative weight makes the Gram matrix indefinite and has no square root.
+    weights = np.ones(6)
+    weights[4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            normal_equations(np.ones((2, 6)), np.ones(6), weights)
+    assert str(err.value) == f"weights must be finite numbers >= 0, got {shown}"
