@@ -182,8 +182,7 @@ def _loss_fields(kind, model, ts, path):
 
 def cmd_generate(cfg):
     system = _system(cfg)
-    out = _outdir(cfg)
-    wrote = []
+    traj = None
     if cfg.get("x0") is not None:
         traj = sample_trajectory(system, _vector(cfg["x0"]), float(cfg["t_end"]),
                                  int(cfg["m"]), int(cfg["substeps"]))
@@ -191,14 +190,17 @@ def cmd_generate(cfg):
             ts = finite_diff_derivatives(traj)
         else:
             ts = exact_derivatives(system, traj.states)
-        traj_path = os.path.join(out, "trajectory.csv")
-        save_trajectory(traj, traj_path)
-        wrote.append(traj_path)
     elif cfg["derivatives"] == "finite-difference":
         raise _CliError("finite-difference derivatives need a trajectory: give x0")
     else:
         points = sample_uniform(_box(cfg, system), int(cfg["m"]), int(cfg["seed"]))
         ts = exact_derivatives(system, points)
+    out = _outdir(cfg)
+    wrote = []
+    if traj is not None:
+        traj_path = os.path.join(out, "trajectory.csv")
+        save_trajectory(traj, traj_path)
+        wrote.append(traj_path)
     training_path = os.path.join(out, "training.csv")
     save_training(ts, training_path)
     wrote.append(training_path)
@@ -214,8 +216,6 @@ def cmd_generate(cfg):
 def cmd_fit(cfg):
     ts = load_training(cfg["training"])
     d, g_override = _resolve_dictionary(cfg["dictionary"], ts.n)
-    out = _outdir(cfg)
-    model_path = os.path.join(out, "model.json")
     method = cfg["method"]
     if method == "qendy":
         model = fit(d, ts, lam=float(cfg["lambda"]),
@@ -228,6 +228,8 @@ def cmd_fit(cfg):
         model = baselines.gedmd_fit(d, ts, rcond=cfg.get("rcond"))
     summary = {"method": method, "m": int(ts.m),
                **_loss_fields(method, model, ts, cfg["training"])}
+    out = _outdir(cfg)
+    model_path = os.path.join(out, "model.json")
     write_json(model_path, _KINDS[method][2](model))
     summary_path = os.path.join(out, "fit_summary.json")
     write_json(summary_path, summary)
@@ -319,7 +321,6 @@ def cmd_convergence(cfg):
 
 
 def cmd_reduce(cfg):
-    out = _outdir(cfg)
     synthetic = cfg.get("data") is None
     if synthetic:
         snapshots, _ = reduction.synthetic_lift_data(
@@ -333,6 +334,7 @@ def cmd_reduce(cfg):
         float(cfg["dt"]), lam=float(cfg["lambda"]))
     # Written only once the pipeline has succeeded, so a failed reduce
     # leaves nothing behind.
+    out = _outdir(cfg)
     wrote = []
     if synthetic:
         snap_path = os.path.join(out, "snapshots.csv")
@@ -370,7 +372,6 @@ def cmd_reduce(cfg):
 
 def cmd_report(cfg):
     kind, model = _load_model_file(cfg["model"])
-    out = _outdir(cfg)
     d = model.dictionary
     summary = {"state_dim": int(d.state_dim), "kind": kind, "basis": list(d.names)}
     if kind == "qendy":
@@ -392,6 +393,7 @@ def cmd_report(cfg):
     if cfg.get("training") is not None:
         summary.update(_loss_fields(kind, model, load_training(cfg["training"]),
                                     cfg["training"]))
+    out = _outdir(cfg)
     coeff_path = os.path.join(out, "coefficients.csv")
     write_rows(coeff_path, "matrix,row,col,value",
                [(name, r, c, float(v)) for name, matrix in matrices

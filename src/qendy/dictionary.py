@@ -7,7 +7,10 @@ pair (i, j) sits at flat position ``N*i + j``), then the N dictionary entries,
 then the constant function.  That ordering matches the columnwise Kronecker
 square used by the fitting code, which is checked by tests rather than
 assumed.  The lifts hand their arguments straight to the dictionary's
-compiled :class:`~qendy.expr.Program`, which checks their shapes.
+compiled :class:`~qendy.expr.Program`, which checks their shapes and
+evaluates a batch in blocks of :data:`qendy.expr.BLOCK` points: a batch lift
+holds its (N, m) result, or both for the values and derivatives, plus one
+block.
 """
 
 from __future__ import annotations

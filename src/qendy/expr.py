@@ -11,7 +11,10 @@ values over NumPy columns for a batch; and the forward-mode tangent pass.
 That pass carries one directional derivative per slot, so the time
 derivative of a lift along sampled motion costs one pass and never forms a
 Jacobian; gradients seed one tangent set per coordinate in the same call.
-Derivatives are exact to rounding.  A program is built for a state dimension
+Derivatives are exact to rounding.  A batch call runs its binding on blocks
+of :data:`BLOCK` rows and writes each block straight into its output, so it
+holds its result plus one block, whatever the number of points, and its
+values are bit-equal to one evaluation of the whole batch.  A program is built for a state dimension
 n and is the one place that checks inputs: its trees at construction, then
 each point, batch or direction once at the entry it is passed to.
 
@@ -220,6 +223,19 @@ _BINDINGS = {
     "rk4": (_FLOAT_OPS, None, False),
 }
 
+# Rows per block of a batch call.  A slot column of a block is 64 KB, under
+# glibc's default 128 KB mmap threshold, so a block's temporaries are reused
+# heap memory rather than fresh mappings; a batch call holds its result plus
+# one block.
+BLOCK = 8192
+
+# Binding -> the row lists of its result: the values, then each tangent set.
+_FLATTEN = {
+    "values": lambda rows: [rows],
+    "tangents": list,
+    "gradients": lambda result: [result[0], *result[1]],
+}
+
 
 def _rk4_source(n: int, variables, body: list, outputs: list) -> str:
     """The ``rk4`` binding of an n-component field: ``program(out, k, steps,
@@ -319,7 +335,8 @@ class Program:
     slot), ``tangents`` (the values, then one directional derivative per
     slot along a direction: a Jacobian-vector product without a Jacobian)
     and ``gradients`` (the values, then one tangent set per coordinate).
-    Every binding tests the operand of a reciprocal and the base of a
+    The batch entries run their binding on blocks of :data:`BLOCK` rows:
+    a call holds its result plus one block.  Every binding tests the operand of a reciprocal and the base of a
     negative power for zero and raises :class:`EvaluationDomainError` naming
     that node.  Programs are immutable after construction, and the lazy
     compilation is locked, so one may be run from several threads at once.
@@ -497,57 +514,85 @@ class Program:
         return x
 
     @staticmethod
-    def _stack(rows, out: np.ndarray) -> np.ndarray:
+    def _stack(rows, out: np.ndarray):
+        """Writes each row into ``out``; a function, so that no row outlives
+        the call in a loop variable."""
         for r, value in enumerate(rows):
             out[r] = 0.0 if value is None else value
-        return out
+
+    def _rows(self, m: int) -> np.ndarray:
+        return np.empty((len(self.outputs), m))
+
+    def _blocked(self, binding: str, arrays, targets) -> list:
+        """The one batch loop: runs ``binding`` on the blocks of
+        :data:`BLOCK` rows of ``arrays`` (each (m, n)) and writes each
+        block's row lists straight into their outputs.
+
+        A binding's result is flattened into row lists: the values, then
+        each tangent set.  ``targets[i](m)`` makes the (K, m) output of row
+        list i, or is None to drop it; returns the outputs.  The outputs are
+        made only once block 0 is evaluated, since allocating them first
+        makes NumPy's temporaries fresh mappings at every call, and each row
+        list of a block is freed once written, before the next output is
+        made or the next block evaluated.
+        """
+        fn, flatten, m = self._bound(binding), _FLATTEN[binding], len(arrays[0])
+        outs = list(targets)
+        for start in range(0, max(m, 1), BLOCK):
+            block = slice(start, start + BLOCK)
+            groups = flatten(fn(*[a[block] for a in arrays]))
+            for i, out in enumerate(outs):
+                if start == 0 and out is not None:
+                    out = outs[i] = out(m)
+                if out is not None:
+                    self._stack(groups[i], out[:, block])
+                groups[i] = None
+        return outs
 
     def values(self, x, *, per_point: bool = False) -> np.ndarray:
         """Every tree at each row of ``x`` (m, n); returns (K, m), or with
         ``per_point`` the same values as (m, K), one row per point."""
         x = self._batch(x)
-        rows = self._bound("values")(x)
-        # Allocated after the evaluation: allocating first makes NumPy's
-        # temporaries fresh mappings at every call, page-faulted again at
-        # large m.
         if per_point:
-            out = np.empty((x.shape[0], len(rows)))
-            self._stack(rows, out.T)
-            return out
-        return self._stack(rows, np.empty((len(rows), x.shape[0])))
+            def target(m):
+                return np.empty((m, len(self.outputs))).T
+            return self._blocked("values", (x,), [target])[0].T
+        return self._blocked("values", (x,), [self._rows])[0]
 
-    def _along(self, x, v):
-        """The ``tangents`` binding at ``x`` along ``v``: (output values,
-        output tangents)."""
+    def _along(self, x, v, targets) -> list:
+        """The ``tangents`` binding at ``x`` along ``v`` into ``targets``
+        (values, tangents)."""
         x, v = self._batch(x), np.asarray(v, dtype=float)
         if v.shape != x.shape:
             raise ValueError(f"direction {v.shape} does not match points {x.shape}")
-        return self._bound("tangents")(x, v)
+        return self._blocked("tangents", (x, v), targets)
 
     def tangents(self, x, v) -> np.ndarray:
         """Directional derivatives along ``v`` (m, n), row by row: entry
         (k, i) of the (K, m) result is grad f_k(x[i]) . v[i]."""
-        tans = self._along(x, v)[1]  # the values are freed before the gather
-        return self._stack(tans, np.empty((len(tans), len(x))))
+        return self._along(x, v, [None, self._rows])[1]
 
     def values_and_tangents(self, x, v):
         """(:meth:`values`, :meth:`tangents`) of the same arguments from one
         evaluation of the slots."""
-        vals, tans = self._along(x, v)
-        values = self._stack(vals, np.empty((len(vals), len(x))))
-        del vals  # frees the values before the second gather: a lower peak
-        return values, self._stack(tans, np.empty((len(tans), len(x))))
+        return tuple(self._along(x, v, [self._rows, self._rows]))
 
     def gradients(self, x):
         """Values (K, m) and row-wise gradients (K, m, n) from one call, with
         one unit-direction tangent set per coordinate."""
         x = self._batch(x)
-        m, n = x.shape
-        vals, sets = self._bound("gradients")(x)
-        grads = np.zeros((len(vals), m, n))
-        for j, tans in zip(sorted(self.variables), sets):
-            self._stack(tans, grads[:, :, j])
-        return self._stack(vals, np.empty((len(vals), m))), grads
+        grads = None
+
+        def values(m):  # the gradients are made with the values
+            nonlocal grads
+            grads = np.zeros((len(self.outputs), m, self.n))
+            return self._rows(m)
+
+        def tangent_set(j):
+            return lambda m: grads[:, :, j]
+
+        targets = [values, *map(tangent_set, sorted(self.variables))]
+        return self._blocked("gradients", (x,), targets)[0], grads
 
 
 def evaluate(e: Expr, x) -> float:

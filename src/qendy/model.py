@@ -18,6 +18,7 @@ from .dictionary import (
     feature_map, feature_matrix, write_json,
 )
 from .dynamics import IntegrationBlowupError, _step_count
+from .expr import BLOCK
 
 __all__ = [
     "kron_squared", "kron_squared_cols", "QuadraticModel", "EmbeddedTrajectory",
@@ -172,9 +173,18 @@ def extract_rhs(model: QuadraticModel, x) -> np.ndarray:
 
 
 def extract_rhs_many(model: QuadraticModel, points) -> np.ndarray:
-    """Identified right-hand side at each row of ``points``; (m, n) out."""
-    z_cols = feature_matrix(model.dictionary, points)
-    return (model.g @ evaluate_cols(model, z_cols)).T
+    """Identified right-hand side at each row of ``points``; (m, n) out.
+
+    Evaluated on blocks of :data:`qendy.expr.BLOCK` points, so a call holds
+    its result plus one block's Kronecker square, not the (N^2, m) square.
+    """
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    out = np.empty((len(points), model.state_dim))
+    for start in range(0, max(len(points), 1), BLOCK):  # block 0 checks the shape
+        block = slice(start, start + BLOCK)
+        z_cols = feature_matrix(model.dictionary, points[block])
+        out[block] = (model.g @ evaluate_cols(model, z_cols)).T
+    return out
 
 
 def symmetrize(model: QuadraticModel) -> QuadraticModel:

@@ -553,6 +553,37 @@ def test_a_toml_config_without_tomllib_fails_cleanly(tmp_path, capsys, monkeypat
     assert not (tmp_path / "out").exists()
 
 
+def _failing_work_argv(tmp_path, case):
+    """(command, argv without --out) of a run whose inputs parse but whose
+    work fails: each used to leave an empty output directory."""
+    _generate(tmp_path)
+    training = str(tmp_path / "training.csv")
+    if case == "generate":
+        return "generate", ["generate", "--system", "thomas", "--x0", "1,0"]
+    if case == "fit-dimension":
+        return "fit", ["fit", "--training", training, "--dictionary", "thomas9"]
+    if case == "fit-lambda":
+        return "fit", ["fit", "--training", training, "--dictionary", "pendulum",
+                       "--lambda", "-1"]
+    if case == "reduce":
+        return "reduce", ["reduce", "--k", "200"]
+    model = str(_fit_method(tmp_path, "qendy"))
+    return "report", ["report", "--model", model, "--training", model]
+
+
+@pytest.mark.parametrize("case", ["generate", "fit-dimension", "fit-lambda", "reduce",
+                                  "report"])
+def test_a_failed_command_leaves_no_output_directory(tmp_path, capsys, case):
+    command, argv = _failing_work_argv(tmp_path, case)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"qendy: error in {command}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_a_model_file_that_is_not_an_object_fails_cleanly(tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text("5")

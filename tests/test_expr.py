@@ -15,8 +15,9 @@ from qendy.dictionary import (
     Dictionary, feature_map, feature_matrix, feature_matrix_and_derivatives,
     feature_time_derivatives, jacobian,
 )
+from qendy.dynamics import exact_derivatives
 from qendy.expr import (
-    Add, Const, Cos, EvaluationDomainError, Exp, ExpressionSyntaxError, Inv,
+    BLOCK, Add, Const, Cos, EvaluationDomainError, Exp, ExpressionSyntaxError, Inv,
     Mul, Pow, Program, Sin, Var, evaluate, gradient, parse,
     render, variables,
 )
@@ -683,6 +684,101 @@ def test_lifted_derivatives_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= bound * table, (lift.__name__, peak / table)
+
+
+def test_batch_calls_hold_their_result_plus_one_block():
+    # m spans 12 blocks: each call's peak is its result and one block's
+    # slots, and feature_matrix_and_derivatives holds its two results.  One
+    # whole-batch evaluation held every slot's column beside its result:
+    # 1.8, 2.07, 3.0 and 2.0 here.
+    d, field = make_dictionary("thomas15"), make_system("thomas")
+    m = 100_000
+    rng = np.random.default_rng(4)
+    points, direction = rng.uniform(-3.0, 3.0, (m, 3)), rng.normal(size=(m, 3))
+    table = d.size * m * 8
+    for call, result, bound in (
+            (lambda: feature_matrix(d, points), table, 1.15),
+            (lambda: feature_time_derivatives(d, points, direction), table, 1.25),
+            (lambda: feature_matrix_and_derivatives(d, points, direction), table, 2.25),
+            (lambda: exact_derivatives(field, points), points.nbytes, 1.25)):
+        call()  # compiles the binding
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * result, (bound, peak / result)
+
+
+def _one_block(program, binding, *arrays):
+    """``binding`` run once on the whole of ``arrays``, as one block: its
+    row lists (the values, then each tangent set) gathered as (K, m)."""
+    result = program._bound(binding)(*arrays)
+    groups = {"values": [result], "tangents": list(result),
+              "gradients": [result[0], *result[1]]}[binding]
+    gathered = []
+    for rows in groups:
+        out = np.empty((len(rows), len(arrays[0])))
+        for r, value in enumerate(rows):
+            out[r] = 0.0 if value is None else value
+        gathered.append(out)
+    return gathered
+
+
+def _sliced(program, binding, *arrays):
+    """The row lists of ``binding`` evaluated block by block, each block of
+    BLOCK rows alone, and joined along the points."""
+    m = len(arrays[0])
+    blocks = [_one_block(program, binding, *(a[start:start + BLOCK] for a in arrays))
+              for start in range(0, max(m, 1), BLOCK)]
+    return [np.concatenate(parts, axis=1) for parts in zip(*blocks)]
+
+
+@pytest.mark.parametrize("m", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+def test_batch_calls_are_bit_equal_across_block_boundaries(m):
+    rng = np.random.default_rng(m)
+    for label, program in (("thomas15", make_dictionary("thomas15").program),
+                           ("pendulum", make_dictionary("pendulum").program),
+                           ("corpus", Program((parse(t) for t in POINT_CORPUS), 2))):
+        n = program.n
+        x, v = rng.uniform(-3.0, 3.0, (m, n)), rng.normal(size=(m, n))
+        for binding, arrays in (("values", (x,)), ("tangents", (x, v)),
+                                ("gradients", (x,))):
+            whole = _one_block(program, binding, *arrays)
+            for got, want in zip(_sliced(program, binding, *arrays), whole):
+                assert got.tobytes() == want.tobytes(), (label, binding)
+        (values,), (tangents,) = _one_block(program, "values", x), _one_block(
+            program, "tangents", x, v)[1:]
+        assert program.values(x).tobytes() == values.tobytes(), label
+        by_point = program.values(x, per_point=True)
+        assert by_point.shape == (m, len(program.outputs)) and by_point.flags.c_contiguous
+        assert by_point.tobytes() == values.T.tobytes(), label
+        assert program.tangents(x, v).tobytes() == tangents.tobytes(), label
+        both = program.values_and_tangents(x, v)
+        assert [a.tobytes() for a in both] == [values.tobytes(), tangents.tobytes()]
+        grad_values, *sets = _one_block(program, "gradients", x)
+        got_values, grads = program.gradients(x)
+        assert got_values.tobytes() == grad_values.tobytes(), label
+        assert grads.shape == (len(program.outputs), m, n)
+        for j, tans in zip(sorted(program.variables), sets):
+            assert grads[:, :, j].tobytes() == tans.tobytes(), (label, j)
+
+
+def test_a_pole_in_the_last_block_raises_naming_its_node():
+    text = "x2 + 1/(x1 - 1)"
+    program, pole = Program((Var(0), parse(text)), 2), parse(text).right
+    points = np.tile([0.5, 2.0], (2 * BLOCK + 7, 1))
+    points[-1, 0] = 1.0
+    assert np.isfinite(program.values(points[:2 * BLOCK])).all()
+    for call in (lambda: program.values(points),
+                 lambda: program.values(points, per_point=True),
+                 lambda: program.tangents(points, points),
+                 lambda: program.values_and_tangents(points, points),
+                 lambda: program.gradients(points)):
+        with pytest.raises(EvaluationDomainError, match="division by zero") as info:
+            call()
+        assert info.value.node == pole
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

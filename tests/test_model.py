@@ -1,16 +1,20 @@
 """Quadratic lifted models: evaluation, simulation, extraction, reports."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qendy.baselines import state_field
-from qendy.dictionary import Dictionary, dictionary_from_json, feature_map
+from qendy.dictionary import (
+    Dictionary, dictionary_from_json, feature_map, feature_matrix, full_state_matrix,
+)
 from qendy.dynamics import (
     IntegrationBlowupError, Trajectory, exact_derivatives, finite_diff_derivatives,
     rk4_integrate, rk4_step, sample_trajectory, sample_uniform,
 )
+from qendy.expr import BLOCK
 from qendy.fitting import build_data_matrices, fit, stationarity_gap
 from qendy.model import (
     QuadraticModel, evaluate, evaluate_cols, extract_rhs, extract_rhs_many,
@@ -19,8 +23,8 @@ from qendy.model import (
     symmetrize,
 )
 from qendy.systems import (
-    pendulum, pendulum_dictionary, rational_decay, rational_dictionary, thomas,
-    thomas_dictionary,
+    make_dictionary, pendulum, pendulum_dictionary, rational_decay, rational_dictionary,
+    thomas, thomas_dictionary,
 )
 
 
@@ -154,6 +158,32 @@ def test_extract_rhs_many_matches_scalar():
     batch = extract_rhs_many(model, pts)
     for k in range(6):
         assert np.abs(batch[k] - extract_rhs(model, pts[k])).max() < 1e-14
+
+
+def test_extract_rhs_many_holds_its_result_plus_one_block():
+    # thomas15 at m = 20 000: the whole (225, m) Kronecker square is 36 MB,
+    # one block's is 14.7 MB.  Blocks past the first may move at rounding
+    # against the whole batch, since BLAS sums a product by its width.
+    d = make_dictionary("thomas15")
+    size, m = d.size, 20_000
+    rng = np.random.default_rng(0)
+    model = QuadraticModel(rng.normal(size=(size, size * size)),
+                           rng.normal(size=(size, size)), rng.normal(size=size),
+                           full_state_matrix(d), d)
+    points = rng.uniform(-2.0, 2.0, (m, 3))
+    extract_rhs_many(model, points[:10])
+    tracemalloc.start()
+    try:
+        got = extract_rhs_many(model, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= got.nbytes + 1.25 * size * size * BLOCK * 8, peak
+    blocks = [(model.g @ evaluate_cols(model, feature_matrix(d, points[s:s + BLOCK]))).T
+              for s in range(0, m, BLOCK)]
+    assert got.tobytes() == np.concatenate(blocks).tobytes()
+    whole = (model.g @ evaluate_cols(model, feature_matrix(d, points))).T
+    assert np.abs(got - whole).max() <= 1e-15 * np.abs(whole).max()
 
 
 # ---------------------------------------------------------------------------
