@@ -35,6 +35,8 @@ class BoxQuadrature:
     ``box`` is a tuple of (lo, hi) pairs; ``order`` nodes per axis integrate
     polynomials up to degree 2*order - 1 exactly per axis.  The weights are
     divided by the box volume, so they sum to 1 (a probability measure).
+    The rule is built once, at construction; :meth:`nodes_weights` returns
+    it as read-only arrays.
     """
 
     box: tuple
@@ -47,11 +49,9 @@ class BoxQuadrature:
         if self.order < 1:
             raise ValueError(f"quadrature order must be >= 1, got {self.order}")
         object.__setattr__(self, "box", box)
-
-    def nodes_weights(self):
         axis_nodes, axis_weights = [], []
         xi, wq = np.polynomial.legendre.leggauss(self.order)
-        for lo, hi in self.box:
+        for lo, hi in box:
             axis_nodes.append(0.5 * (hi - lo) * xi + 0.5 * (hi + lo))
             axis_weights.append(0.5 * (hi - lo) * wq)
         grids = np.meshgrid(*axis_nodes, indexing="ij")
@@ -59,8 +59,13 @@ class BoxQuadrature:
         weights = np.ones(1)
         for wa in axis_weights:
             weights = np.multiply.outer(weights, wa).ravel()
-        volume = float(np.prod([hi - lo for lo, hi in self.box]))
-        return points, weights / volume
+        weights = weights / float(np.prod([hi - lo for lo, hi in box]))
+        for array in (points, weights):
+            array.flags.writeable = False
+        object.__setattr__(self, "_rule", (points, weights))
+
+    def nodes_weights(self):
+        return self._rule
 
 
 def limit_gram_system(d: Dictionary, field: VectorField, space):

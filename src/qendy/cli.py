@@ -4,10 +4,11 @@ Every subcommand reads an optional JSON or TOML config file plus flag
 overrides (flags win), writes its outputs as CSV/JSON files into --out, and
 is deterministic: rerunning the same configuration reproduces the files byte
 for byte.  ``_SETTINGS`` declares each command's settings once, for the
-parser, the defaults and the required keys, and ``_CHECKS`` what each config
-value must be, so that a value of the wrong JSON type ends in one line, not a
-traceback.  Each ``cmd_*`` returns the paths it wrote for :func:`main` to
-print.  The ``workers`` key of ``convergence`` (default 1) sets the worker
+parser, the defaults and the required keys, and ``_READERS`` the kind of value
+of each key, which gives a flag its type and reads every value once, at the
+config stage, so that a value of the wrong kind ends in one line and each
+``cmd_*`` takes typed settings; it returns the paths it wrote for :func:`main`
+to print.  The ``workers`` key of ``convergence`` (default 1) sets the worker
 threads of its Monte Carlo runs; everything else is single-threaded.
 """
 
@@ -25,7 +26,8 @@ import numpy as np
 from . import baselines, reduction
 from .approx import convergence_study
 from .dictionary import (
-    ConfigurationError, _whole, feature_map, load_dictionary, save_dictionary, write_json,
+    _NUMBER, _STRING, _SWITCH, _WHOLE, ConfigurationError, _given, _list_of, _number,
+    _one_of, _Reader, _whole, feature_map, load_dictionary, save_dictionary, write_json,
 )
 from .dynamics import (
     IntegrationBlowupError, _load_rows, exact_derivatives, finite_diff_derivatives,
@@ -67,7 +69,8 @@ def _load_config(path):
 
 
 def _merge_config(command, config, overrides):
-    """The command's settings: table defaults, then config, then set flags."""
+    """The command's settings, table defaults, then config, then set flags,
+    each converted by the reader of its key."""
     table = _SETTINGS[command]
     unknown = sorted(set(config) - set(table))
     if unknown:
@@ -77,32 +80,12 @@ def _merge_config(command, config, overrides):
     merged.update(config)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     for key, s in table.items():
-        s = s if isinstance(s, _Flag) else _Flag(s, False, {})
-        value = merged[key]
-        if value is None and s.required:
+        s = s if isinstance(s, _Flag) else _Flag(s)
+        if merged[key] is None and s.required:
             raise _CliError(f"'{command}' needs {key!r} (flag or config)")
-        if value is None and s.default is None:
-            continue  # unset
-        choices = s.kwargs.get("choices")
-        test, what = ((lambda v: v in choices, f"one of {', '.join(choices)}") if choices
-                      else _CHECKS.get(key, (None, None)))
-        if test is not None and not test(value):
-            raise _CliError(f"{key!r} must be {what}, got {json.dumps(value, default=str)}")
+        if merged[key] is not None or s.default is not None:  # null leaves it unset
+            merged[key] = _READERS[key].read(repr(key), merged[key])
     return merged
-
-
-def _vector(value):
-    """A state given as comma-separated text (flag) or a list (config)."""
-    if isinstance(value, str):
-        value = value.split(",")
-    return np.asarray([float(v) for v in value])
-
-
-def _system(cfg):
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise _CliError(f"params must map parameter names to values, got {params!r}")
-    return make_system(cfg["system"], **params)
 
 
 def _resolve_dictionary(ref, state_dim):
@@ -118,7 +101,7 @@ def _resolve_dictionary(ref, state_dim):
 def _box(cfg, system):
     """The config's box, one [lo, hi] pair per coordinate of ``system``, or
     [-1, 1] in each coordinate if the config sets none."""
-    box = cfg.get("box")
+    box = cfg["box"]
     if box is None:
         return [(-1.0, 1.0)] * system.n
     if len(box) != system.n:
@@ -128,7 +111,7 @@ def _box(cfg, system):
 
 
 def _outdir(cfg):
-    out = cfg.get("out") or "."
+    out = cfg["out"] or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -181,11 +164,10 @@ def _loss_fields(kind, model, ts, path):
 
 
 def cmd_generate(cfg):
-    system = _system(cfg)
+    system = make_system(cfg["system"], **cfg["params"])
     traj = None
-    if cfg.get("x0") is not None:
-        traj = sample_trajectory(system, _vector(cfg["x0"]), float(cfg["t_end"]),
-                                 int(cfg["m"]), int(cfg["substeps"]))
+    if cfg["x0"] is not None:
+        traj = sample_trajectory(system, cfg["x0"], cfg["t_end"], cfg["m"], cfg["substeps"])
         if cfg["derivatives"] == "finite-difference":
             ts = finite_diff_derivatives(traj)
         else:
@@ -193,7 +175,7 @@ def cmd_generate(cfg):
     elif cfg["derivatives"] == "finite-difference":
         raise _CliError("finite-difference derivatives need a trajectory: give x0")
     else:
-        points = sample_uniform(_box(cfg, system), int(cfg["m"]), int(cfg["seed"]))
+        points = sample_uniform(_box(cfg, system), cfg["m"], cfg["seed"])
         ts = exact_derivatives(system, points)
     out = _outdir(cfg)
     wrote = []
@@ -218,14 +200,12 @@ def cmd_fit(cfg):
     d, g_override = _resolve_dictionary(cfg["dictionary"], ts.n)
     method = cfg["method"]
     if method == "qendy":
-        model = fit(d, ts, lam=float(cfg["lambda"]),
-                    force_c_zero=bool(cfg["force_c_zero"]),
-                    rcond=cfg.get("rcond"), g=g_override)
+        model = fit(d, ts, lam=cfg["lambda"], force_c_zero=cfg["force_c_zero"],
+                    rcond=cfg["rcond"], g=g_override)
     elif method == "sindy":
-        model = baselines.sindy_fit(d, ts, threshold=float(cfg["threshold"]),
-                                    rcond=cfg.get("rcond"))
+        model = baselines.sindy_fit(d, ts, threshold=cfg["threshold"], rcond=cfg["rcond"])
     else:
-        model = baselines.gedmd_fit(d, ts, rcond=cfg.get("rcond"))
+        model = baselines.gedmd_fit(d, ts, rcond=cfg["rcond"])
     summary = {"method": method, "m": int(ts.m),
                **_loss_fields(method, model, ts, cfg["training"])}
     out = _outdir(cfg)
@@ -260,14 +240,12 @@ def _simulate_model(kind, model, x0, t_end, dt, reembed):
 
 def cmd_simulate(cfg):
     kind, model = _load_model_file(cfg["model"])
-    system = None if cfg.get("system") is None else _system(cfg)
+    system = None if cfg["system"] is None else make_system(cfg["system"], **cfg["params"])
     if system is not None and system.n != model.dictionary.state_dim:
         raise _CliError(f"the model has state dimension {model.dictionary.state_dim}, "
                         f"but system {cfg['system']!r} has dimension {system.n}")
-    x0 = _vector(cfg["x0"])
-    t_end, dt = float(cfg["t_end"]), float(cfg["dt"])
-    times, states, blowup = _simulate_model(kind, model, x0, t_end, dt,
-                                            bool(cfg["reembed"]))
+    x0, t_end, dt = cfg["x0"], cfg["t_end"], cfg["dt"]
+    times, states, blowup = _simulate_model(kind, model, x0, t_end, dt, cfg["reembed"])
     n = states.shape[1]
     summary = {"t_end": t_end, "dt": dt,
                "blowup_step": blowup, "samples": int(times.size)}
@@ -298,15 +276,14 @@ def cmd_simulate(cfg):
 
 
 def cmd_convergence(cfg):
-    system = _system(cfg)
-    if cfg.get("dictionary") is not None:
+    system = make_system(cfg["system"], **cfg["params"])
+    if cfg["dictionary"] is not None:
         d, _ = _resolve_dictionary(cfg["dictionary"], system.n)
     else:
         d = companion_dictionary(cfg["system"])
     study = convergence_study(
-        d, system, _box(cfg, system), cfg["m_list"], int(cfg["runs"]), seed=int(cfg["seed"]),
-        order=int(cfg["order"]), relative=bool(cfg["relative"]),
-        max_workers=int(cfg["workers"]))
+        d, system, _box(cfg, system), cfg["m_list"], cfg["runs"], seed=cfg["seed"],
+        order=cfg["order"], relative=cfg["relative"], max_workers=cfg["workers"])
     out = _outdir(cfg)
     runs_path = os.path.join(out, "convergence_runs.csv")
     agg_path = os.path.join(out, "convergence.csv")
@@ -321,17 +298,15 @@ def cmd_convergence(cfg):
 
 
 def cmd_reduce(cfg):
-    synthetic = cfg.get("data") is None
+    synthetic = cfg["data"] is None
     if synthetic:
         snapshots, _ = reduction.synthetic_lift_data(
-            num_samples=int(cfg["samples"]), lift_dim=int(cfg["lift_dim"]),
-            dt=float(cfg["dt"]), noise=float(cfg["noise"]),
-            seed=int(cfg["seed"]))
+            num_samples=cfg["samples"], lift_dim=cfg["lift_dim"], dt=cfg["dt"],
+            noise=cfg["noise"], seed=cfg["seed"])
     else:
         snapshots = _load_rows(cfg["data"], header=False)
     result = reduction.reduced_identification_pipeline(
-        snapshots, int(cfg["k"]), float(cfg["train_fraction"]),
-        float(cfg["dt"]), lam=float(cfg["lambda"]))
+        snapshots, cfg["k"], cfg["train_fraction"], cfg["dt"], lam=cfg["lambda"])
     # Written only once the pipeline has succeeded, so a failed reduce
     # leaves nothing behind.
     out = _outdir(cfg)
@@ -351,7 +326,7 @@ def cmd_reduce(cfg):
     k = result.reduced.shape[1]
     header = ("t," + ",".join(f"r{j + 1}_true" for j in range(k)) + ","
               + ",".join(f"r{j + 1}_model" for j in range(k)))
-    times = np.arange(snapshots.shape[0]) * float(cfg["dt"])
+    times = np.arange(snapshots.shape[0]) * cfg["dt"]
     forecast_path = os.path.join(out, "forecast.csv")
     write_rows(forecast_path, header,
                np.column_stack([times, result.reduced, result.predicted]))
@@ -390,7 +365,7 @@ def cmd_report(cfg):
         matrices = (("Theta", model.theta),)
         summary["eigenvalues"] = [[p.eigenvalue.real, p.eigenvalue.imag]
                                   for p in baselines.koopman_eigenfunctions(model)]
-    if cfg.get("training") is not None:
+    if cfg["training"] is not None:
         summary.update(_loss_fields(kind, model, load_training(cfg["training"]),
                                     cfg["training"]))
     out = _outdir(cfg)
@@ -409,108 +384,85 @@ def cmd_report(cfg):
 
 class _Flag(NamedTuple):
     """A setting that is also the flag ``--<key>`` (underscores as dashes),
-    made with the argparse keywords ``kwargs``; a ``required`` setting must
-    be given by flag or config."""
-    default: object
-    required: bool
-    kwargs: dict
+    with ``help`` text; a ``required`` setting must be given by flag or
+    config."""
+    default: object = None
+    required: bool = False
+    help: str = None
 
 
-def _flag(default=None, required=False, **kwargs):
-    return _Flag(default, required, kwargs)
-
-
-_SEED, _OUT = _flag(0, type=int), _flag(help="output directory (default: .)")
+_SEED, _OUT = _Flag(0), _Flag(help="output directory (default: .)")
 
 # Every setting of each command, declared once by its config key: a _Flag, or
 # a plain default for a config-only key.  The parser, the defaults and the
 # required-key check all read this table.
 _SETTINGS = {
     "generate": {
-        "system": _flag(required=True), "params": {},
-        "x0": _flag(help="comma-separated start state (trajectory mode)"),
-        "t_end": _flag(10.0, type=float),
-        "m": _flag(100, type=int, help="number of samples"), "substeps": 10, "box": None,
-        "derivatives": _flag("exact", choices=["exact", "finite-difference"]),
-        "seed": _SEED, "out": _OUT,
+        "system": _Flag(required=True), "params": {},
+        "x0": _Flag(help="comma-separated start state (trajectory mode)"),
+        "t_end": _Flag(10.0), "m": _Flag(100, help="number of samples"), "substeps": 10,
+        "box": None, "derivatives": _Flag("exact"), "seed": _SEED, "out": _OUT,
     },
     "fit": {
-        "method": _flag("qendy", choices=list(_KINDS)),
-        "training": _flag(required=True),
-        "dictionary": _flag(required=True, help="dictionary JSON path or builtin name"),
-        "lambda": _flag(0.0, type=float), "force_c_zero": _flag(False, action="store_true"),
-        "threshold": _flag(0.0, type=float), "rcond": None, "out": _OUT,
+        "method": _Flag("qendy"), "training": _Flag(required=True),
+        "dictionary": _Flag(required=True, help="dictionary JSON path or builtin name"),
+        "lambda": _Flag(0.0), "force_c_zero": _Flag(False), "threshold": _Flag(0.0),
+        "rcond": None, "out": _OUT,
     },
     "simulate": {
-        "model": _flag(required=True),
-        "x0": _flag(required=True, help="comma-separated start state"),
-        "t_end": _flag(10.0, type=float), "dt": _flag(1e-3, type=float),
-        "reembed": _flag(False, action="store_true", help="step a qendy model's "
-                         "state-space field G dz(phi(x)), not its lifted state"),
-        "system": _flag(help="reference system for error columns"), "params": {},
+        "model": _Flag(required=True),
+        "x0": _Flag(required=True, help="comma-separated start state"),
+        "t_end": _Flag(10.0), "dt": _Flag(1e-3),
+        "reembed": _Flag(False, help="step a qendy model's state-space field "
+                         "G dz(phi(x)), not its lifted state"),
+        "system": _Flag(help="reference system for error columns"), "params": {},
         "out": _OUT,
     },
     "convergence": {
-        "system": _flag("pendulum"), "params": {}, "dictionary": _flag(), "box": None,
-        "m_list": [100, 1000, 10000], "runs": _flag(10, type=int), "seed": _SEED,
+        "system": _Flag("pendulum"), "params": {}, "dictionary": _Flag(), "box": None,
+        "m_list": [100, 1000, 10000], "runs": _Flag(10), "seed": _SEED,
         "order": 20, "relative": False, "workers": 1, "out": _OUT,
     },
     "reduce": {
-        "data": _flag(help="headerless snapshot CSV (default: synthetic)"),
+        "data": _Flag(help="headerless snapshot CSV (default: synthetic)"),
         "samples": 500, "lift_dim": 100, "noise": 1e-3, "seed": _SEED,
-        "k": _flag(3, type=int), "train_fraction": _flag(0.8, type=float),
-        "dt": _flag(0.1, type=float), "lambda": 0.0, "out": _OUT,
+        "k": _Flag(3), "train_fraction": _Flag(0.8), "dt": _Flag(0.1), "lambda": 0.0,
+        "out": _OUT,
     },
     "report": {
-        "model": _flag(required=True),
-        "training": _flag(help="training CSV for loss reporting"), "out": _OUT,
+        "model": _Flag(required=True),
+        "training": _Flag(help="training CSV for loss reporting"), "out": _OUT,
     },
 }
 
 
-def _reads(convert):
-    """A test that a config value is not JSON true or false and that
-    ``convert``, the function its command reads it with, takes it.  Text is
-    taken only for the numbers JSON cannot write, such as ``"nan"`` and
-    ``"inf"``: ``"50"`` or ``"1e-3"`` is refused."""
-    def test(value):
-        if isinstance(value, bool):
-            return False
-        try:
-            number = convert(value)
-        except (TypeError, ValueError, OverflowError):
-            return False
-        return not (isinstance(value, str) and np.isfinite(number))
-    return test
+def _params(value) -> dict:
+    return {name: _number(v) for name, v in _given(isinstance(value, dict), value).items()}
 
 
-_FLOAT, _INT = _reads(float), _reads(_whole)
+def _state(value) -> list:
+    """A state as comma-separated text (flag) or a list of numbers (config)."""
+    if isinstance(value, str):
+        return [float(field) for field in value.split(",")]
+    return _list_of(_number)(value)
 
 
-def _all(test, length=None):
-    """A test that a config value is a list, of ``length`` items if given,
-    each of which passes ``test``."""
-    return lambda v: (isinstance(v, list) and length in (None, len(v))
-                      and all(map(test, v)))
-
-
-# What each config value must be, as (test, description), by key; ``params``
-# is checked where it is read, and a setting with choices must be one of them.
-# A null is only accepted for a setting whose default is null, and means unset.
-_CHECKS = {
+# The kind of value each setting holds, by key, whichever command it belongs
+# to.  A null is only accepted for a setting whose default is null, and means
+# unset.
+_READERS = {
     **dict.fromkeys(("t_end", "lambda", "threshold", "rcond", "dt", "noise",
-                     "train_fraction"), (_FLOAT, "a number")),
+                     "train_fraction"), _NUMBER),
     **dict.fromkeys(("m", "substeps", "seed", "runs", "order", "workers", "samples",
-                     "lift_dim", "k"), (_INT, "an integer")),
-    **dict.fromkeys(("force_c_zero", "reembed", "relative"),
-                    (lambda v: isinstance(v, bool), "true or false")),
-    **dict.fromkeys(("system", "dictionary", "training", "model", "data", "out"),
-                    (lambda v: isinstance(v, str), "a string")),
-    "x0": (lambda v: (all(f.strip() for f in v.split(",")) if isinstance(v, str)
-                      else _all(_FLOAT)(v)),
-           "a list of numbers or comma-separated text"),
-    "m_list": (_all(_INT), "a list of integers"),
-    "box": (_all(_all(_FLOAT, 2)), "a list of [lo, hi] pairs"),
+                     "lift_dim", "k"), _WHOLE),
+    **dict.fromkeys(("force_c_zero", "reembed", "relative"), _SWITCH),
+    **dict.fromkeys(("system", "dictionary", "training", "model", "data", "out"), _STRING),
+    "method": _one_of(*_KINDS),
+    "derivatives": _one_of("exact", "finite-difference"),
+    "params": _Reader("an object mapping parameter names to numbers", _params),
+    "x0": _Reader("a list of numbers or comma-separated text", _state),
+    "m_list": _Reader("a list of integers", _list_of(_whole)),
+    "box": _Reader("a list of [lo, hi] pairs", _list_of(_list_of(_number, 2))),
 }
 
 _COMMANDS = {
@@ -533,7 +485,8 @@ def _build_parser():
         p.add_argument("--config", help="JSON or TOML config file")
         for key, s in _SETTINGS[command].items():
             if isinstance(s, _Flag):
-                p.add_argument("--" + key.replace("_", "-"), default=None, **s.kwargs)
+                p.add_argument("--" + key.replace("_", "-"), default=None, help=s.help,
+                               **_READERS[key].flag)
     return parser
 
 
@@ -549,7 +502,7 @@ def main(argv=None) -> int:
         for path in _COMMANDS[command][0](cfg):
             print(path)
         return 0
-    except (_CliError, ConfigurationError, ValueError, OSError, KeyError,
+    except (_CliError, ConfigurationError, ValueError, OSError, KeyError, MemoryError,
             IntegrationBlowupError) as err:
         print(f"qendy: error in {stage}: {err}", file=sys.stderr)
         return 1

@@ -10,13 +10,16 @@ assumed.  The lifts hand their arguments straight to the dictionary's
 compiled :class:`~qendy.expr.Program`, which checks their shapes and
 evaluates a batch in blocks of :data:`qendy.expr.BLOCK` points: a batch lift
 holds its (N, m) result, or both for the values and derivatives, plus one
-block.
+block.  The readers of outside values (``_Reader``) convert and check the
+fields of dictionary and model files and the command line's settings.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -175,13 +178,64 @@ def dictionary_to_json(d: Dictionary) -> dict:
     return {"state_dim": int(d.state_dim), "basis": [render(e) for e in d.basis]}
 
 
+class _Reader(NamedTuple):
+    """A kind of outside value, such as a config setting or a field of a model
+    or dictionary file: ``what`` it must be, ``convert``, which returns it as
+    the program uses it or raises TypeError or ValueError, and the argparse
+    keywords of a ``flag`` that takes it (none: text)."""
+    what: str
+    convert: Callable
+    flag: dict = {}
+
+    def read(self, name, value):
+        """``convert(value)``, or the ConfigurationError (a ValueError)
+        ``<name> must be <what>, got <value as JSON>``."""
+        try:
+            return self.convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(
+                f"{name} must be {self.what}, got {json.dumps(value, default=str)}") from None
+
+
+def _given(ok, value):
+    """``value``, which a reader refuses unless ``ok``."""
+    if not ok:
+        raise ValueError
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number; of text, only a number JSON cannot write (``"nan"``,
+    ``"inf"``): ``"50"`` is refused."""
+    if isinstance(value, bool) or isinstance(value, str) and math.isfinite(float(value)):
+        raise ValueError
+    return float(value)
+
+
 def _whole(value) -> int:
-    """``int(value)`` for a number that int() does not truncate; JSON true and
-    false, a string and a number with a fractional part raise ValueError."""
-    if (isinstance(value, (bool, str))
-            or isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{value!r} is not a whole number")
+    """A number that int() does not truncate; not true, false or text."""
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
+        raise ValueError
     return int(value)
+
+
+def _list_of(convert, length=None) -> Callable:
+    """Converts a list, of ``length`` items if given, item by item."""
+    return lambda value: [convert(item) for item in _given(
+        isinstance(value, list) and length in (None, len(value)), value)]
+
+
+def _one_of(*options) -> _Reader:
+    """A choice of one of the strings ``options``."""
+    return _Reader(f"one of {', '.join(options)}",
+                   lambda value: _given(value in options, value), {"choices": list(options)})
+
+
+_NUMBER = _Reader("a number", _number, {"type": float})
+_WHOLE = _Reader("an integer", _whole, {"type": int})
+_SWITCH = _Reader("true or false", lambda value: _given(isinstance(value, bool), value),
+                  {"action": "store_true"})
+_STRING = _Reader("a string", lambda value: _given(isinstance(value, str), value))
 
 
 def _coefficients(name: str, value, shape: tuple) -> np.ndarray:
@@ -206,18 +260,11 @@ def dictionary_from_json(obj: dict):
         state_dim, basis = obj["state_dim"], obj["basis"]
     except KeyError as missing:
         raise ConfigurationError(f"dictionary JSON lacks key {missing}") from None
-    try:
-        state_dim = _whole(state_dim)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError("dictionary state_dim must be an integer, got "
-                                 f"{json.dumps(state_dim, default=str)}") from None
-    if not isinstance(basis, list):
-        raise ConfigurationError("dictionary basis must be a list of expression "
-                                 f"strings, got {json.dumps(basis, default=str)}")
+    state_dim = _WHOLE.read("dictionary state_dim", state_dim)
+    basis = _Reader("a list of expression strings", _list_of(lambda text: text)).read(
+        "dictionary basis", basis)
     for i, text in enumerate(basis):
-        if not isinstance(text, str):
-            raise ConfigurationError(f"dictionary basis entry {i} must be a string, "
-                                     f"got {json.dumps(text, default=str)}")
+        _STRING.read(f"dictionary basis entry {i}", text)
     d = Dictionary.from_strings(state_dim, basis)
     g = obj.get("G")
     return d, None if g is None else _coefficients("G", g, (state_dim, d.size))

@@ -8,14 +8,14 @@ The Kronecker square is row-major in the index pair: entry N*i + j of
 from __future__ import annotations
 
 import json
-import sys
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dictionary import (
-    Dictionary, _coefficients, _whole, dictionary_from_json, dictionary_to_json,
-    feature_map, feature_matrix, write_json,
+    _STRING, _SWITCH, _WHOLE, Dictionary, _coefficients, _given, _number, _Reader,
+    dictionary_from_json, dictionary_to_json, feature_map, feature_matrix, write_json,
 )
 from .dynamics import IntegrationBlowupError, _step_count
 from .expr import BLOCK
@@ -260,27 +260,20 @@ def model_to_json(model: QuadraticModel) -> dict:
     }
 
 
+_LAMBDA = _Reader("a finite number >= 0",
+                  lambda value: _given(0.0 <= _number(value) < math.inf, _number(value)))
+
+
 def _fit_context(obj: dict) -> dict:
-    """The fit metadata of a model file, each value checked to be of the kind
-    a fit writes; an absent key reads as for a model with no fit context."""
-    def wrong(key, what):
-        return ValueError(f"{key} must be {what}, got {json.dumps(obj[key], default=str)}")
-    lam = obj.get("lambda", 0.0)
-    # Bounds as Python floats: comparing a huge int with them cannot overflow.
-    if (isinstance(lam, bool) or not isinstance(lam, (int, float))
-            or not 0.0 <= lam <= sys.float_info.max):
-        raise wrong("lambda", "a finite number >= 0")
-    context = {"lambda": float(lam), "provenance": obj.get("provenance", "external"),
-               "force_c_zero": obj.get("force_c_zero", False)}
-    if not isinstance(context["provenance"], str):
-        raise wrong("provenance", "a string")
-    if not isinstance(context["force_c_zero"], bool):
-        raise wrong("force_c_zero", "true or false")
+    """The fit metadata of a model file, each value read as the kind a fit
+    writes; an absent key reads as for a model with no fit context."""
+    context = {
+        "lambda": _LAMBDA.read("lambda", obj.get("lambda", 0.0)),
+        "provenance": _STRING.read("provenance", obj.get("provenance", "external")),
+        "force_c_zero": _SWITCH.read("force_c_zero", obj.get("force_c_zero", False)),
+    }
     if obj.get("m") is not None:
-        try:
-            context["m"] = _whole(obj["m"])
-        except (TypeError, ValueError, OverflowError):
-            raise wrong("m", "an integer") from None
+        context["m"] = _WHOLE.read("m", obj["m"])
     return context
 
 

@@ -113,6 +113,15 @@ def test_box_quadrature_builds_one_rule_for_every_axis_bit_for_bit(order):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def test_box_quadrature_builds_its_rule_once_and_hands_it_out_read_only():
+    space = BoxQuadrature(((-1.0, 1.0), (0.0, 2.0)), order=4)
+    first, again = space.nodes_weights(), space.nodes_weights()
+    for a, b in zip(first, again):
+        assert a is b
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
 def test_box_quadrature_validation():
     with pytest.raises(ValueError):
         BoxQuadrature(((1.0, -1.0),))

@@ -124,9 +124,10 @@ def test_a_box_that_does_not_fit_the_system_is_named(tmp_path, capsys, command, 
     assert list(out.glob("*")) == []
 
 
-@pytest.mark.parametrize("x0", ["1,,0", "1,0,", ",1,0", "1, ,0"])
+@pytest.mark.parametrize("x0", ["1,,0", "1,0,", ",1,0", "1, ,0", "1,a"])
 def test_a_start_state_with_an_empty_field_is_refused(tmp_path, capsys, x0):
-    # An empty field was dropped, so "1,,0" ran as the start state (1, 0).
+    # An empty field was dropped, so "1,,0" ran as the start state (1, 0);
+    # "1,a" ended in "error in generate: could not convert string to float".
     assert _generate(tmp_path, "--x0", x0) == 1
     assert capsys.readouterr().err == (
         "qendy: error in config: 'x0' must be a list of numbers or comma-separated "
@@ -620,8 +621,54 @@ def test_system_params_that_are_not_an_object_fail_cleanly(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "qendy: error in generate: params must map parameter names to values, got [1]\n")
+        "qendy: error in config: 'params' must be an object mapping parameter names "
+        "to numbers, got [1]\n")
     assert not (tmp_path / "training.csv").exists()
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None], ids=["true", "text", "null"])
+def test_system_params_that_are_not_numbers_fail_cleanly(tmp_path, capsys, value):
+    # true and "0.5" ran as 1.0 and 0.5, and null failed in generate with
+    # "float() argument must be a string or a real number, not 'NoneType'".
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": {"c": value}}))
+    out = tmp_path / "out"
+    rc = main(["generate", "--system", "pendulum", "--m", "5", "--x0", "1,0",
+               "--t-end", "1", "--config", str(config), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "qendy: error in config: 'params' must be an object mapping parameter names "
+        f"to numbers, got {{\"c\": {json.dumps(value)}}}\n")
+    assert not out.exists()
+
+
+def test_system_params_are_read_as_numbers(tmp_path):
+    # A parameter reaches the system, and an integer writes the same data as
+    # the float it reads as.
+    for name, params in (("int", {"c": 1}), ("float", {"c": 1.0}), ("default", {})):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"params": params}))
+        assert main(["generate", "--system", "pendulum", "--m", "5", "--x0", "1,0",
+                     "--t-end", "1", "--config", str(config),
+                     "--out", str(tmp_path / name)]) == 0
+    data = {name: (tmp_path / name / "training.csv").read_bytes()
+            for name in ("int", "float", "default")}
+    assert data["int"] == data["float"] != data["default"]
+
+
+def test_a_sample_count_too_large_to_hold_fails_cleanly(tmp_path, capsys):
+    # This ended in a traceback; NumPy refuses the allocation before it takes
+    # any memory.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"m": 1e15}))
+    out = tmp_path / "out"
+    rc = main(["generate", "--system", "pendulum", "--config", str(config),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qendy: error in generate: Unable to allocate ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 _GENERATE = ["--system", "pendulum"]
@@ -1372,7 +1419,7 @@ def test_each_command_keeps_its_settings(command):
     assert {opt: a.choices for opt, a in options.items() if a.choices} == choices
     # Every flag sets the config key of its name.
     assert all(a.dest == opt[2:].replace("-", "_") for opt, a in options.items())
-    given = {key: "given" for key in required}
+    given = {key: [1.0] if key == "x0" else "given" for key in required}
     assert cli._merge_config(command, {}, given) == {**defaults, **given}
     for key in required:
         with pytest.raises(cli._CliError, match=f"'{command}' needs '{key}'"):
@@ -1381,11 +1428,14 @@ def test_each_command_keeps_its_settings(command):
 
 @pytest.mark.parametrize("command", sorted(_SETTINGS))
 def test_each_setting_checks_its_config_value(command):
-    # params is checked where it is read; a setting with choices checks them.
+    # Every setting has a reader, which takes its default as it is.
     from qendy import cli
     for key, s in cli._SETTINGS[command].items():
-        chosen = isinstance(s, cli._Flag) and "choices" in s.kwargs
-        assert (key in cli._CHECKS) != (chosen or key == "params"), key
+        default = s.default if isinstance(s, cli._Flag) else s
+        reader = cli._READERS[key]
+        assert default is None or reader.read(key, default) == default, key
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            reader.read(key, {"a": "1"} if key == "params" else [[]])
 
 
 @pytest.mark.parametrize("via", ["flag", "config", "both"])
