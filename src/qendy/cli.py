@@ -70,14 +70,15 @@ def _load_config(path):
 
 def _merge_config(command, config, overrides):
     """The command's settings, table defaults, then config, then set flags,
-    each converted by the reader of its key."""
+    each converted by the reader of its key.  A setting that the command's
+    mode does not read is refused unless it holds its default."""
     table = _SETTINGS[command]
     unknown = sorted(set(config) - set(table))
     if unknown:
         raise _CliError(
             f"unknown config keys for '{command}': {', '.join(unknown)}")
-    merged = {key: s.default if isinstance(s, _Flag) else s for key, s in table.items()}
-    merged.update(config)
+    defaults = {key: s.default if isinstance(s, _Flag) else s for key, s in table.items()}
+    merged = {**defaults, **config}
     merged.update({k: v for k, v in overrides.items() if v is not None})
     for key, s in table.items():
         s = s if isinstance(s, _Flag) else _Flag(s)
@@ -85,7 +86,32 @@ def _merge_config(command, config, overrides):
             raise _CliError(f"'{command}' needs {key!r} (flag or config)")
         if merged[key] is not None or s.default is not None:  # null leaves it unset
             merged[key] = _READERS[key].read(repr(key), merged[key])
+    unread, mode = _unread(command, merged)
+    for key in unread:
+        if merged[key] != defaults[key]:
+            raise _CliError(f"{key!r} is not read {mode}")
     return merged
+
+
+# The fit settings that each method does not read.
+_UNREAD_BY = {"qendy": ("threshold",), "sindy": ("lambda", "force_c_zero"),
+              "gedmd": ("lambda", "force_c_zero", "threshold")}
+
+
+def _unread(command, cfg):
+    """(the settings that ``command`` does not read in the mode that ``cfg``
+    picks, the words that name that mode)."""
+    if command == "fit":
+        return _UNREAD_BY[cfg["method"]], f"by method {cfg['method']!r}"
+    if command == "generate" and cfg["x0"] is not None:
+        return ("box", "seed"), "with 'x0'"
+    if command == "generate":
+        return ("t_end", "substeps"), "without 'x0'"
+    if command == "simulate" and cfg["system"] is None:
+        return ("params",), "without 'system'"
+    if command == "reduce" and cfg["data"] is not None:
+        return ("samples", "lift_dim", "noise", "seed"), "with 'data'"
+    return (), None
 
 
 def _resolve_dictionary(ref, state_dim):

@@ -11,12 +11,13 @@ values over NumPy columns for a batch; and the forward-mode tangent pass.
 That pass carries one directional derivative per slot, so the time
 derivative of a lift along sampled motion costs one pass and never forms a
 Jacobian; gradients seed one tangent set per coordinate in the same call.
-Derivatives are exact to rounding.  A batch call runs its binding on blocks
-of :data:`BLOCK` rows and writes each block straight into its output, so it
-holds its result plus one block, whatever the number of points, and its
-values are bit-equal to one evaluation of the whole batch.  A program is built for a state dimension
-n and is the one place that checks inputs: its trees at construction, then
-each point, batch or direction once at the entry it is passed to.
+Derivatives are exact to rounding.  A batch call allocates its outputs and
+runs its binding on each block of :data:`BLOCK` rows, which writes into the
+same block of those outputs: a call holds its result plus one block, whatever
+the number of points, and its values are bit-equal to one evaluation of the
+whole batch.  A program is built for a state dimension n and is the one
+place that checks inputs: its trees at construction, then each point, batch
+or direction once at the entry it is passed to.
 
 Surface syntax, used by :func:`parse` and :func:`render`::
 
@@ -229,13 +230,6 @@ _BINDINGS = {
 # one block.
 BLOCK = 8192
 
-# Binding -> the row lists of its result: the values, then each tangent set.
-_FLATTEN = {
-    "values": lambda rows: [rows],
-    "tangents": list,
-    "gradients": lambda result: [result[0], *result[1]],
-}
-
 
 def _rk4_source(n: int, variables, body: list, outputs: list) -> str:
     """The ``rk4`` binding of an n-component field: ``program(out, k, steps,
@@ -335,10 +329,11 @@ class Program:
     slot), ``tangents`` (the values, then one directional derivative per
     slot along a direction: a Jacobian-vector product without a Jacobian)
     and ``gradients`` (the values, then one tangent set per coordinate).
-    The batch entries run their binding on blocks of :data:`BLOCK` rows:
-    a call holds its result plus one block.  Every binding tests the operand of a reciprocal and the base of a
-    negative power for zero and raises :class:`EvaluationDomainError` naming
-    that node.  Programs are immutable after construction, and the lazy
+    The batch entries allocate their outputs and run the binding, which
+    writes into them, on each block of :data:`BLOCK` rows: a call holds its
+    result plus one block.  Every binding tests the operand of a reciprocal
+    and the base of a negative power for zero and raises
+    :class:`EvaluationDomainError` naming that node.  Programs are immutable after construction, and the lazy
     compilation is locked, so one may be run from several threads at once.
     """
 
@@ -386,12 +381,14 @@ class Program:
         return len(self._instrs)
 
     def source(self, binding: str) -> str:
-        """The Python source of one binding: ``program(x)``, or
-        ``program(x, v)`` for ``"tangents"`` along ``v``, or for ``"rk4"``
-        the loop described at :func:`_rk4_source`.  All value statements
+        """The Python source of one binding: ``program(x)`` for ``"point"``,
+        the loop described at :func:`_rk4_source` for ``"rk4"``, and batch
+        bindings that write output i into row i of the (K, b) arrays passed:
+        ``program(x, out)``, ``program(x, v, out, tout)`` along ``v`` (``out``
+        may be None; a zero tangent writes 0.0) and ``program(x, out, grads)``
+        (``grads[i, :, j]``, zero-filled by the caller).  All value statements
         come first, in slot order, since a sin/cos partner slot can follow the
-        slot whose tangent reads it; a tangent binding returns (values,
-        tangents), with one tangent list per coordinate for ``"gradients"``."""
+        slot whose tangent reads it."""
         _, read, arrays = _BINDINGS[binding]
         every_slot = binding in ("tangents", "gradients")
         instrs = self._instrs
@@ -442,24 +439,31 @@ class Program:
             return _rk4_source(len(self.outputs), self.variables, lines,
                                [refs[s] for s in self.outputs])
 
-        def listed(slot_refs):
-            return f"[{', '.join(str(slot_refs[s]) for s in self.outputs)}]"
-
         lines[:0] = [f"    x{j} = {read.format(j)}" for j in sorted(self.variables)]
-        head, result = "def program(x):", listed(refs)
+        if binding == "point":
+            listed = ", ".join(refs[s] for s in self.outputs)
+            return "\n".join(["def program(x):", *lines, f"    return [{listed}]", ""])
+
+        def written(target, slot_refs, indent="    "):
+            # Row i of target gets output i; a tangent known to be zero, 0.0.
+            return [f"{indent}{target}[{i}] = {slot_refs[s] or 0.0}"
+                    for i, s in enumerate(self.outputs)]
+
+        if binding == "values":
+            return "\n".join(["def program(x, out):", *lines, *written("out", refs), ""])
         if binding == "tangents":
-            head = "def program(x, v):"
             lines += [f"    d{j} = v[:, {j}].copy()" for j in sorted(self.variables)]
             tans = _tangent_lines(instrs, refs, {j: f"d{j}" for j in self.variables},
                                   "", lines)
-            result += ", " + listed(tans)
-        elif binding == "gradients":
-            lines.append("    one = _ones(len(x))")
-            sets = [listed(_tangent_lines(instrs, refs, {j: "one"}, f"_{j}", lines))
-                    for j in sorted(self.variables)]
-            result += f", [{', '.join(sets)}]"
-        lines.append(f"    return {result}")
-        return "\n".join([head, *lines, ""])
+            return "\n".join(["def program(x, v, out, tout):", *lines,
+                              "    if out is not None:", *written("out", refs, "        "),
+                              *written("tout", tans), ""])
+        lines += ["    one = _ones(len(x))", *written("out", refs)]
+        for j in sorted(self.variables):
+            tans = _tangent_lines(instrs, refs, {j: "one"}, f"_{j}", lines)
+            lines += [f"    grads[{i}, :, {j}] = {tans[s]}"
+                      for i, s in enumerate(self.outputs) if tans[s] is not None]
+        return "\n".join(["def program(x, out, grads):", *lines, ""])
 
     def _bound(self, binding: str):
         """The compiled function of one binding, compiled on first use."""
@@ -513,86 +517,54 @@ class Program:
             raise ValueError(f"expected shape (m, {self.n}), got {x.shape}")
         return x
 
-    @staticmethod
-    def _stack(rows, out: np.ndarray):
-        """Writes each row into ``out``; a function, so that no row outlives
-        the call in a loop variable."""
-        for r, value in enumerate(rows):
-            out[r] = 0.0 if value is None else value
-
     def _rows(self, m: int) -> np.ndarray:
         return np.empty((len(self.outputs), m))
 
-    def _blocked(self, binding: str, arrays, targets) -> list:
-        """The one batch loop: runs ``binding`` on the blocks of
-        :data:`BLOCK` rows of ``arrays`` (each (m, n)) and writes each
-        block's row lists straight into their outputs.
-
-        A binding's result is flattened into row lists: the values, then
-        each tangent set.  ``targets[i](m)`` makes the (K, m) output of row
-        list i, or is None to drop it; returns the outputs.  The outputs are
-        made only once block 0 is evaluated, since allocating them first
-        makes NumPy's temporaries fresh mappings at every call, and each row
-        list of a block is freed once written, before the next output is
-        made or the next block evaluated.
-        """
-        fn, flatten, m = self._bound(binding), _FLATTEN[binding], len(arrays[0])
-        outs = list(targets)
-        for start in range(0, max(m, 1), BLOCK):
+    def _run(self, binding: str, inputs, *outputs) -> None:
+        """The one batch loop: runs ``binding`` on each block of
+        :data:`BLOCK` rows of ``inputs`` (each (m, n)), which writes into
+        the same block ``o[:, block]`` of each output (None passes None)."""
+        fn = self._bound(binding)
+        for start in range(0, max(len(inputs[0]), 1), BLOCK):
             block = slice(start, start + BLOCK)
-            groups = flatten(fn(*[a[block] for a in arrays]))
-            for i, out in enumerate(outs):
-                if start == 0 and out is not None:
-                    out = outs[i] = out(m)
-                if out is not None:
-                    self._stack(groups[i], out[:, block])
-                groups[i] = None
-        return outs
+            fn(*[a[block] for a in inputs],
+               *[o if o is None else o[:, block] for o in outputs])
 
     def values(self, x, *, per_point: bool = False) -> np.ndarray:
         """Every tree at each row of ``x`` (m, n); returns (K, m), or with
         ``per_point`` the same values as (m, K), one row per point."""
         x = self._batch(x)
-        if per_point:
-            def target(m):
-                return np.empty((m, len(self.outputs))).T
-            return self._blocked("values", (x,), [target])[0].T
-        return self._blocked("values", (x,), [self._rows])[0]
+        out = np.empty((len(x), len(self.outputs))).T if per_point else self._rows(len(x))
+        self._run("values", (x,), out)
+        return out.T if per_point else out
 
-    def _along(self, x, v, targets) -> list:
-        """The ``tangents`` binding at ``x`` along ``v`` into ``targets``
-        (values, tangents)."""
+    def _along(self, x, v, values: bool):
+        """The ``tangents`` binding at ``x`` along ``v``: (values, or None
+        unless ``values``, tangents)."""
         x, v = self._batch(x), np.asarray(v, dtype=float)
         if v.shape != x.shape:
             raise ValueError(f"direction {v.shape} does not match points {x.shape}")
-        return self._blocked("tangents", (x, v), targets)
+        out, tout = self._rows(len(x)) if values else None, self._rows(len(x))
+        self._run("tangents", (x, v), out, tout)
+        return out, tout
 
     def tangents(self, x, v) -> np.ndarray:
         """Directional derivatives along ``v`` (m, n), row by row: entry
         (k, i) of the (K, m) result is grad f_k(x[i]) . v[i]."""
-        return self._along(x, v, [None, self._rows])[1]
+        return self._along(x, v, False)[1]
 
     def values_and_tangents(self, x, v):
         """(:meth:`values`, :meth:`tangents`) of the same arguments from one
         evaluation of the slots."""
-        return tuple(self._along(x, v, [self._rows, self._rows]))
+        return self._along(x, v, True)
 
     def gradients(self, x):
         """Values (K, m) and row-wise gradients (K, m, n) from one call, with
         one unit-direction tangent set per coordinate."""
         x = self._batch(x)
-        grads = None
-
-        def values(m):  # the gradients are made with the values
-            nonlocal grads
-            grads = np.zeros((len(self.outputs), m, self.n))
-            return self._rows(m)
-
-        def tangent_set(j):
-            return lambda m: grads[:, :, j]
-
-        targets = [values, *map(tangent_set, sorted(self.variables))]
-        return self._blocked("gradients", (x,), targets)[0], grads
+        out, grads = self._rows(len(x)), np.zeros((len(self.outputs), len(x), self.n))
+        self._run("gradients", (x,), out, grads)
+        return out, grads
 
 
 def evaluate(e: Expr, x) -> float:

@@ -731,6 +731,52 @@ def test_a_null_config_value_leaves_a_null_default_unset(tmp_path):
             == (tmp_path / "b" / "training.csv").read_bytes())
 
 
+@pytest.mark.parametrize("command, config, argv, shown", [
+    ("fit", {}, [*_FIT_FILES, "--threshold", "0.5"],
+     "'threshold' is not read by method 'qendy'"),
+    ("fit", {}, [*_FIT_FILES, "--method", "sindy", "--lambda", "5"],
+     "'lambda' is not read by method 'sindy'"),
+    ("fit", {}, [*_FIT_FILES, "--method", "sindy", "--lambda=-5", "--force-c-zero"],
+     "'lambda' is not read by method 'sindy'"),
+    ("fit", {"force_c_zero": True}, [*_FIT_FILES, "--method", "sindy"],
+     "'force_c_zero' is not read by method 'sindy'"),
+    ("fit", {}, [*_FIT_FILES, "--method", "gedmd", "--threshold=-1"],
+     "'threshold' is not read by method 'gedmd'"),
+    ("generate", {"box": [[-1, 1], [-1, 1]]}, [*_GENERATE, "--x0", "1,0"],
+     "'box' is not read with 'x0'"),
+    ("generate", {"seed": 3}, [*_GENERATE, "--x0", "1,0"], "'seed' is not read with 'x0'"),
+    ("generate", {}, [*_GENERATE, "--t-end", "5"], "'t_end' is not read without 'x0'"),
+    ("generate", {"substeps": 20}, _GENERATE, "'substeps' is not read without 'x0'"),
+    ("simulate", {"params": {"c": 0.2}}, _SIMULATE_FILES,
+     "'params' is not read without 'system'"),
+    ("reduce", {"seed": 2}, ["--data", "snapshots.csv"], "'seed' is not read with 'data'"),
+], ids=["qendy-threshold", "sindy-lambda", "sindy-lambda-negative", "sindy-force_c_zero",
+        "gedmd-threshold", "trajectory-box", "trajectory-seed", "uniform-t_end",
+        "uniform-substeps", "params-without-system", "data-seed"])
+def test_a_setting_that_its_mode_does_not_read_is_refused(tmp_path, capsys, command,
+                                                          config, argv, shown):
+    # Each ran to exit 0 and wrote what it would have without the setting.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    rc = main([command, "--config", str(path), *argv, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"qendy: error in config: {shown}\n"
+    assert list(tmp_path.glob("*")) == [path]
+
+
+def test_an_unread_setting_at_its_default_is_accepted():
+    from qendy import cli
+    for command, given in (
+            ("fit", {"training": "t", "dictionary": "d", "method": "sindy", "lambda": 0,
+                     "force_c_zero": False}),
+            ("fit", {"training": "t", "dictionary": "d", "threshold": 0.0}),
+            ("generate", {"system": "pendulum", "x0": "1,0", "seed": 0, "box": None}),
+            ("generate", {"system": "pendulum", "t_end": 10, "substeps": 10}),
+            ("simulate", {"model": "m", "x0": "1,0", "params": {}})):
+        cfg = cli._merge_config(command, {}, given)
+        assert all(cfg[key] == value for key, value in given.items() if key != "x0")
+
+
 def test_missing_required_argument_fails(tmp_path, capsys):
     rc = main(["fit", "--out", str(tmp_path)])
     assert rc == 1

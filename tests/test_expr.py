@@ -688,9 +688,10 @@ def test_lifted_derivatives_peak_memory():
 
 def test_batch_calls_hold_their_result_plus_one_block():
     # m spans 12 blocks: each call's peak is its result and one block's
-    # slots, and feature_matrix_and_derivatives holds its two results.  One
+    # slots, and feature_matrix_and_derivatives holds its two results, as
+    # gradients holds its values and its (K, m, n) gradients.  One
     # whole-batch evaluation held every slot's column beside its result:
-    # 1.8, 2.07, 3.0 and 2.0 here.
+    # 1.8, 2.07, 3.0, 2.0 and 1.57 here.
     d, field = make_dictionary("thomas15"), make_system("thomas")
     m = 100_000
     rng = np.random.default_rng(4)
@@ -700,7 +701,8 @@ def test_batch_calls_hold_their_result_plus_one_block():
             (lambda: feature_matrix(d, points), table, 1.15),
             (lambda: feature_time_derivatives(d, points, direction), table, 1.25),
             (lambda: feature_matrix_and_derivatives(d, points, direction), table, 2.25),
-            (lambda: exact_derivatives(field, points), points.nbytes, 1.25)):
+            (lambda: exact_derivatives(field, points), points.nbytes, 1.25),
+            (lambda: d.program.gradients(points), (1 + d.state_dim) * table, 1.15)):
         call()  # compiles the binding
         tracemalloc.start()
         try:
@@ -712,18 +714,16 @@ def test_batch_calls_hold_their_result_plus_one_block():
 
 
 def _one_block(program, binding, *arrays):
-    """``binding`` run once on the whole of ``arrays``, as one block: its
-    row lists (the values, then each tangent set) gathered as (K, m)."""
-    result = program._bound(binding)(*arrays)
-    groups = {"values": [result], "tangents": list(result),
-              "gradients": [result[0], *result[1]]}[binding]
-    gathered = []
-    for rows in groups:
-        out = np.empty((len(rows), len(arrays[0])))
-        for r, value in enumerate(rows):
-            out[r] = 0.0 if value is None else value
-        gathered.append(out)
-    return gathered
+    """``binding`` run once on the whole of ``arrays``, as one block: the
+    outputs it writes (the values, then each tangent set) as (K, m)."""
+    m, k = len(arrays[0]), len(program.outputs)
+    if binding == "gradients":
+        values, grads = np.empty((k, m)), np.zeros((k, m, program.n))
+        program._bound(binding)(*arrays, values, grads)
+        return [values, *(grads[:, :, j] for j in sorted(program.variables))]
+    outs = [np.empty((k, m)) for _ in range(1 if binding == "values" else 2)]
+    program._bound(binding)(*arrays, *outs)
+    return outs
 
 
 def _sliced(program, binding, *arrays):
@@ -815,7 +815,7 @@ def test_source_inlines_single_use_slots_and_names_shared_ones():
     program = Program((parse("(x1*x2 + 1)*x3"), parse("sin(x1)*sin(x1) + 1/x2")), 3)
     lines = program.source("values").splitlines()
     # Every intermediate of the first tree is read once: one nested expression.
-    assert "(((x0 * x1) + 1.0) * x2)" in lines[-1]
+    assert "    out[0] = (((x0 * x1) + 1.0) * x2)" in lines
     # sin(x1) is read twice and gets a local; the reciprocal's operand is
     # tested for zero first.
     assert sum(line.strip().startswith("v") for line in lines) == 1
@@ -828,7 +828,8 @@ def test_source_inlines_single_use_slots_and_names_shared_ones():
     assert sum(line.startswith("v") for line in tangent_lines) == len(program) - 4
     assert not [line for line in tangent_lines if line.startswith(("t3 ", "t4 "))]
     assert "t6 = v4 * d2 + x2 * t2" in tangent_lines
-    assert tangent_lines[-1] == "return [v6, v10], [t6, t10]"
+    assert tangent_lines[-5:] == ["if out is not None:", "out[0] = v6", "out[1] = v10",
+                                  "tout[0] = t6", "tout[1] = t10"]
 
 
 def test_bindings_compile_once_under_concurrent_first_use():
