@@ -446,8 +446,9 @@ class Program:
 
         def written(target, slot_refs, indent="    "):
             # Row i of target gets output i; a tangent known to be zero, 0.0.
+            # A program of no trees writes nothing, so its blocks are ``pass``.
             return [f"{indent}{target}[{i}] = {slot_refs[s] or 0.0}"
-                    for i, s in enumerate(self.outputs)]
+                    for i, s in enumerate(self.outputs)] or [f"{indent}pass"]
 
         if binding == "values":
             return "\n".join(["def program(x, out):", *lines, *written("out", refs), ""])

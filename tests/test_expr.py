@@ -740,7 +740,8 @@ def test_batch_calls_are_bit_equal_across_block_boundaries(m):
     rng = np.random.default_rng(m)
     for label, program in (("thomas15", make_dictionary("thomas15").program),
                            ("pendulum", make_dictionary("pendulum").program),
-                           ("corpus", Program((parse(t) for t in POINT_CORPUS), 2))):
+                           ("corpus", Program((parse(t) for t in POINT_CORPUS), 2)),
+                           ("no trees", Program((), 2))):
         n = program.n
         x, v = rng.uniform(-3.0, 3.0, (m, n)), rng.normal(size=(m, n))
         for binding, arrays in (("values", (x,)), ("tangents", (x, v)),
