@@ -7,9 +7,11 @@ for byte.  ``_SETTINGS`` declares each command's settings once, for the
 parser, the defaults and the required keys, and ``_READERS`` the kind of value
 of each key, which gives a flag its type and reads every value once, at the
 config stage, so that a value of the wrong kind ends in one line and each
-``cmd_*`` takes typed settings; it returns the paths it wrote for :func:`main`
-to print.  The ``workers`` key of ``convergence`` (default 1) sets the worker
-threads of its Monte Carlo runs; everything else is single-threaded.
+``cmd_*`` takes typed settings.  A command returns its artifacts by file name;
+:func:`main` alone creates --out, once the command has returned, writes them
+and prints their paths, so a failed command writes nothing.  The ``workers``
+key of ``convergence`` (default 1) sets the worker threads of its Monte Carlo
+runs; everything else is single-threaded.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +30,7 @@ from . import baselines, reduction
 from .approx import convergence_study
 from .dictionary import (
     _NUMBER, _STRING, _SWITCH, _WHOLE, ConfigurationError, _given, _list_of, _number,
-    _one_of, _Reader, _whole, feature_map, load_dictionary, save_dictionary, write_json,
+    _one_of, _Reader, _whole, dictionary_to_json, feature_map, load_dictionary, write_json,
 )
 from .dynamics import (
     IntegrationBlowupError, _load_rows, exact_derivatives, finite_diff_derivatives,
@@ -136,12 +139,6 @@ def _box(cfg, system):
     return box
 
 
-def _outdir(cfg):
-    out = cfg["out"] or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 # Each kind of model, which is also a fit method: the coefficient key that
 # marks its model file, the file's reader and its writer.
 _KINDS = {
@@ -203,28 +200,21 @@ def cmd_generate(cfg):
     else:
         points = sample_uniform(_box(cfg, system), cfg["m"], cfg["seed"])
         ts = exact_derivatives(system, points)
-    out = _outdir(cfg)
-    wrote = []
-    if traj is not None:
-        traj_path = os.path.join(out, "trajectory.csv")
-        save_trajectory(traj, traj_path)
-        wrote.append(traj_path)
-    training_path = os.path.join(out, "training.csv")
-    save_training(ts, training_path)
-    wrote.append(training_path)
-    dict_path = os.path.join(out, "dictionary.json")
+    artifacts = {} if traj is None else {"trajectory.csv": partial(save_trajectory, traj)}
+    artifacts["training.csv"] = partial(save_training, ts)
     try:
-        save_dictionary(companion_dictionary(cfg["system"]), dict_path)
-        wrote.append(dict_path)
+        artifacts["dictionary.json"] = dictionary_to_json(companion_dictionary(cfg["system"]))
     except ValueError:
         pass
-    return wrote
+    return artifacts
 
 
 def cmd_fit(cfg):
     ts = load_training(cfg["training"])
     d, g_override = _resolve_dictionary(cfg["dictionary"], ts.n)
     method = cfg["method"]
+    if g_override is not None and method != "qendy":
+        raise _CliError(f"the dictionary's 'G' is not read by method {method!r}")
     if method == "qendy":
         model = fit(d, ts, lam=cfg["lambda"], force_c_zero=cfg["force_c_zero"],
                     rcond=cfg["rcond"], g=g_override)
@@ -234,12 +224,7 @@ def cmd_fit(cfg):
         model = baselines.gedmd_fit(d, ts, rcond=cfg["rcond"])
     summary = {"method": method, "m": int(ts.m),
                **_loss_fields(method, model, ts, cfg["training"])}
-    out = _outdir(cfg)
-    model_path = os.path.join(out, "model.json")
-    write_json(model_path, _KINDS[method][2](model))
-    summary_path = os.path.join(out, "fit_summary.json")
-    write_json(summary_path, summary)
-    return [model_path, summary_path]
+    return {"model.json": _KINDS[method][2](model), "fit_summary.json": summary}
 
 
 def _simulate_model(kind, model, x0, t_end, dt, reembed):
@@ -266,6 +251,8 @@ def _simulate_model(kind, model, x0, t_end, dt, reembed):
 
 def cmd_simulate(cfg):
     kind, model = _load_model_file(cfg["model"])
+    if cfg["reembed"] and kind != "qendy":
+        raise _CliError(f"'reembed' is not read by a {kind} model")
     system = None if cfg["system"] is None else make_system(cfg["system"], **cfg["params"])
     if system is not None and system.n != model.dictionary.state_dim:
         raise _CliError(f"the model has state dimension {model.dictionary.state_dim}, "
@@ -293,12 +280,8 @@ def cmd_simulate(cfg):
         flags[-1] = 1.0
     header += ",blowup"
     columns.append(flags)
-    out = _outdir(cfg)
-    csv_path = os.path.join(out, "simulation.csv")
-    write_rows(csv_path, header, np.column_stack(columns))
-    summary_path = os.path.join(out, "simulation_summary.json")
-    write_json(summary_path, summary)
-    return [csv_path, summary_path]
+    return {"simulation.csv": (header, np.column_stack(columns)),
+            "simulation_summary.json": summary}
 
 
 def cmd_convergence(cfg):
@@ -310,17 +293,12 @@ def cmd_convergence(cfg):
     study = convergence_study(
         d, system, _box(cfg, system), cfg["m_list"], cfg["runs"], seed=cfg["seed"],
         order=cfg["order"], relative=cfg["relative"], max_workers=cfg["workers"])
-    out = _outdir(cfg)
-    runs_path = os.path.join(out, "convergence_runs.csv")
-    agg_path = os.path.join(out, "convergence.csv")
-    study.write_runs_csv(runs_path)
-    study.write_aggregate_csv(agg_path)
-    summary_path = os.path.join(out, "convergence_summary.json")
-    write_json(summary_path, {"slope_R": study.slope_r,
-                               "slope_s": study.slope_s,
-                               "runs": study.runs,
-                               "m_list": [int(m) for m in study.sample_sizes]})
-    return [runs_path, agg_path, summary_path]
+    return {"convergence_runs.csv": study.write_runs_csv,
+            "convergence.csv": study.write_aggregate_csv,
+            "convergence_summary.json": {"slope_R": study.slope_r,
+                                         "slope_s": study.slope_s,
+                                         "runs": study.runs,
+                                         "m_list": [int(m) for m in study.sample_sizes]}}
 
 
 def cmd_reduce(cfg):
@@ -333,32 +311,21 @@ def cmd_reduce(cfg):
         snapshots = _load_rows(cfg["data"], header=False)
     result = reduction.reduced_identification_pipeline(
         snapshots, cfg["k"], cfg["train_fraction"], cfg["dt"], lam=cfg["lambda"])
-    # Written only once the pipeline has succeeded, so a failed reduce
-    # leaves nothing behind.
-    out = _outdir(cfg)
-    wrote = []
-    if synthetic:
-        snap_path = os.path.join(out, "snapshots.csv")
-        write_rows(snap_path, None, snapshots)
-        wrote.append(snap_path)
-    pca_path = os.path.join(out, "pca.json")
-    write_json(pca_path, {
+    artifacts = {"snapshots.csv": (None, snapshots)} if synthetic else {}
+    artifacts["pca.json"] = {
         "mean": result.basis.mean.tolist(),
         "components": result.basis.components.tolist(),
         "singular_values": result.basis.singular_values.tolist(),
-    })
-    model_path = os.path.join(out, "reduced_model.json")
-    save_model(result.model, model_path)
+    }
+    artifacts["reduced_model.json"] = partial(save_model, result.model)
     k = result.reduced.shape[1]
     header = ("t," + ",".join(f"r{j + 1}_true" for j in range(k)) + ","
               + ",".join(f"r{j + 1}_model" for j in range(k)))
     times = np.arange(snapshots.shape[0]) * cfg["dt"]
-    forecast_path = os.path.join(out, "forecast.csv")
-    write_rows(forecast_path, header,
-               np.column_stack([times, result.reduced, result.predicted]))
-    report_path = os.path.join(out, "reduction_report.json")
+    artifacts["forecast.csv"] = (
+        header, np.column_stack([times, result.reduced, result.predicted]))
     gap = result.spectral_gap
-    write_json(report_path, {
+    artifacts["reduction_report.json"] = {
         "k": k,
         "n_train": result.n_train,
         "train_rel_rms": result.train_rel_rms,
@@ -367,8 +334,8 @@ def cmd_reduce(cfg):
         "spectral_gap": None if math.isinf(gap) else gap,
         "singular_values": result.singular_spectrum[:min(
             10, result.singular_spectrum.size)].tolist(),
-    })
-    return wrote + [pca_path, model_path, forecast_path, report_path]
+    }
+    return artifacts
 
 
 def cmd_report(cfg):
@@ -394,14 +361,10 @@ def cmd_report(cfg):
     if cfg["training"] is not None:
         summary.update(_loss_fields(kind, model, load_training(cfg["training"]),
                                     cfg["training"]))
-    out = _outdir(cfg)
-    coeff_path = os.path.join(out, "coefficients.csv")
-    write_rows(coeff_path, "matrix,row,col,value",
-               [(name, r, c, float(v)) for name, matrix in matrices
-                for (r, c), v in np.ndenumerate(matrix)])
-    report_path = os.path.join(out, "report.json")
-    write_json(report_path, summary)
-    return [coeff_path, report_path]
+    return {"coefficients.csv": ("matrix,row,col,value",
+                                 [(name, r, c, float(v)) for name, matrix in matrices
+                                  for (r, c), v in np.ndenumerate(matrix)]),
+            "report.json": summary}
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +488,21 @@ def main(argv=None) -> int:
                      if k not in ("command", "config")}
         cfg = _merge_config(command, config, overrides)
         stage = command
-        for path in _COMMANDS[command][0](cfg):
-            print(path)
+        artifacts = _COMMANDS[command][0](cfg)
+        for content in artifacts.values():  # a value JSON cannot hold fails before --out
+            if isinstance(content, dict):
+                json.dumps(content, allow_nan=False)
+        out = cfg["out"] or "."
+        os.makedirs(out, exist_ok=True)
+        paths = [os.path.join(out, name) for name in artifacts]
+        for path, content in zip(paths, artifacts.values()):
+            if isinstance(content, dict):
+                write_json(path, content)
+            elif isinstance(content, tuple):
+                write_rows(path, *content)
+            else:
+                content(path)
+        print(*paths, sep="\n")
         return 0
     except (_CliError, ConfigurationError, ValueError, OSError, KeyError, MemoryError,
             IntegrationBlowupError) as err:

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows: outputs, determinism, error handling."""
 
+import builtins
 import json
 import os
 import subprocess
@@ -568,12 +569,20 @@ def _failing_work_argv(tmp_path, case):
                        "--lambda", "-1"]
     if case == "reduce":
         return "reduce", ["reduce", "--k", "200"]
+    if case == "reduce-forecast":
+        # The forecast diverges, and reduction_report.json cannot hold its
+        # inf error: the four files before it were written.
+        config = tmp_path / "reduce.json"
+        config.write_text(json.dumps({"samples": 100, "lift_dim": 10}))
+        return "reduce", ["reduce", "--config", str(config)]
     model = str(_fit_method(tmp_path, "qendy"))
     return "report", ["report", "--model", model, "--training", model]
 
 
-@pytest.mark.parametrize("case", ["generate", "fit-dimension", "fit-lambda", "reduce",
-                                  "report"])
+@pytest.mark.parametrize("case", [
+    "generate", "fit-dimension", "fit-lambda", "reduce",
+    pytest.param("reduce-forecast", marks=pytest.mark.filterwarnings("ignore:overflow")),
+    "report"])
 def test_a_failed_command_leaves_no_output_directory(tmp_path, capsys, case):
     command, argv = _failing_work_argv(tmp_path, case)
     capsys.readouterr()
@@ -583,6 +592,55 @@ def test_a_failed_command_leaves_no_output_directory(tmp_path, capsys, case):
     assert err.startswith(f"qendy: error in {command}: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def _valid_argv(tmp_path, command):
+    """(argv without --out, the files it writes in order) of a small run."""
+    if command == "generate":
+        return (["generate", "--system", "pendulum", "--x0", "1,0", "--t-end", "1",
+                 "--m", "11"], ["trajectory.csv", "training.csv", "dictionary.json"])
+    if command == "convergence":
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"m_list": [50, 500]}))
+        return (["convergence", "--runs", "2", "--config", str(config)],
+                ["convergence_runs.csv", "convergence.csv", "convergence_summary.json"])
+    if command == "reduce":
+        config = tmp_path / "reduce.json"
+        config.write_text(json.dumps({"samples": 200, "lift_dim": 20}))
+        return (["reduce", "--config", str(config)],
+                ["snapshots.csv", "pca.json", "reduced_model.json", "forecast.csv",
+                 "reduction_report.json"])
+    model = str(_fit_method(tmp_path, "qendy"))
+    if command == "fit":
+        return ["fit", "--training", str(tmp_path / "training.csv"),
+                "--dictionary", "pendulum"], ["model.json", "fit_summary.json"]
+    if command == "simulate":
+        return (["simulate", "--model", model, "--x0", "1,0", "--t-end", "0.1"],
+                ["simulation.csv", "simulation_summary.json"])
+    return ["report", "--model", model], ["coefficients.csv", "report.json"]
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "simulate", "convergence",
+                                     "reduce", "report"])
+def test_a_command_prints_the_files_in_its_output_directory_as_it_wrote_them(
+        tmp_path, capsys, monkeypatch, command):
+    argv, names = _valid_argv(tmp_path, command)
+    capsys.readouterr()
+    written, real_open = [], builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            written.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(builtins, "open", recording_open)
+    rc = main([*argv, "--out", str(out)])
+    monkeypatch.undo()
+    assert rc == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == written == [str(out / name) for name in names]
+    assert sorted(os.listdir(out)) == sorted(names)
 
 
 def test_a_model_file_that_is_not_an_object_fails_cleanly(tmp_path, capsys):
@@ -1017,6 +1075,24 @@ def test_a_dictionary_file_with_a_bad_g_fails_cleanly(tmp_path, capsys, method, 
                "--dictionary", str(path), "--out", str(tmp_path / "fit")])
     assert rc == 1
     assert capsys.readouterr().err == f"qendy: error in fit: {shown}\n"
+    assert not (tmp_path / "fit").exists()
+
+
+@pytest.mark.parametrize("method", ["sindy", "gedmd"])
+def test_a_dictionary_g_is_refused_by_a_method_that_does_not_read_it(tmp_path, capsys,
+                                                                      method):
+    # The fit exited 0 and wrote a model without G, which simulate refused.
+    _generate(tmp_path)
+    path = tmp_path / "gdict.json"
+    path.write_text(json.dumps({"state_dim": 2,
+                                "basis": ["x1 + x2", "x2", "sin(x1)", "cos(x1)"],
+                                "G": [[1, -1, 0, 0], [0, 1, 0, 0]]}))
+    capsys.readouterr()
+    rc = main(["fit", "--method", method, "--training", str(tmp_path / "training.csv"),
+               "--dictionary", str(path), "--out", str(tmp_path / "fit")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"qendy: error in fit: the dictionary's 'G' is not read by method {method!r}\n")
     assert not (tmp_path / "fit").exists()
 
 
@@ -1566,7 +1642,9 @@ def test_a_number_given_as_text_is_refused(tmp_path, capsys, case):
 def test_a_start_state_whose_lift_overflows_is_refused_on_every_path(tmp_path, capsys,
                                                                      method, reembed):
     # exp(800) overflows.  The state-field path wrote the start row with
-    # blowup_step 1 and exited 0; now every kind and path refuses it.
+    # blowup_step 1 and exited 0; now every kind and path refuses it.  A
+    # SINDy or gEDMD model steps its field either way, so --reembed, which
+    # it ignored, is refused before the start state is lifted.
     dictionary = tmp_path / "dictionary.json"
     dictionary.write_text(json.dumps({"state_dim": 1, "basis": ["x1", "exp(x1)"]}))
     training = tmp_path / "training.csv"
@@ -1580,6 +1658,7 @@ def test_a_start_state_whose_lift_overflows_is_refused_on_every_path(tmp_path, c
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv + ["--reembed"] * reembed) == 1
-    assert capsys.readouterr().err == (
-        "qendy: error in simulate: start state lifts to non-finite values\n")
+    shown = (f"'reembed' is not read by a {method} model" if reembed and method != "qendy"
+             else "start state lifts to non-finite values")
+    assert capsys.readouterr().err == f"qendy: error in simulate: {shown}\n"
     assert not out.exists()
