@@ -182,6 +182,17 @@ def _loss_fields(kind, model, ts, path):
     return fields
 
 
+def _non_finite(value):
+    """The first NaN or infinity in a JSON value, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else value
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, list):
+        return None
+    return next((bad for v in value if (bad := _non_finite(v)) is not None), None)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -272,9 +283,10 @@ def cmd_simulate(cfg):
         ref_states = reference.states[:times.size]
         header += "," + ",".join(f"x{j + 1}_true" for j in range(n))
         columns += [ref_states[:, j] for j in range(n)]
-        diff = states - ref_states
-        summary["sup_error"] = float(np.abs(diff).max())
-        summary["rms_error"] = float(np.sqrt(np.mean(diff ** 2)))
+        with np.errstate(over="ignore", invalid="ignore"):  # main refuses an inf
+            diff = states - ref_states
+            summary["sup_error"] = float(np.abs(diff).max())
+            summary["rms_error"] = float(np.sqrt(np.mean(diff ** 2)))
     flags = np.zeros(times.size)
     if blowup is not None:
         flags[-1] = 1.0
@@ -287,7 +299,9 @@ def cmd_simulate(cfg):
 def cmd_convergence(cfg):
     system = make_system(cfg["system"], **cfg["params"])
     if cfg["dictionary"] is not None:
-        d, _ = _resolve_dictionary(cfg["dictionary"], system.n)
+        d, g = _resolve_dictionary(cfg["dictionary"], system.n)
+        if g is not None:
+            raise _CliError("the dictionary's 'G' is not read by convergence")
     else:
         d = companion_dictionary(cfg["system"])
     study = convergence_study(
@@ -489,9 +503,11 @@ def main(argv=None) -> int:
         cfg = _merge_config(command, config, overrides)
         stage = command
         artifacts = _COMMANDS[command][0](cfg)
-        for content in artifacts.values():  # a value JSON cannot hold fails before --out
-            if isinstance(content, dict):
-                json.dumps(content, allow_nan=False)
+        for name, content in artifacts.items():  # a value JSON cannot hold fails before --out
+            for key, value in content.items() if isinstance(content, dict) else ():
+                if (bad := _non_finite(value)) is not None:
+                    verb = "is" if bad is value else "holds"
+                    raise _CliError(f"{name}: {key!r} {verb} {bad}")
         out = cfg["out"] or "."
         os.makedirs(out, exist_ok=True)
         paths = [os.path.join(out, name) for name in artifacts]

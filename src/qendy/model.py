@@ -100,6 +100,11 @@ class EmbeddedTrajectory:
     x_states: np.ndarray
 
 
+# The steps that :func:`simulate` takes between two scans of its path for a
+# non-finite state.
+STEP_BLOCK = 64
+
+
 def simulate(model: QuadraticModel, x0, t_end: float, dt: float) -> EmbeddedTrajectory:
     """Integrate the lifted dynamics with RK4 from z0 = phi(x0).
 
@@ -116,12 +121,18 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float) -> EmbeddedTraj
     dz = (Q zh) zh: two matrix-vector products, on a flattened
     (N(N+1), N+1) view of Q and then on the (N, N+1) result.  Q is scaled
     once by dt/2 and once by dt, so each stage yields h dz, the shift to the
-    next stage state, which is written into zh in place; the four shifts go
-    into one (4, N) buffer, and the new state
-    z + (1/3, 2/3, 1/3, 1/6) @ shifts is written straight into the output
-    row.  A step allocates nothing.  BLAS sums in its own order, so the path
-    agrees with ``rk4_step(evaluate)`` to rounding, not bit for bit; reruns
-    are byte-identical.
+    next stage state.  The path is held with a trailing column of ones
+    (``z_states`` is a view of it), so stage 1 reads the row (z, 1) in
+    place, and the later stage states are written into one (N+1,) buffer;
+    the four shifts go into one (4, N) buffer, and the new state
+    z + (1/3, 2/3, 1/3, 1/6) @ shifts is written straight into the next
+    row.  A step allocates nothing.  The rows are
+    scanned for a non-finite state once per :data:`STEP_BLOCK` steps; the
+    first one ends the path, and the rows stepped after it are discarded.
+    Every step is the same arithmetic as with a check per step, so the path
+    is the same bits.  BLAS sums in its own order, so the path agrees with
+    ``rk4_step(evaluate)`` to rounding, not bit for bit; reruns are
+    byte-identical.
     """
     steps = _step_count(t_end, dt)
     dt = float(dt)
@@ -137,31 +148,39 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float) -> EmbeddedTraj
     form[:, size, size] = model.c
     form = form.reshape(size * (size + 1), size + 1)
     half, full = (0.5 * dt) * form, dt * form
-    zh = np.ones(size + 1)
-    head = zh[:size]
+    stage = np.ones(size + 1)
+    head = stage[:size]
     products = np.empty(size * (size + 1))
     rows = products.reshape(size, size + 1)
     shifts = np.empty((4, size))
+    # The scaled form of each of stages 1-3 and the row its shift goes to.
+    forms = tuple(zip((half, half, full), shifts))
+    last = shifts[3]
     weights = np.array([1.0, 2.0, 1.0, 0.5]) / 3.0
-    z_states = np.empty((steps + 1, size))
+    path = np.ones((steps + 1, size + 1))
+    z_states = path[:, :size]
     z_states[0] = z
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            np.copyto(head, z)
-            for scaled, shift in zip((half, half, full), shifts):
-                np.dot(scaled, zh, out=products)
-                np.dot(rows, zh, out=shift)
-                np.add(z, shift, out=head)
-            np.dot(full, zh, out=products)
-            np.dot(rows, zh, out=shifts[3])
-            z = z_states[k + 1]
-            np.dot(weights, shifts, out=z)
-            z += z_states[k]
-            if not np.isfinite(z).all():
+        for start in range(0, steps, STEP_BLOCK):
+            stop = min(start + STEP_BLOCK, steps)
+            for zh, z, new in zip(path[start:stop], z_states[start:stop],
+                                  z_states[start + 1:stop + 1]):
+                for scaled, shift in forms:
+                    np.dot(scaled, zh, out=products)
+                    np.dot(rows, zh, out=shift)
+                    np.add(z, shift, out=head)
+                    zh = stage
+                np.dot(full, stage, out=products)
+                np.dot(rows, stage, out=last)
+                np.dot(weights, shifts, out=new)
+                new += z
+            finite = np.isfinite(z_states[start + 1:stop + 1]).all(axis=1)
+            if not finite.all():
+                step = start + 1 + int(finite.argmin())
                 # A copy, so that the error does not hold the whole path.
-                kept = z_states[:k + 1].copy()
-                raise IntegrationBlowupError(k + 1, EmbeddedTrajectory(
-                    np.arange(k + 1) * dt, kept, kept @ model.g.T))
+                kept = z_states[:step].copy()
+                raise IntegrationBlowupError(step, EmbeddedTrajectory(
+                    np.arange(step) * dt, kept, kept @ model.g.T))
     times = np.arange(steps + 1) * dt
     return EmbeddedTrajectory(times, z_states, z_states @ model.g.T)
 

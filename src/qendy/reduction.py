@@ -98,7 +98,9 @@ class PipelineResult:
 
 
 def _rel_rms(predicted, reference) -> float:
-    err = np.sqrt(np.mean((predicted - reference) ** 2))
+    """Relative RMS error; inf, not warned, if a forecast far off overflows it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.sqrt(np.mean((predicted - reference) ** 2))
     scale = np.sqrt(np.mean(reference ** 2))
     return float(err / scale) if scale > 0 else float(err)
 

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qendy import cli
 from qendy.baselines import state_field
 from qendy.cli import main
 from qendy.dictionary import Dictionary
@@ -570,19 +571,35 @@ def _failing_work_argv(tmp_path, case):
     if case == "reduce":
         return "reduce", ["reduce", "--k", "200"]
     if case == "reduce-forecast":
-        # The forecast diverges, and reduction_report.json cannot hold its
-        # inf error: the four files before it were written.
+        # The forecast stays finite, but its error overflows to inf, which
+        # reduction_report.json cannot hold: the four files before it used to
+        # be written.
         config = tmp_path / "reduce.json"
         config.write_text(json.dumps({"samples": 100, "lift_dim": 10}))
         return "reduce", ["reduce", "--config", str(config)]
-    model = str(_fit_method(tmp_path, "qendy"))
-    return "report", ["report", "--model", model, "--training", model]
+    model = _fit_method(tmp_path, "qendy")
+    if case == "simulate-error":
+        # dz = 10 z: the path reaches ~1e160 at t 37, and its squared error
+        # against the pendulum overflows to an inf rms_error.
+        grow = json.loads(model.read_text())
+        size = len(grow["B"])
+        grow.update(A=np.zeros((size, size * size)).tolist(), B=(10 * np.eye(size)).tolist(),
+                    C=[0.0] * size)
+        path = tmp_path / "grow.json"
+        path.write_text(json.dumps(grow))
+        return "simulate", ["simulate", "--model", str(path), "--x0", "1,0",
+                            "--t-end", "37", "--dt", "0.01", "--system", "pendulum"]
+    return "report", ["report", "--model", str(model), "--training", str(model)]
+
+
+# The error of a case whose JSON artifact holds a non-finite value names it.
+_NAMED = {"reduce-forecast": "reduction_report.json: 'forecast_rel_rms' is inf",
+          "simulate-error": "simulation_summary.json: 'rms_error' is inf"}
 
 
 @pytest.mark.parametrize("case", [
-    "generate", "fit-dimension", "fit-lambda", "reduce",
-    pytest.param("reduce-forecast", marks=pytest.mark.filterwarnings("ignore:overflow")),
-    "report"])
+    "generate", "fit-dimension", "fit-lambda", "reduce", "reduce-forecast",
+    "simulate-error", "report"])
 def test_a_failed_command_leaves_no_output_directory(tmp_path, capsys, case):
     command, argv = _failing_work_argv(tmp_path, case)
     capsys.readouterr()
@@ -591,6 +608,21 @@ def test_a_failed_command_leaves_no_output_directory(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"qendy: error in {command}: ")
     assert err.count("\n") == 1
+    if case in _NAMED:
+        assert err == f"qendy: error in {command}: {_NAMED[case]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, words", [
+    (float("inf"), "is inf"), ([[0.0, float("nan")]], "holds nan"),
+    ({"a": [1.0, -float("inf")]}, "holds -inf")])
+def test_a_non_finite_json_value_is_named_by_artifact_and_key(tmp_path, capsys,
+                                                              monkeypatch, value, words):
+    artifacts = {"a.csv": ("x", [[1.0]]), "b.json": {"fine": [1.0, 2], "bad": value}}
+    monkeypatch.setitem(cli._COMMANDS, "report", (lambda cfg: artifacts, ""))
+    out = tmp_path / "out"
+    assert main(["report", "--model", "m.json", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"qendy: error in report: b.json: 'bad' {words}\n"
     assert not out.exists()
 
 
@@ -1094,6 +1126,20 @@ def test_a_dictionary_g_is_refused_by_a_method_that_does_not_read_it(tmp_path, c
     assert capsys.readouterr().err == (
         f"qendy: error in fit: the dictionary's 'G' is not read by method {method!r}\n")
     assert not (tmp_path / "fit").exists()
+
+
+def test_a_dictionary_g_is_refused_by_convergence(tmp_path, capsys):
+    # The study ran on the basis alone and exited 0.
+    path = tmp_path / "gdict.json"
+    path.write_text(json.dumps({"state_dim": 2,
+                                "basis": ["x1 + x2", "x2", "sin(x1)", "cos(x1)"],
+                                "G": [[1, -1, 0, 0], [0, 1, 0, 0]]}))
+    rc = main(["convergence", "--dictionary", str(path), "--runs", "2",
+               "--out", str(tmp_path / "study")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "qendy: error in convergence: the dictionary's 'G' is not read by convergence\n")
+    assert not (tmp_path / "study").exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "simulate", "report"])

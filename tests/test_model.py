@@ -11,17 +11,18 @@ from qendy.dictionary import (
     Dictionary, dictionary_from_json, feature_map, feature_matrix, full_state_matrix,
 )
 from qendy.dynamics import (
-    IntegrationBlowupError, Trajectory, exact_derivatives, finite_diff_derivatives,
-    rk4_integrate, rk4_step, sample_trajectory, sample_uniform,
+    IntegrationBlowupError, Trajectory, _step_count, exact_derivatives,
+    finite_diff_derivatives, rk4_integrate, rk4_step, sample_trajectory, sample_uniform,
 )
 from qendy.expr import BLOCK
 from qendy.fitting import build_data_matrices, fit, stationarity_gap
 from qendy.model import (
-    QuadraticModel, evaluate, evaluate_cols, extract_rhs, extract_rhs_many,
-    hurwitz_margin, kron_squared, kron_squared_cols, load_model,
+    STEP_BLOCK, EmbeddedTrajectory, QuadraticModel, evaluate, evaluate_cols, extract_rhs,
+    extract_rhs_many, hurwitz_margin, kron_squared, kron_squared_cols, load_model,
     model_from_json, model_to_json, save_model, simulate, sparsity_report,
     symmetrize,
 )
+from qendy.reduction import reduced_identification_pipeline, synthetic_lift_data
 from qendy.systems import (
     make_dictionary, pendulum, pendulum_dictionary, rational_decay, rational_dictionary,
     thomas, thomas_dictionary,
@@ -321,6 +322,98 @@ def test_simulate_blows_up_at_the_reference_step(reembed):
         # with it: rowwise 1.2e-11 at the last finite state of dz = z^2.
         rowwise = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
         assert rowwise.max() <= 1e-10
+
+
+def per_step_simulate(model, x0, t_end, dt):
+    """The step loop of :func:`simulate` that copied each state into a
+    separate stage vector (z, 1) and checked it for finiteness after every
+    step; ``simulate`` must give its bits, and its blowup step and partial."""
+    steps = _step_count(t_end, dt)
+    dt = float(dt)
+    size = model.basis_size
+    z = feature_map(model.dictionary, np.asarray(x0, dtype=float))
+    form = np.zeros((size, size + 1, size + 1))
+    form[:, :size, :size] = model.a.reshape(size, size, size)
+    form[:, :size, size] = model.b
+    form[:, size, size] = model.c
+    form = form.reshape(size * (size + 1), size + 1)
+    half, full = (0.5 * dt) * form, dt * form
+    zh = np.ones(size + 1)
+    head = zh[:size]
+    products = np.empty(size * (size + 1))
+    rows = products.reshape(size, size + 1)
+    shifts = np.empty((4, size))
+    weights = np.array([1.0, 2.0, 1.0, 0.5]) / 3.0
+    z_states = np.empty((steps + 1, size))
+    z_states[0] = z
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            np.copyto(head, z)
+            for scaled, shift in zip((half, half, full), shifts):
+                np.dot(scaled, zh, out=products)
+                np.dot(rows, zh, out=shift)
+                np.add(z, shift, out=head)
+            np.dot(full, zh, out=products)
+            np.dot(rows, zh, out=shifts[3])
+            z = z_states[k + 1]
+            np.dot(weights, shifts, out=z)
+            z += z_states[k]
+            if not np.isfinite(z).all():
+                kept = z_states[:k + 1].copy()
+                raise IntegrationBlowupError(k + 1, EmbeddedTrajectory(
+                    np.arange(k + 1) * dt, kept, kept @ model.g.T))
+    times = np.arange(steps + 1) * dt
+    return EmbeddedTrajectory(times, z_states, z_states @ model.g.T)
+
+
+def _assert_same_bits(got, want):
+    for name in ("times", "z_states", "x_states"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _bit_cases(case, thomas9):
+    """(model, [(x0, t_end, dt), ...]) of a fit that ``simulate`` forecasts."""
+    if case == "thomas9":
+        starts = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 3))
+        return thomas9, [(x0, 10.0, 0.01) for x0 in starts]
+    if case == "pendulum":
+        return _pendulum_fit(pendulum_dictionary()), [([1.0, 0.0], 10.0, 0.01),
+                                                      ([-2.0, 1.5], 7.0, 0.1)]
+    # The identity-dictionary model of the reduce pipeline, from its first
+    # reduced snapshot over its whole horizon.
+    snapshots, _ = synthetic_lift_data(num_samples=200, lift_dim=20, seed=0)
+    result = reduced_identification_pipeline(snapshots, 3, 0.8, 0.1)
+    return result.model, [(result.reduced[0], 199 * 0.1, 0.1)]
+
+
+@pytest.mark.parametrize("case", ["thomas9", "pendulum", "reduce"])
+def test_simulate_gives_the_bits_of_the_per_step_loop(thomas9_model, case):
+    model, runs = _bit_cases(case, thomas9_model)
+    for x0, t_end, dt in runs:
+        _assert_same_bits(simulate(model, x0, t_end, dt),
+                          per_step_simulate(model, x0, t_end, dt))
+
+
+@pytest.mark.parametrize("step", [1, STEP_BLOCK, STEP_BLOCK + 1, 2 * STEP_BLOCK + 10])
+def test_a_blowup_ends_the_path_where_the_per_step_loop_does(step):
+    # dz = b z with q = b dt = 11 grows ~1000-fold a step; from x0 the state
+    # at step - 1 is ~1e306.5, and the next step overflows.  The last case
+    # lands in the final partial block of the 2 STEP_BLOCK + 30 steps.
+    dt, q = 0.01, 11.0
+    growth = 1.0 + q + q ** 2 / 2 + q ** 3 / 6 + q ** 4 / 24
+    x0 = 10.0 ** (308.0 - (step - 0.5) * np.log10(growth))
+    model = QuadraticModel(np.zeros((1, 1)), np.array([[q / dt]]), np.zeros(1),
+                           np.array([[1.0]]), Dictionary.from_strings(1, ["x1"]))
+    t_end = (2 * STEP_BLOCK + 30) * dt
+    with pytest.raises(IntegrationBlowupError) as want:
+        per_step_simulate(model, [x0], t_end, dt)
+    assert want.value.step == step
+    with pytest.raises(IntegrationBlowupError) as got:
+        simulate(model, [x0], t_end, dt)
+    assert got.value.step == step
+    _assert_same_bits(got.value.partial, want.value.partial)
+    assert got.value.partial.z_states.flags.owndata
 
 
 # ---------------------------------------------------------------------------
