@@ -17,7 +17,6 @@ runs; everything else is single-threaded.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -30,7 +29,8 @@ from . import baselines, reduction
 from .approx import convergence_study
 from .dictionary import (
     _NUMBER, _STRING, _SWITCH, _WHOLE, ConfigurationError, _given, _list_of, _number,
-    _one_of, _Reader, _whole, dictionary_to_json, feature_map, load_dictionary, write_json,
+    _one_of, _Reader, _whole, dictionary_to_json, feature_map, load_dictionary, read_json,
+    write_json,
 )
 from .dynamics import (
     IntegrationBlowupError, _load_rows, exact_derivatives, finite_diff_derivatives,
@@ -50,14 +50,6 @@ class _CliError(RuntimeError):
     pass
 
 
-def _load_json_object(path):
-    with open(path) as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise _CliError(f"{path} does not hold a JSON object")
-    return obj
-
-
 def _load_config(path):
     if path is None:
         return {}
@@ -68,7 +60,7 @@ def _load_config(path):
             raise _CliError(f"TOML config needs Python >= 3.11: {err}")
         with open(path, "rb") as fh:
             return tomllib.load(fh)
-    return _load_json_object(path)
+    return read_json(path)
 
 
 def _merge_config(command, config, overrides):
@@ -150,7 +142,7 @@ _KINDS = {
 
 def _load_model_file(path):
     """(kind, model) of a model JSON file."""
-    obj = _load_json_object(path)
+    obj = read_json(path)
     for kind, (key, from_json, _) in _KINDS.items():
         if key in obj:
             try:
@@ -243,8 +235,9 @@ def _simulate_model(kind, model, x0, t_end, dt, reembed):
     of a qendy model projected by G, or, with ``reembed`` and for SINDy and
     gEDMD models, the path of the model's state-space field.
 
-    After a blowup the path ends at the last finite state.  A finite start
-    state whose lift is not finite is refused on every path.
+    After a blowup the path ends at the last finite state.  Every path
+    refuses in the same words a start state that is not finite, and a
+    finite one whose lift is not.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         start = feature_map(model.dictionary, x0)

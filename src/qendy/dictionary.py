@@ -31,8 +31,8 @@ __all__ = [
     "feature_map", "feature_matrix", "jacobian", "feature_time_derivatives",
     "feature_matrix_and_derivatives",
     "augment", "full_state_matrix",
-    "dictionary_to_json", "dictionary_from_json", "write_json", "save_dictionary",
-    "load_dictionary",
+    "dictionary_to_json", "dictionary_from_json", "read_json", "write_json",
+    "save_dictionary", "load_dictionary",
 ]
 
 
@@ -268,6 +268,16 @@ def dictionary_from_json(obj: dict):
     d = Dictionary.from_strings(state_dim, basis)
     g = obj.get("G")
     return d, None if g is None else _coefficients("G", g, (state_dim, d.size))
+
+
+def read_json(path) -> dict:
+    """The JSON object in the file ``path``; any other JSON value raises
+    ConfigurationError."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"{path} does not hold a JSON object")
+    return obj
 
 
 def write_json(path, obj):

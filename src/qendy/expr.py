@@ -492,7 +492,7 @@ class Program:
                          if op == _OP_CONST and not math.isfinite(node.value))
         exec(compile(self.source(binding), f"<qendy program: {binding}>", "exec"),
              namespace)
-        return namespace["program"]
+        return namespace.pop("program")
 
     def point(self, x) -> np.ndarray:
         """Every tree at one point ``x`` (n,), computed in Python floats;
@@ -644,115 +644,94 @@ def _divide(lhs: Expr, rhs: Expr) -> Expr:
     return Mul(lhs, inverted)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _is_op(tok: _Token, ops: str) -> bool:
+    return tok.kind == "op" and tok.text in ops
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            raise ExpressionSyntaxError(
-                f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-                tok.offset, f"'{op}'")
-        self.advance()
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionSyntaxError(
-                "unexpected trailing input", tok.offset, "end of input or an operator")
-        return node
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = Add(node, rhs if op == "+" else _negated(rhs))
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else _divide(node, rhs)
-        return node
-
-    def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return _negated(self.factor())
-        node = self.base()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            node = Pow(node, self.exponent())
-        return node
-
-    def exponent(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            sign = -1
-            tok = self.peek()
-        if tok.kind != "num" or any(c in tok.text for c in ".eE"):
-            raise ExpressionSyntaxError(
-                f"bad exponent {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-                tok.offset, "an integer exponent")
-        self.advance()
-        return sign * int(tok.text)
-
-    def base(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            return Const(float(tok.text))
-        if tok.kind == "var":
-            self.advance()
-            index = int(tok.text[1:])
-            if index < 1:
-                raise ExpressionSyntaxError(
-                    f"bad variable {tok.text!r}", tok.offset, "x1, x2, ... (1-indexed)")
-            return Var(index - 1)
-        if tok.kind == "name":
-            if tok.text not in _FUNCTIONS:
-                raise ExpressionSyntaxError(
-                    f"unknown function {tok.text!r}", tok.offset, "sin, cos, or exp")
-            self.advance()
-            self.expect_op("(")
-            arg = self.expr()
-            self.expect_op(")")
-            return _FUNCTIONS[tok.text](arg)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionSyntaxError(
-            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-            tok.offset, "number, variable, function, or '('")
+def _unexpected(tok: _Token, expected: str) -> ExpressionSyntaxError:
+    return ExpressionSyntaxError(
+        f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
+        tok.offset, expected)
 
 
 def parse(text: str) -> Expr:
     """Parse expression text into a tree.
 
     Raises :class:`ExpressionSyntaxError` with the byte offset of the failure
-    and a hint naming the expected token.
+    and a hint naming the expected token.  One loop reads the tokens and keeps
+    a stack of open groups (the whole text, each ``(`` and each function
+    call), so nesting depth is not bounded by the interpreter's recursion
+    limit.
     """
-    return _Parser(text).parse()
+    tokens, pos = _tokenize(text), 0
+    # An open group: [its function or None, its sum so far, the '+' or '-'
+    # before the term being read, that term so far, the '*' or '/' before the
+    # factor being read, the count of '-' signs read before that factor].
+    groups = [[None, None, None, None, None, 0]]
+    while True:
+        tok = tokens[pos]
+        pos += 1
+        if _is_op(tok, "-"):
+            groups[-1][5] += 1
+            continue
+        if tok.kind == "name" or _is_op(tok, "("):
+            if tok.kind == "name":
+                if tok.text not in _FUNCTIONS:
+                    raise ExpressionSyntaxError(
+                        f"unknown function {tok.text!r}", tok.offset, "sin, cos, or exp")
+                if not _is_op(tokens[pos], "("):
+                    raise _unexpected(tokens[pos], "'('")
+                pos += 1
+            groups.append([_FUNCTIONS.get(tok.text), None, None, None, None, 0])
+            continue
+        if tok.kind == "num":
+            node = Const(float(tok.text))
+        elif tok.kind == "var":
+            index = int(tok.text[1:])
+            if index < 1:
+                raise ExpressionSyntaxError(
+                    f"bad variable {tok.text!r}", tok.offset, "x1, x2, ... (1-indexed)")
+            node = Var(index - 1)
+        else:
+            raise _unexpected(tok, "number, variable, function, or '('")
+        # ``node`` is a base: fold it into its group, and close each group
+        # that the next token ends into the base of the one around it.
+        while True:
+            function, total, add, term, mul, negations = groups[-1]
+            if _is_op(tokens[pos], "^"):
+                sign, pos = 1, pos + 1
+                if _is_op(tokens[pos], "-"):
+                    sign, pos = -1, pos + 1
+                tok = tokens[pos]
+                if tok.kind != "num" or any(c in tok.text for c in ".eE"):
+                    raise ExpressionSyntaxError(
+                        f"bad exponent {tok.text!r}" if tok.kind != "end"
+                        else "unexpected end of input", tok.offset, "an integer exponent")
+                node, pos = Pow(node, sign * int(tok.text)), pos + 1
+            for _ in range(negations):
+                node = _negated(node)
+            if term is not None:
+                node = Mul(term, node) if mul == "*" else _divide(term, node)
+            tok = tokens[pos]
+            pos += 1
+            if _is_op(tok, "*/"):
+                groups[-1][3:] = node, tok.text, 0
+                break
+            if total is not None:
+                node = Add(total, node if add == "+" else _negated(node))
+            if _is_op(tok, "+-"):
+                groups[-1][1:] = node, tok.text, None, None, 0
+                break
+            if len(groups) == 1:
+                if tok.kind != "end":
+                    raise ExpressionSyntaxError("unexpected trailing input", tok.offset,
+                                                "end of input or an operator")
+                return node
+            if not _is_op(tok, ")"):
+                raise _unexpected(tok, "')'")
+            groups.pop()
+            if function is not None:
+                node = function(node)
 
 
 # ---------------------------------------------------------------------------

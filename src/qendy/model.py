@@ -7,15 +7,15 @@ The Kronecker square is row-major in the index pair: entry N*i + j of
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dictionary import (
-    _STRING, _SWITCH, _WHOLE, Dictionary, _coefficients, _given, _number, _Reader,
-    dictionary_from_json, dictionary_to_json, feature_map, feature_matrix, write_json,
+    _STRING, _SWITCH, Dictionary, _coefficients, _given, _number, _Reader, _whole,
+    dictionary_from_json, dictionary_to_json, feature_map, feature_matrix, read_json,
+    write_json,
 )
 from .dynamics import IntegrationBlowupError, _step_count
 from .expr import BLOCK
@@ -108,12 +108,13 @@ STEP_BLOCK = 64
 def simulate(model: QuadraticModel, x0, t_end: float, dt: float) -> EmbeddedTrajectory:
     """Integrate the lifted dynamics with RK4 from z0 = phi(x0).
 
-    A non-finite lifted state raises :class:`IntegrationBlowupError` carrying
-    the path up to the last finite state; as in
-    :func:`~qendy.dynamics.rk4_integrate`, the overflow that produced it is
-    not warned, nor is one in the lift of x0.  The identified state-space
-    field ``G dz(phi(x))``, which stays on the embedded manifold, is
-    :func:`qendy.baselines.state_field` of the model.
+    A start state that is not finite, or whose lift is not, raises
+    ValueError.  A non-finite lifted state raises
+    :class:`IntegrationBlowupError` carrying the path up to the last finite
+    state; as in :func:`~qendy.dynamics.rk4_integrate`, the overflow that
+    produced it is not warned, nor is one in the lift of x0.  The identified
+    state-space field ``G dz(phi(x))``, which stays on the embedded manifold,
+    is :func:`qendy.baselines.state_field` of the model.
 
     The loop evaluates one homogeneous quadratic form instead of
     :func:`evaluate`.  With zh = (z, 1), the form Q (N, N+1, N+1) holds A in
@@ -137,9 +138,11 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float) -> EmbeddedTraj
     steps = _step_count(t_end, dt)
     dt = float(dt)
     size = model.basis_size
-
+    x0 = np.asarray(x0, dtype=float)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"start state {x0.tolist()} is not finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        z = feature_map(model.dictionary, np.asarray(x0, dtype=float))
+        z = feature_map(model.dictionary, x0)
     if not np.isfinite(z).all():
         raise ValueError("start state lifts to non-finite values")
     form = np.zeros((size, size + 1, size + 1))
@@ -281,6 +284,7 @@ def model_to_json(model: QuadraticModel) -> dict:
 
 _LAMBDA = _Reader("a finite number >= 0",
                   lambda value: _given(0.0 <= _number(value) < math.inf, _number(value)))
+_COUNT = _Reader("an integer >= 0", lambda value: _given(_whole(value) >= 0, _whole(value)))
 
 
 def _fit_context(obj: dict) -> dict:
@@ -292,7 +296,7 @@ def _fit_context(obj: dict) -> dict:
         "force_c_zero": _SWITCH.read("force_c_zero", obj.get("force_c_zero", False)),
     }
     if obj.get("m") is not None:
-        context["m"] = _WHOLE.read("m", obj["m"])
+        context["m"] = _COUNT.read("m", obj["m"])
     return context
 
 
@@ -306,5 +310,4 @@ def save_model(model: QuadraticModel, path):
 
 
 def load_model(path) -> QuadraticModel:
-    with open(path) as fh:
-        return model_from_json(json.load(fh))
+    return model_from_json(read_json(path))

@@ -1037,15 +1037,16 @@ def test_a_model_file_that_lacks_a_key_names_the_file_and_the_key(
 @pytest.mark.parametrize("key, value, shown", [
     ("lambda", None, "lambda must be a finite number >= 0, got null"),
     ("lambda", -1, "lambda must be a finite number >= 0, got -1"),
-    ("m", 2.5, "m must be an integer, got 2.5"),
+    ("m", 2.5, "m must be an integer >= 0, got 2.5"),
+    ("m", -5, "m must be an integer >= 0, got -5"),
     ("force_c_zero", "no", 'force_c_zero must be true or false, got "no"'),
     ("provenance", 5, "provenance must be a string, got 5"),
-], ids=["lambda-null", "lambda-negative", "m-fraction", "force_c_zero-text",
+], ids=["lambda-null", "lambda-negative", "m-fraction", "m-negative", "force_c_zero-text",
         "provenance-number"])
 def test_a_model_file_with_bad_fit_metadata_fails_cleanly(tmp_path, capsys, key, value,
                                                           shown):
-    # null ended in a TypeError; -1, 2.5, "no" and 5 were read as -1.0, 2,
-    # true and "5".
+    # null ended in a TypeError; -1, 2.5, -5, "no" and 5 were read as -1.0,
+    # 2, -5, true and "5".
     path = _fit_method(tmp_path, "qendy")
     obj = _read_json(path)
     obj[key] = value
@@ -1177,6 +1178,22 @@ def test_fit_with_long_dictionary_entry(tmp_path):
     assert _read_json(tmp_path / "fit" / "model.json")["dictionary"]["basis"][0] == text
 
 
+@pytest.mark.parametrize("basis", [
+    ["(" * 20000 + "x1" + ")" * 20000, "x2"],
+    ["sin(" * 3000 + "x1" + ")" * 3000, "x1", "x2"],
+    ["-" * 5000 + "x1", "x1", "x2"],
+], ids=["parentheses", "calls", "signs"])
+def test_fit_and_report_with_deeply_nested_dictionary_entry(tmp_path, basis):
+    # Each ended in a RecursionError traceback.
+    _generate(tmp_path)
+    dictionary = tmp_path / "deep.json"
+    dictionary.write_text(json.dumps({"state_dim": 2, "basis": basis}))
+    assert main(["fit", "--training", str(tmp_path / "training.csv"),
+                 "--dictionary", str(dictionary), "--out", str(tmp_path / "fit")]) == 0
+    assert main(["report", "--model", str(tmp_path / "fit" / "model.json"),
+                 "--out", str(tmp_path / "report")]) == 0
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_diverging_or_non_finite_paths_fail_cleanly(tmp_path, capsys):
@@ -1187,15 +1204,17 @@ def test_diverging_or_non_finite_paths_fail_cleanly(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("qendy: error in generate:") and "blew up at step 1" in err
-    # A start state that is not finite has no finite path to keep.
+    # A start state that is not finite has no finite path to keep, and each
+    # path names it so; the lifted path said that it lifts to non-finite values.
     model = _fit_method(tmp_path, "qendy")
     sindy = _fit_method(tmp_path, "sindy")
-    for path in (model, sindy):
-        rc = main(["simulate", "--model", str(path), "--x0", "nan,0",
-                   "--out", str(tmp_path / "sim")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("qendy: error in simulate:") and "start state" in err
+    for path, extra in ((model, []), (model, ["--reembed"]), (sindy, [])):
+        for x0, shown in (("nan,0", "[nan, 0.0]"), ("inf,0", "[inf, 0.0]")):
+            rc = main(["simulate", "--model", str(path), "--x0", x0, *extra,
+                       "--out", str(tmp_path / "sim")])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                f"qendy: error in simulate: start state {shown} is not finite\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1664,7 +1683,7 @@ def _text_number_case(tmp_path, case):
     obj["m"] = "3"
     path.write_text(json.dumps(obj))
     return (["report", "--model", str(path)],
-            "qendy: error in report: m must be an integer, got \"3\"")
+            "qendy: error in report: m must be an integer >= 0, got \"3\"")
 
 
 @pytest.mark.parametrize("case", ["generate-m", "fit-lambda", "dictionary-state_dim",

@@ -1,11 +1,13 @@
 """Expression AST: compiled evaluation, tangent-pass gradients, parser,
 renderer."""
 
+import gc
 import math
 import re
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,9 +19,9 @@ from qendy.dictionary import (
 )
 from qendy.dynamics import exact_derivatives
 from qendy.expr import (
-    BLOCK, Add, Const, Cos, EvaluationDomainError, Exp, ExpressionSyntaxError, Inv,
-    Mul, Pow, Program, Sin, Var, evaluate, gradient, parse,
-    render, variables,
+    _FUNCTIONS, BLOCK, Add, Const, Cos, EvaluationDomainError, Exp, Expr,
+    ExpressionSyntaxError, Inv, Mul, Pow, Program, Sin, Var, _divide, _negated,
+    _children, _tokenize, evaluate, gradient, parse, render, variables,
 )
 from qendy.systems import make_dictionary, make_system
 
@@ -222,6 +224,189 @@ def test_variables_of_deep_tree():
     for k in range(1, 3000):
         e = Add(e, Var(k % 4))
     assert variables(e) == frozenset({0, 1, 2, 3})
+
+
+# ---------------------------------------------------------------------------
+# one-loop parser against the recursive descent it replaced
+
+
+class _RecursiveParser:
+    """The earlier parser: one method per grammar rule."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str):
+        tok = self.peek()
+        if tok.kind != "op" or tok.text != op:
+            raise ExpressionSyntaxError(
+                f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
+                tok.offset, f"'{op}'")
+        self.advance()
+
+    def parse(self):
+        node = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ExpressionSyntaxError(
+                "unexpected trailing input", tok.offset, "end of input or an operator")
+        return node
+
+    def expr(self):
+        node = self.term()
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            op = self.advance().text
+            rhs = self.term()
+            node = Add(node, rhs if op == "+" else _negated(rhs))
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            op = self.advance().text
+            rhs = self.factor()
+            node = Mul(node, rhs) if op == "*" else _divide(node, rhs)
+        return node
+
+    def factor(self):
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "-":
+            self.advance()
+            return _negated(self.factor())
+        node = self.base()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
+            self.advance()
+            node = Pow(node, self.exponent())
+        return node
+
+    def exponent(self):
+        sign = 1
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "-":
+            self.advance()
+            sign = -1
+            tok = self.peek()
+        if tok.kind != "num" or any(c in tok.text for c in ".eE"):
+            raise ExpressionSyntaxError(
+                f"bad exponent {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
+                tok.offset, "an integer exponent")
+        self.advance()
+        return sign * int(tok.text)
+
+    def base(self):
+        tok = self.peek()
+        if tok.kind == "num":
+            self.advance()
+            return Const(float(tok.text))
+        if tok.kind == "var":
+            self.advance()
+            index = int(tok.text[1:])
+            if index < 1:
+                raise ExpressionSyntaxError(
+                    f"bad variable {tok.text!r}", tok.offset, "x1, x2, ... (1-indexed)")
+            return Var(index - 1)
+        if tok.kind == "name":
+            if tok.text not in _FUNCTIONS:
+                raise ExpressionSyntaxError(
+                    f"unknown function {tok.text!r}", tok.offset, "sin, cos, or exp")
+            self.advance()
+            self.expect_op("(")
+            arg = self.expr()
+            self.expect_op(")")
+            return _FUNCTIONS[tok.text](arg)
+        if tok.kind == "op" and tok.text == "(":
+            self.advance()
+            node = self.expr()
+            self.expect_op(")")
+            return node
+        raise ExpressionSyntaxError(
+            f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
+            tok.offset, "number, variable, function, or '('")
+
+
+def _outcome(parser, text):
+    """The tree ``parser`` returns for ``text``, or its error's message,
+    offset and expected-token hint."""
+    try:
+        return parser(text)
+    except ExpressionSyntaxError as error:
+        return str(error), error.offset, error.expected
+
+
+# Token pieces of the random strings; whitespace and a stray character go
+# through the tokenizer too.
+_PIECES = ["x1", "x2", "x3", "x0", "x01", "1", "0", "2.5", "1e3", "2E-1", "3", "10",
+           "sin", "cos", "exp", "foo", "(", "(", "(", ")", ")", ")", "+", "-", "-",
+           "*", "/", "^", "^", " ", "@"]
+
+
+def _random_expression(rng, depth):
+    """Well-formed text of nesting depth at most ``depth``."""
+    pick = rng.integers(9 if depth > 0 else 3)
+    if pick == 0:
+        return f"x{rng.integers(1, 4)}"
+    if pick == 1:
+        return str(rng.choice(["0", "1", "2.5", "1e-3", "3", "0.5"]))
+    if pick == 2:
+        return f"({_random_expression(rng, depth - 1) if depth else 'x1'})"
+    a, b = _random_expression(rng, depth - 1), _random_expression(rng, depth - 1)
+    if pick < 7:
+        return f"{a} {'+-*/'[pick - 3]} {b}"
+    if pick == 7:
+        return f"-{a}" if rng.random() < 0.5 else f"({a})^{rng.integers(-3, 4)}"
+    return f"{rng.choice(['sin', 'cos', 'exp'])}({a})"
+
+
+def test_parse_matches_recursive_parser_on_random_token_strings():
+    rng = np.random.default_rng(31)
+    parsed = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(_PIECES, size=rng.integers(1, 12)))
+        expected = _outcome(lambda t: _RecursiveParser(t).parse(), text)
+        assert _outcome(parse, text) == expected, text
+        parsed += isinstance(expected, Expr)
+    assert parsed > 300
+
+
+def test_parse_matches_recursive_parser_on_random_expressions():
+    rng = np.random.default_rng(32)
+    for _ in range(3000):
+        text = _random_expression(rng, 6)
+        tree = _RecursiveParser(text).parse()
+        assert parse(text) == tree, text
+        # Rendered text reparses as it did: a product whose left factor is
+        # Mul(Const(-1), Const(c)) renders as the constant -c, on either parser.
+        assert parse(render(tree)) == _RecursiveParser(render(tree)).parse(), text
+
+
+def _depth(tree):
+    """Length of the chain of last operands below ``tree``."""
+    depth = 0
+    while not isinstance(tree, (Const, Var)):
+        tree, depth = _children(tree)[-1], depth + 1
+    return depth
+
+
+def test_parse_nesting_depth_is_unbounded():
+    assert parse("(" * 20000 + "x1" + ")" * 20000) == Var(0)
+    calls = parse("sin(" * 3000 + "x1" + ")" * 3000)
+    assert _depth(calls) == 3000 and isinstance(calls, Sin)
+    signs = parse("-" * 5000 + "x1")
+    assert _depth(signs) == 5000 and signs.left == Const(-1.0)
+    assert evaluate(signs, [2.0]) == 2.0
+    assert parse("-" * 5001 + "2") == Const(-2.0)
+    with pytest.raises(ExpressionSyntaxError, match="end of input at offset 6001"):
+        parse("(" * 3000 + "x1" + ")" * 2999)
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +1046,20 @@ def test_bindings_compile_once_under_concurrent_first_use():
         assert column.tobytes() == expected[:, 0].tobytes()
         assert values.tobytes() == expected.tobytes()
         assert values_too.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("binding", ["point", "values", "tangents", "gradients", "rk4"])
+def test_a_compiled_binding_dies_with_its_program(binding):
+    # A binding whose globals held the binding itself was a reference cycle,
+    # which only the cyclic collector freed.
+    gc.disable()
+    try:
+        program = make_system("thomas").program
+        compiled = weakref.ref(program._bound(binding))
+        del program
+        assert compiled() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Quadratic lifted models: evaluation, simulation, extraction, reports."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from qendy.baselines import state_field
 from qendy.dictionary import (
-    Dictionary, dictionary_from_json, feature_map, feature_matrix, full_state_matrix,
+    ConfigurationError, Dictionary, dictionary_from_json, feature_map, feature_matrix,
+    full_state_matrix,
 )
 from qendy.dynamics import (
     IntegrationBlowupError, Trajectory, _step_count, exact_derivatives,
@@ -222,8 +224,11 @@ def test_simulate_blowup_raises():
 
 
 def test_simulate_rejects_non_finite_start():
-    with pytest.raises(ValueError, match="start state"):
-        simulate(hand_rational_model(), [np.nan], t_end=1.0, dt=0.1)
+    # Named in rk4_integrate's words; it read "start state lifts to
+    # non-finite values".
+    for x0, shown in (([np.nan], r"\[nan\]"), ([-np.inf], r"\[-inf\]")):
+        with pytest.raises(ValueError, match=f"^start state {shown} is not finite$"):
+            simulate(hand_rational_model(), x0, t_end=1.0, dt=0.1)
 
 
 def test_simulate_rejects_bad_steps():
@@ -573,6 +578,23 @@ def test_save_load_model(tmp_path):
     assert np.array_equal(back.a, model.a)
     z = feature_map(back.dictionary, [1.0])
     assert np.abs(evaluate(back, z) - np.array([-0.5, 0.125, 0.0])).max() < 1e-15
+
+
+def test_load_model_refuses_a_file_that_is_not_an_object(tmp_path):
+    # This raised TypeError: list indices must be integers or slices, not str.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps([model_to_json(hand_rational_model())]))
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(str(path))} does not hold "
+                                                 "a JSON object$"):
+        load_model(path)
+
+
+def test_model_file_sample_count_may_be_zero():
+    # What a fit of an empty training set writes; a negative m is refused
+    # (tests/test_cli.py, the bad fit metadata cases).
+    payload = model_to_json(hand_rational_model())
+    payload["m"] = 0
+    assert model_from_json(payload).metadata["m"] == 0
 
 
 def test_model_json_keeps_force_c_zero():
