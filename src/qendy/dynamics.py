@@ -51,8 +51,8 @@ class VectorField:
     """A vector field on R^n whose components are compiled expressions.
 
     ``program`` holds the n component trees over R^n and checks every
-    argument.  A call at one state runs the program's float binding;
-    :meth:`many` runs its array binding on a batch.
+    argument.  :meth:`many` runs its array binding on a batch, and a call at
+    one state runs it on a batch of one.
     """
 
     n: int

@@ -5,12 +5,12 @@ integer powers, sin/cos/exp, and reciprocals.  Evaluation goes through a
 :class:`Program`: one or more trees flattened, without recursion, into a
 topologically ordered instruction list in which structurally equal subtrees
 share one slot.  Each pass over the list is emitted as straight-line Python
-and compiled: the values over Python floats for one point (bit-equal to a
-batch) and, pasted into its four stages, a whole RK4 loop over floats; the
-values over NumPy columns for a batch; and the forward-mode tangent pass.
-That pass carries one directional derivative per slot, so the time
-derivative of a lift along sampled motion costs one pass and never forms a
-Jacobian; gradients seed one tangent set per coordinate in the same call.
+and compiled: the values over NumPy columns for a batch (one point is a batch
+of one); the same values pasted into the four stages of a whole RK4 loop
+over Python floats; and the forward-mode tangent pass.  That pass carries one
+directional derivative per slot, so the time derivative of a lift along
+sampled motion costs one pass and never forms a Jacobian; gradients seed one
+tangent set per coordinate in the same call.
 Derivatives are exact to rounding.  A batch call allocates its outputs and
 runs its binding on each block of :data:`BLOCK` rows, which writes into the
 same block of those outputs: a call holds its result plus one block, whatever
@@ -210,19 +210,14 @@ def _power(base, k):
 _FLOAT_OPS = {"_sin": math.sin, "_cos": math.cos, "_exp": np.exp, "_any": bool}
 _ARRAY_OPS = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_any": np.any}
 
-# Binding -> (its operations, how it reads variable j from the argument ``x``,
-# whether operands are arrays).  The tangent bindings give every slot value a
-# local, since the tangent statements read them, and copy each variable column
-# out of the (m, n) batch because every product rule reads it again; the
-# values binding reads the strided column in place.  The rk4 binding reads no
-# argument: its stage inputs are locals of the loop (see _rk4_source).
-_BINDINGS = {
-    "point": (_FLOAT_OPS, "x[{}]", False),
-    "values": (_ARRAY_OPS, "x[:, {}]", True),
-    "tangents": (_ARRAY_OPS, "x[:, {}].copy()", True),
-    "gradients": (_ARRAY_OPS, "x[:, {}].copy()", True),
-    "rk4": (_FLOAT_OPS, None, False),
-}
+# Binding -> how it reads variable j from the argument ``x``.  The tangent
+# bindings give every slot value a local, since the tangent statements read
+# them, and copy each variable column out of the (m, n) batch because every
+# product rule reads it again; the values binding reads the strided column in
+# place.  The rk4 binding, the one over floats, reads no argument: its stage
+# inputs are locals of the loop (see _rk4_source).
+_BINDINGS = {"values": "x[:, {}]", "tangents": "x[:, {}].copy()",
+             "gradients": "x[:, {}].copy()", "rk4": None}
 
 # Rows per block of a batch call.  A slot column of a block is 64 KB, under
 # glibc's default 128 KB mmap threshold, so a block's temporaries are reused
@@ -320,15 +315,15 @@ class Program:
     entry checks a point against (n,), a batch against (m, n) and a
     direction against its points, once, raising ValueError.
 
-    :meth:`source` emits the list as straight-line Python in five bindings,
-    each compiled on first use: ``point`` (Python floats, for :meth:`point`;
-    NumPy runs only ``exp`` and integer powers), ``rk4`` (the value
-    statements of ``point`` pasted into the four stages of one fixed-step
-    RK4 loop over the trees as the components of a field, for
-    :func:`qendy.dynamics.rk4_integrate`), ``values`` (one (m,) column per
-    slot), ``tangents`` (the values, then one directional derivative per
-    slot along a direction: a Jacobian-vector product without a Jacobian)
-    and ``gradients`` (the values, then one tangent set per coordinate).
+    :meth:`source` emits the list as straight-line Python in four bindings,
+    each compiled on first use: ``values`` (one (m,) column per slot; one
+    point is a batch of one), ``rk4`` (the value statements over Python
+    floats, NumPy running only ``exp`` and integer powers, pasted into the
+    four stages of one fixed-step RK4 loop over the trees as the components
+    of a field, for :func:`qendy.dynamics.rk4_integrate`), ``tangents`` (the
+    values, then one directional derivative per slot along a direction: a
+    Jacobian-vector product without a Jacobian) and ``gradients`` (the
+    values, then one tangent set per coordinate).
     The batch entries allocate their outputs and run the binding, which
     writes into them, on each block of :data:`BLOCK` rows: a call holds its
     result plus one block.  Every binding tests the operand of a reciprocal
@@ -381,15 +376,15 @@ class Program:
         return len(self._instrs)
 
     def source(self, binding: str) -> str:
-        """The Python source of one binding: ``program(x)`` for ``"point"``,
-        the loop described at :func:`_rk4_source` for ``"rk4"``, and batch
-        bindings that write output i into row i of the (K, b) arrays passed:
-        ``program(x, out)``, ``program(x, v, out, tout)`` along ``v`` (``out``
-        may be None; a zero tangent writes 0.0) and ``program(x, out, grads)``
-        (``grads[i, :, j]``, zero-filled by the caller).  All value statements
-        come first, in slot order, since a sin/cos partner slot can follow the
-        slot whose tangent reads it."""
-        _, read, arrays = _BINDINGS[binding]
+        """The Python source of one binding: the loop described at
+        :func:`_rk4_source` for ``"rk4"``, and batch bindings that write
+        output i into row i of the (K, b) arrays passed: ``program(x, out)``,
+        ``program(x, v, out, tout)`` along ``v`` (``out`` may be None; a zero
+        tangent writes 0.0) and ``program(x, out, grads)`` (``grads[i, :,
+        j]``, zero-filled by the caller).  All value statements come first,
+        in slot order, since a sin/cos partner slot can follow the slot whose
+        tangent reads it."""
+        read = _BINDINGS[binding]
         every_slot = binding in ("tangents", "gradients")
         instrs = self._instrs
         reads = [0] * len(instrs)
@@ -420,7 +415,7 @@ class Program:
                 text = f"({a[0]} * {a[1]})"
             elif op == _OP_POW:
                 # A constant base is a float even in the array bindings.
-                text = (f"({a[0]} ** {payload})" if arrays and varying[args[0]]
+                text = (f"({a[0]} ** {payload})" if binding != "rk4" and varying[args[0]]
                         else f"_power({a[0]}, {payload})")
             elif op == _OP_INV:
                 text = f"(1.0 / {a[0]})"
@@ -440,9 +435,6 @@ class Program:
                                [refs[s] for s in self.outputs])
 
         lines[:0] = [f"    x{j} = {read.format(j)}" for j in sorted(self.variables)]
-        if binding == "point":
-            listed = ", ".join(refs[s] for s in self.outputs)
-            return "\n".join(["def program(x):", *lines, f"    return [{listed}]", ""])
 
         def written(target, slot_refs, indent="    "):
             # Row i of target gets output i; a tangent known to be zero, 0.0.
@@ -484,9 +476,9 @@ class Program:
             raise EvaluationDomainError(node, "division by zero" if op == _OP_INV
                                         else "zero raised to a negative power")
 
-        namespace = {**_BINDINGS[binding][0], "_power": _power, "_fail": fail,
-                     "_ones": np.ones, "_isfinite": math.isfinite,
-                     "_DomainError": EvaluationDomainError}
+        namespace = {**(_FLOAT_OPS if binding == "rk4" else _ARRAY_OPS),
+                     "_power": _power, "_fail": fail, "_ones": np.ones,
+                     "_isfinite": math.isfinite, "_DomainError": EvaluationDomainError}
         namespace.update((f"_c{slot}", node.value) for slot, (op, _, _, node, _)
                          in enumerate(instrs)
                          if op == _OP_CONST and not math.isfinite(node.value))
@@ -495,22 +487,12 @@ class Program:
         return namespace.pop("program")
 
     def point(self, x) -> np.ndarray:
-        """Every tree at one point ``x`` (n,), computed in Python floats;
-        returns (K,).
-
-        Bit-equal to a one-row :meth:`values`.  Where a float operation
-        raises instead of returning inf or nan (``math.sin`` of an infinity),
-        the point is evaluated by :meth:`values` instead.
-        """
+        """Every tree at one point ``x`` (n,): :meth:`values` of a batch of
+        one; returns (K,)."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},), got {x.shape}")
-        try:
-            return np.array(self._bound("point")(x.tolist()), dtype=float)
-        except EvaluationDomainError:
-            raise
-        except ValueError:
-            return self.values(x[None, :])[:, 0]
+        return self.values(x[None, :])[:, 0]
 
     def _batch(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -753,9 +735,17 @@ def _prec(e: Expr) -> int:
 
 
 def _format_const(v: float) -> str:
+    if math.isinf(v):  # 1e999 parses to an infinity
+        return "-1e999" if v < 0 else "1e999"
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
+
+
+# The parser folds -c into one Const and reads 1/d as the bare divisor d, so
+# -1*c and 1*(1/d) keep their '*' when rendered.
+def _negates(e: Expr) -> bool:
+    return isinstance(e, Mul) and e.left == Const(-1.0) and not isinstance(e.right, Const)
 
 
 def _pieces(e: Expr) -> list:
@@ -770,15 +760,15 @@ def _pieces(e: Expr) -> list:
         right = e.right
         if isinstance(right, Const) and right.value < 0:
             return [left, "-", (Const(-right.value), _TERM)]
-        if isinstance(right, Mul) and right.left == Const(-1.0):
+        if _negates(right):
             return [left, "-", (right.right, _TERM)]
         return [left, "+", (right, _TERM)]
     if isinstance(e, Mul):
-        if e.left == Const(-1.0):
+        if _negates(e):
             return ["-", (e.right, _ATOM)]
-        if isinstance(e.right, Inv):
+        if isinstance(e.right, Inv) and e.left != Const(1.0):
             return [(e.left, _TERM), "/", (e.right.arg, _ATOM)]
-        if isinstance(e.right, Pow) and e.right.exponent < 0:
+        if isinstance(e.right, Pow) and e.right.exponent < 0 and e.left != Const(1.0):
             flipped = Pow(e.right.base, -e.right.exponent)
             return [(e.left, _TERM), "/", (flipped, _POW)]
         return [(e.left, _TERM), "*", (e.right, _POW)]

@@ -34,7 +34,7 @@ def kron_squared(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1:
         raise ValueError(f"expected a vector, got shape {z.shape}")
-    return np.multiply.outer(z, z).ravel()
+    return kron_squared_cols(z[:, None])[:, 0]
 
 
 def kron_squared_cols(z_cols) -> np.ndarray:
@@ -82,7 +82,7 @@ def evaluate(model: QuadraticModel, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (model.basis_size,):
         raise ValueError(f"expected z of shape ({model.basis_size},), got {z.shape}")
-    return model.a @ kron_squared(z) + model.b @ z + model.c
+    return evaluate_cols(model, z[:, None])[:, 0]
 
 
 def evaluate_cols(model: QuadraticModel, z_cols) -> np.ndarray:
@@ -190,8 +190,10 @@ def simulate(model: QuadraticModel, x0, t_end: float, dt: float) -> EmbeddedTraj
 
 def extract_rhs(model: QuadraticModel, x) -> np.ndarray:
     """Identified state-space right-hand side at one point: G dz(phi(x))."""
-    z = feature_map(model.dictionary, np.asarray(x, dtype=float))
-    return model.g @ evaluate(model, z)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.state_dim,):
+        raise ValueError(f"expected shape ({model.state_dim},), got {x.shape}")
+    return extract_rhs_many(model, x[None, :])[0]
 
 
 def extract_rhs_many(model: QuadraticModel, points) -> np.ndarray:

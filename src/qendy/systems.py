@@ -2,15 +2,17 @@
 
 Every system is an expression field (:meth:`VectorField.from_exprs`): its
 components are parsed from text, with parameters written in as ``repr``
-floats, and compiled into one :class:`~qendy.expr.Program`.  A batch runs
-its array binding and a single state its float binding.  Each expression
-performs the same floating-point operations as the NumPy code it replaced
-(``a - b`` as ``a + (-1*b)``, which is exact), except ``rational_decay``:
-``-x/(1+x)`` is now ``(-x)*(1/(1+x))``, which moves about a fifth of its
-values by one ulp.
+floats, and compiled into one :class:`~qendy.expr.Program`, whose array
+binding runs a batch or one state and whose RK4 loop runs over floats.  Each
+expression performs the same floating-point operations as the NumPy code it
+replaced (``a - b`` as ``a + (-1*b)``, which is exact), except
+``rational_decay``: ``-x/(1+x)`` is now ``(-x)*(1/(1+x))``, which moves about
+a fifth of its values by one ulp.
 """
 
 from __future__ import annotations
+
+import math
 
 from .dictionary import Dictionary
 from .dynamics import VectorField
@@ -25,14 +27,17 @@ __all__ = [
 ]
 
 
-def _num(value) -> str:
-    """A parameter as expression text; ``repr`` round-trips every finite float."""
-    return repr(float(value))
+def _num(value, name: str) -> str:
+    """Parameter ``name``, which must be finite, as ``repr`` text: it round-trips."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"parameter {name!r} must be finite, got {value}")
+    return repr(value)
 
 
 def pendulum(c: float = 0.1) -> VectorField:
     """Damped pendulum: dx1 = x2, dx2 = -sin(x1) - c*x2."""
-    return VectorField.from_exprs(2, ["x2", f"-sin(x1) - {_num(c)}*x2"])
+    return VectorField.from_exprs(2, ["x2", f"-sin(x1) - {_num(c, 'c')}*x2"])
 
 
 def pendulum_dictionary() -> Dictionary:
@@ -54,7 +59,7 @@ def thomas(alpha: float = 0.2, beta: float = 0.0) -> VectorField:
     dx1 = sin(x2) - alpha*x1 - beta*x2*cos(x1), and cyclic in (1, 2, 3).
     beta = 0 recovers the classical chaotic system.
     """
-    a, b = _num(alpha), _num(beta)
+    a, b = _num(alpha, "alpha"), _num(beta, "beta")
     return VectorField.from_exprs(3, [
         f"sin(x2) - {a}*x1 - {b}*x2*cos(x1)",
         f"sin(x3) - {a}*x2 - {b}*x3*cos(x2)",
@@ -106,7 +111,8 @@ def mean_field(mu: float = 0.1, omega: float = 1.0, coupling: float = -0.1,
     paraboloid x3 = x1^2 + x2^2.  The right-hand side is quadratic, so an
     identity-dictionary fit can represent it exactly.
     """
-    mu, omega, coupling, relax = map(_num, (mu, omega, coupling, relax))
+    mu, omega, coupling, relax = map(_num, (mu, omega, coupling, relax),
+                                     ("mu", "omega", "coupling", "relax"))
     return VectorField.from_exprs(3, [
         f"{mu}*x1 - {omega}*x2 + {coupling}*x1*x3",
         f"{omega}*x1 + {mu}*x2 + {coupling}*x2*x3",

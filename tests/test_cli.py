@@ -732,6 +732,20 @@ def test_system_params_that_are_not_numbers_fail_cleanly(tmp_path, capsys, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_system_params_that_are_not_finite_fail_cleanly(tmp_path, capsys, value):
+    # The config reader passes them; the system said "unknown function".
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": {"c": value}}))
+    out = tmp_path / "out"
+    rc = main(["generate", "--system", "pendulum", "--config", str(config),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"qendy: error in generate: parameter 'c' must be finite, got {value}\n")
+    assert not out.exists()
+
+
 def test_system_params_are_read_as_numbers(tmp_path):
     # A parameter reaches the system, and an integer writes the same data as
     # the float it reads as.
@@ -1192,6 +1206,34 @@ def test_fit_and_report_with_deeply_nested_dictionary_entry(tmp_path, basis):
                  "--dictionary", str(dictionary), "--out", str(tmp_path / "fit")]) == 0
     assert main(["report", "--model", str(tmp_path / "fit" / "model.json"),
                  "--out", str(tmp_path / "report")]) == 0
+
+
+def test_a_dictionary_entry_with_an_infinite_constant_renders(tmp_path, capsys):
+    # Rendering 1e999 took int() of an infinity: fit ended in an OverflowError
+    # traceback where it wrote the dictionary, and where an error named a pole.
+    _generate(tmp_path)
+    training = str(tmp_path / "training.csv")
+    dictionary = tmp_path / "inf.json"
+    basis = ["x1", "x2", "sin(x1)", "cos(x1) + 1/1e999"]
+    dictionary.write_text(json.dumps({"state_dim": 2, "basis": basis}))
+    assert main(["fit", "--training", training, "--dictionary", str(dictionary),
+                 "--out", str(tmp_path / "fit")]) == 0
+    model = tmp_path / "fit" / "model.json"
+    assert _read_json(model)["dictionary"]["basis"][3] == "cos(x1)+1/1e999"
+    assert main(["report", "--model", str(model), "--training", training,
+                 "--out", str(tmp_path / "report")]) == 0
+    assert main(["simulate", "--model", str(model), "--x0", "1,0", "--t-end", "1",
+                 "--dt", "0.01", "--system", "pendulum",
+                 "--out", str(tmp_path / "sim")]) == 0
+    capsys.readouterr()
+    dictionary.write_text(json.dumps({"state_dim": 2, "basis": ["x1", "x2",
+                                                                "1/(x1*(1/1e999))"]}))
+    rc = main(["fit", "--training", training, "--dictionary", str(dictionary),
+               "--out", str(tmp_path / "pole")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "qendy: error in fit: division by zero in '1/(x1/1e999)'\n")
+    assert not (tmp_path / "pole").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -249,6 +249,17 @@ def test_make_system_rejects_unknown():
         make_system("lorenz")
 
 
+@pytest.mark.parametrize("name, params, shown", [
+    ("pendulum", {"c": math.inf}, "'c' must be finite, got inf"),
+    ("thomas", {"beta": -math.inf}, "'beta' must be finite, got -inf"),
+    ("mean-field", {"relax": math.nan}, "'relax' must be finite, got nan"),
+], ids=["pendulum", "thomas", "mean-field"])
+def test_make_system_refuses_a_parameter_that_is_not_finite(name, params, shown):
+    # Written with repr, it read as an unknown function 'inf' or 'nan'.
+    with pytest.raises(ValueError, match=f"^parameter {shown}$"):
+        make_system(name, **params)
+
+
 # The hand-written NumPy right-hand sides that the expression fields replaced.
 HAND_WRITTEN = {
     "pendulum": lambda x1, x2: [x2, -np.sin(x1) - 0.1 * x2],
@@ -523,33 +534,8 @@ def test_float_steps_allocate_only_the_path():
     assert peak < traj.states.nbytes + 4 * traj.times.nbytes + 64 * 1024
 
 
-# The compiled loop against the loops it replaced: the array step of a batch
-# of one, and the float step that called the point binding once per stage.
-
-
-def _float_step(point, x: list, dt: float) -> list:
-    """One RK4 step over Python floats through the float binding ``point``,
-    with the operations of :func:`qendy.dynamics.rk4_step` in its order."""
-    half, sixth = 0.5 * dt, dt / 6.0
-    k1 = point(x)
-    k2 = point([a + half * k for a, k in zip(x, k1)])
-    k3 = point([a + half * k for a, k in zip(x, k2)])
-    k4 = point([a + dt * k for a, k in zip(x, k3)])
-    return [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-
-
-def _float_step_path(field, x0, t_end, dt):
-    """(blowup step or None, states) of a :func:`_float_step` loop."""
-    point = field.program._bound("point")
-    x, rows = [float(a) for a in x0], [[float(a) for a in x0]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(int(round(t_end / dt))):
-            x = _float_step(point, x, dt)
-            if not all(map(math.isfinite, x)):
-                return k + 1, np.array(rows)
-            rows.append(x)
-    return None, np.array(rows)
+# The compiled loop against the loop it replaced: the array step of a batch
+# of one.
 
 
 def _path(integrate, f, x0, t_end, dt):
@@ -586,9 +572,8 @@ def test_compiled_loop_is_bit_equal_to_the_loops_it_replaced(name, dt, array_rk4
         warnings.simplefilter("error")
         step, states, times = _path(rk4_integrate, field, x0, 5.0, dt)
         arrays = _path(array_rk4_integrate, batch_of_one, x0, 5.0, dt)
-        floats = _float_step_path(field, x0, 5.0, dt)
-    assert step == arrays[0] == floats[0]
-    assert states.tobytes() == arrays[1].tobytes() == floats[1].tobytes()
+    assert step == arrays[0]
+    assert states.tobytes() == arrays[1].tobytes()
     assert times.tobytes() == arrays[2].tobytes()
     if name == "quartic-coupled":
         assert step == {1e-3: 2698, 0.01: 272, 0.1: 29}[dt]

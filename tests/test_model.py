@@ -163,6 +163,36 @@ def test_extract_rhs_many_matches_scalar():
         assert np.abs(batch[k] - extract_rhs(model, pts[k])).max() < 1e-14
 
 
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_one_point_is_the_batch_of_one_bit_for_bit():
+    # Each one-point entry runs one column (or row) of its batch twin; the
+    # infinite coordinate reads sin(inf) and gives the batch's nan.
+    rng = np.random.default_rng(11)
+    for name, field in (("pendulum", pendulum()), ("thomas9", thomas(0.25, 0.15)),
+                        ("thomas15", thomas(0.25, 0.15))):
+        d = make_dictionary(name)
+        box = [(-1.5, 1.5)] * field.n
+        model = fit(d, exact_derivatives(field, sample_uniform(box, 2000, seed=3)))
+        points = [*rng.uniform(-2.0, 2.0, (200, field.n)),
+                  np.r_[np.inf, np.zeros(field.n - 1)]]
+        for x in points:
+            batch = x[None, :]
+            z = feature_matrix(d, batch)[:, 0]
+            pairs = [
+                (d.program.point(x), d.program.values(batch)[:, 0]),
+                (field(x), field.many(batch)[0]),
+                (feature_map(d, x), z),
+                (kron_squared(z), kron_squared_cols(z[:, None])[:, 0]),
+                (evaluate(model, z), evaluate_cols(model, z[:, None])[:, 0]),
+                (extract_rhs(model, x), extract_rhs_many(model, batch)[0]),
+            ]
+            for one, of_batch in pairs:
+                assert one.shape == of_batch.shape
+                assert one.tobytes() == of_batch.tobytes(), (name, x)
+        assert np.isnan(field(points[-1])).any()
+        assert np.isnan(feature_map(d, points[-1])).any()
+
+
 def test_extract_rhs_many_holds_its_result_plus_one_block():
     # thomas15 at m = 20 000: the whole (225, m) Kronecker square is 36 MB,
     # one block's is 14.7 MB.  Blocks past the first may move at rounding
